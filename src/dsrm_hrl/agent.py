@@ -64,28 +64,28 @@ class ManagerPolicy:
                 raise ValueError("sampling requires an rng")
             log_std = self._clamped_log_std()
             u = mean + np.exp(log_std) * rng.standard_normal(2)
-        lp = self.log_prob(state, u)
+        lp = self._log_density(mean, u)
         omega = softplus(u)
         return ManagerAction(float(omega[0]), float(omega[1])), float(lp), u
+
+    def _log_density(self, mean: np.ndarray, u: np.ndarray):
+        """log_prob given the Gaussian mean(s) instead of the state. Sums over
+        the last axis, so it takes one action or a batch."""
+        log_std = self._clamped_log_std()
+        var = np.exp(2 * log_std)
+        gauss = -0.5 * np.sum((u - mean) ** 2 / var + 2 * log_std + _LOG_2PI, axis=-1)
+        return gauss - np.sum(log_sigmoid(u), axis=-1)
 
     def log_prob(self, state: np.ndarray, u: np.ndarray) -> float:
         """Density of the squashed action evaluated at pre-squash point u:
         Gaussian log-density minus the log-Jacobian of the softplus."""
         mean, _ = self.net.forward(state)
-        log_std = self._clamped_log_std()
-        var = np.exp(2 * log_std)
-        gauss = -0.5 * np.sum((u - mean) ** 2 / var + 2 * log_std + _LOG_2PI)
-        return float(gauss - np.sum(log_sigmoid(u)))
+        return float(self._log_density(mean, u))
 
     def log_prob_batch(self, states: np.ndarray, us: np.ndarray):
         """Batched log-probs plus the forward cache needed for backprop."""
         means, cache = self.net.forward(states)
-        log_std = self._clamped_log_std()
-        var = np.exp(2 * log_std)
-        diff = us - means
-        gauss = -0.5 * np.sum(diff**2 / var + 2 * log_std + _LOG_2PI, axis=1)
-        lps = gauss - np.sum(log_sigmoid(us), axis=1)
-        return lps, means, cache
+        return self._log_density(means, us), means, cache
 
     def entropy(self) -> float:
         log_std = self._clamped_log_std()
@@ -158,7 +158,6 @@ class Trajectory:
     states: list = field(default_factory=list)
     pre_squash: list = field(default_factory=list)
     log_probs: list = field(default_factory=list)
-    slates: list = field(default_factory=list)
     env_rewards: list = field(default_factory=list)
     shaped_rewards: list = field(default_factory=list)
     values: list = field(default_factory=list)
@@ -168,7 +167,7 @@ class Trajectory:
         return len(self.states)
 
     def extend(self, other: "Trajectory"):
-        for name in ("states", "pre_squash", "log_probs", "slates", "env_rewards",
+        for name in ("states", "pre_squash", "log_probs", "env_rewards",
                      "shaped_rewards", "values", "dones"):
             getattr(self, name).extend(getattr(other, name))
 
@@ -276,7 +275,7 @@ class Agent:
             state = self.policy_state(obs.vec)
             action, lp, u, held = self.manager_action(state, rng, greedy, step, held)
             scores = score_items(state, action, env.catalog)
-            slate = select_slate(scores, cfg_slate_k(env))
+            slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
             r_t = float(np.mean(item_rewards))
             episode_exposure[slate] += 1
@@ -285,7 +284,6 @@ class Agent:
             traj.states.append(state)
             traj.pre_squash.append(u)
             traj.log_probs.append(lp)
-            traj.slates.append(slate)
             traj.env_rewards.append(r_t)
             traj.shaped_rewards.append(r_h)
             traj.values.append(self.value_net.value(state))
@@ -297,10 +295,6 @@ class Agent:
                                  exposure_log=slates_log,
                                  terminated_by_abandonment=env.abandoned)
         return outcome, traj
-
-
-def cfg_slate_k(env: RecEnv) -> int:
-    return env.config.slate_k
 
 
 class Trainer:

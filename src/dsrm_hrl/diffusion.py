@@ -21,13 +21,20 @@ class ScheduleError(ValueError):
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """beta/alpha/alpha_bar/sigma sequences, 1-indexed by diffusion step k
-    (arrays are 0-indexed internally; index k-1 holds step k)."""
+    (arrays are 0-indexed internally; index k-1 holds step k).
+
+    The reverse update at step k is
+    s_{k-1} = inv_sqrt_alpha * (s_k - eps_coef * eps_hat) + sigma * z, with
+    inv_sqrt_alpha = 1/sqrt(alpha) and eps_coef = (1-alpha)/sqrt(1-alpha_bar).
+    """
 
     k_steps: int
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray
+    inv_sqrt_alpha: np.ndarray
+    eps_coef: np.ndarray
 
 
 def make_schedule(k_steps: int, beta_min: float, beta_max: float) -> DiffusionSchedule:
@@ -45,7 +52,9 @@ def make_schedule(k_steps: int, beta_min: float, beta_max: float) -> DiffusionSc
     prev_bar = np.concatenate(([1.0], alpha_bar[:-1]))
     sigma = np.sqrt(beta * (1.0 - prev_bar) / (1.0 - alpha_bar))
     sigma[0] = 0.0
-    return DiffusionSchedule(k_steps, beta, alpha, alpha_bar, sigma)
+    return DiffusionSchedule(k_steps, beta, alpha, alpha_bar, sigma,
+                             inv_sqrt_alpha=1.0 / np.sqrt(alpha),
+                             eps_coef=(1.0 - alpha) / np.sqrt(1.0 - alpha_bar))
 
 
 def forward_diffuse(s0: np.ndarray, k: int, eps: np.ndarray,
@@ -77,23 +86,26 @@ class Denoiser:
         self.k_steps = k_steps
         sizes = [2 * d + time_dim, *hidden, d]
         self.net = Mlp(sizes, activation=activation, rng=rng)
-        self._temb = [time_embedding(k, k_steps, time_dim) for k in range(k_steps + 1)]
-
-    def _inputs(self, s_k, k, cond):
-        s_k = np.asarray(s_k, dtype=np.float64)
-        cond = np.asarray(cond, dtype=np.float64)
-        temb = self._temb[k]
-        if s_k.ndim == 1:
-            return np.concatenate([s_k, temb, cond])
-        b = s_k.shape[0]
-        return np.concatenate([s_k, np.tile(temb, (b, 1)), cond], axis=1)
+        # Row k holds the embedding of step k (row 0 is unused by the chain).
+        self.temb_table = np.stack([time_embedding(k, k_steps, time_dim)
+                                    for k in range(k_steps + 1)])
 
     def predict(self, s_k, k: int, cond):
-        y, _ = self.net.forward(self._inputs(s_k, k, cond))
+        """Predicted noise for one state at step k."""
+        x = np.concatenate([np.asarray(s_k, dtype=np.float64), self.temb_table[k],
+                            np.asarray(cond, dtype=np.float64)])
+        y, _ = self.net.forward(x)
         return y
 
-    def predict_with_cache(self, s_k, k: int, cond):
-        return self.net.forward(self._inputs(s_k, k, cond))
+    def first_layer_bias(self, cond: np.ndarray) -> np.ndarray:
+        """(k_steps+1, H) table of the first layer's state-independent part,
+        W0_t @ temb_k + W0_c @ cond + b0, so that step k's first
+        pre-activation is W0_s @ s_k + table[k]. Built from the current
+        weights on every call, since training updates them in place."""
+        w0 = self.net.weights[0]
+        d, t = self.d, self.time_dim
+        return (self.temb_table @ w0[:, d:d + t].T
+                + (w0[:, d + t:] @ cond + self.net.biases[0]))
 
 
 def reverse_step(s_k: np.ndarray, k: int, cond: np.ndarray, denoiser: Denoiser,
@@ -102,10 +114,8 @@ def reverse_step(s_k: np.ndarray, k: int, cond: np.ndarray, denoiser: Denoiser,
     add the posterior-scaled perturbation z."""
     if not 1 <= k <= schedule.k_steps:
         raise IndexError(f"diffusion step {k} out of range [1, {schedule.k_steps}]")
-    a = schedule.alpha[k - 1]
-    ab = schedule.alpha_bar[k - 1]
     eps_hat = denoiser.predict(s_k, k, cond)
-    mean = (s_k - (1.0 - a) / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
+    mean = schedule.inv_sqrt_alpha[k - 1] * (s_k - schedule.eps_coef[k - 1] * eps_hat)
     return mean + schedule.sigma[k - 1] * z
 
 
@@ -124,6 +134,8 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
     The chain starts from the diffused observation (or pure noise when
     ancestral=True). Deterministic mode derives the start noise from a hash
     of the observation and uses z=0, so repeated calls are bit-identical.
+    Each step is reverse_step with the denoiser's first layer split: the
+    conditioning and time-embedding parts are one table per call.
     """
     vec = np.asarray(observed_vec, dtype=np.float64)
     if schedule is None or denoiser is None or schedule.k_steps == 0:
@@ -141,10 +153,23 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
         s = eps.copy()
     else:
         s = forward_diffuse(vec, k_steps, eps, schedule)
-    zeros = np.zeros_like(vec)
+
+    net = denoiser.net
+    bias0 = denoiser.first_layer_bias(vec)
+    w0_s = net.weights[0][:, :denoiser.d]
+    later = list(zip(net.weights[1:], net.biases[1:]))
+    act = net._act
+    inv_sqrt_alpha = schedule.inv_sqrt_alpha.tolist()
+    eps_coef = schedule.eps_coef.tolist()
+    stochastic = mode == "stochastic"
     for k in range(k_steps, 0, -1):
-        z = zeros if (mode == "deterministic" or k == 1) else rng.standard_normal(vec.shape)
-        s = reverse_step(s, k, vec, denoiser, schedule, z)
+        h = w0_s @ s + bias0[k]
+        for w, b in later:
+            h = w @ act(h) + b
+        s = inv_sqrt_alpha[k - 1] * (s - eps_coef[k - 1] * h)
+        # z = 0 at k = 1, where sigma is 0 as well.
+        if stochastic and k > 1:
+            s = s + schedule.sigma[k - 1] * rng.standard_normal(vec.shape)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("purification produced non-finite values")
     return s
@@ -154,7 +179,10 @@ def dsrm_loss(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
               schedule: DiffusionSchedule, rng: np.random.Generator,
               eps: np.ndarray | None = None, ks: np.ndarray | None = None):
     """Noise-reconstruction loss E||eps - predicted||^2 over a batch, with
-    gradients for the denoiser net. eps/ks are injectable for tests."""
+    gradients for the denoiser net. eps/ks are injectable for tests.
+
+    Every row carries its own step k (its own alpha_bar and time
+    embedding), so the whole batch is one forward and one backward pass."""
     s0_batch = np.atleast_2d(np.asarray(s0_batch, dtype=np.float64))
     cond_batch = np.atleast_2d(np.asarray(cond_batch, dtype=np.float64))
     b, d = s0_batch.shape
@@ -164,23 +192,18 @@ def dsrm_loss(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
         ks = rng.integers(1, schedule.k_steps + 1, size=b)
     if eps is None:
         eps = rng.standard_normal((b, d))
+    ks = np.asarray(ks)
+    if ks.min() < 1 or ks.max() > schedule.k_steps:
+        raise IndexError(f"diffusion steps out of range [1, {schedule.k_steps}]")
 
-    # Group by k so each group is one batched forward pass.
-    grads = {key: np.zeros_like(val) for key, val in denoiser.net.parameters().items()}
-    total = 0.0
-    for k in np.unique(ks):
-        sel = ks == k
-        nk = int(sel.sum())
-        s_k = forward_diffuse(s0_batch[sel], int(k), eps[sel], schedule)
-        pred, cache = denoiser.predict_with_cache(s_k, int(k), cond_batch[sel])
-        resid = pred - eps[sel]
-        total += float(np.sum(resid * resid))
-        # d(mean over batch of ||resid||^2)/dpred = 2 resid / b
-        gk, _ = denoiser.net.backward(cache, 2.0 * resid / b)
-        for key in grads:
-            grads[key] += gk[key]
-        del nk
-    loss = total / b
+    ab = schedule.alpha_bar[ks - 1][:, None]
+    s_k = np.sqrt(ab) * s0_batch + np.sqrt(1.0 - ab) * eps
+    x = np.concatenate([s_k, denoiser.temb_table[ks], cond_batch], axis=1)
+    pred, cache = denoiser.net.forward(x)
+    resid = pred - eps
+    loss = float(np.sum(resid * resid)) / b
+    # d(mean over batch of ||resid||^2)/dpred = 2 resid / b
+    grads, _ = denoiser.net.backward(cache, 2.0 * resid / b)
     return loss, grads
 
 

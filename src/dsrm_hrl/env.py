@@ -191,6 +191,7 @@ class RecEnv:
         self._rng: np.random.Generator | None = None
         self._step = 0
         self._done = True
+        self._abandoned = False
         self._slate_groups: list = []
 
     # -- session control ---------------------------------------------------
@@ -204,6 +205,7 @@ class RecEnv:
         self._user = UserProfile(latent_pref=pref)
         self._step = 0
         self._done = False
+        self._abandoned = False
         self._slate_groups = []
         return encode_observed([], self.catalog, self.config.noise_scale,
                                self._rng, step=0)
@@ -276,4 +278,4 @@ class RecEnv:
 
     @property
     def abandoned(self) -> bool:
-        return getattr(self, "_abandoned", False)
+        return self._abandoned

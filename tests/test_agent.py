@@ -79,6 +79,23 @@ def test_log_prob_batch_matches_single():
         assert lps[i] == pytest.approx(policy.log_prob(states[i], us[i]), abs=1e-12)
 
 
+def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
+    """act reuses its own forward for the log-prob; the value must equal a
+    separate log_prob call at the sampled point, bit for bit."""
+    policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(7))
+    policy.log_std[:] = [-0.4, 0.3]
+    state = np.random.default_rng(8).standard_normal(4)
+    calls = []
+    forward = policy.net.forward
+    monkeypatch.setattr(policy.net, "forward",
+                        lambda x: calls.append(1) or forward(x))
+    for greedy, rng in ((True, None), (False, np.random.default_rng(9))):
+        calls.clear()
+        _, lp, u = policy.act(state, rng=rng, greedy=greedy)
+        assert len(calls) == 1
+        assert lp == policy.log_prob(state, u)
+
+
 def test_log_std_clamped():
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(6))
     policy.log_std[:] = [-100.0, 100.0]

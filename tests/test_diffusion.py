@@ -8,6 +8,7 @@ from dsrm_hrl.diffusion import (Denoiser, ScheduleError, collect_pairs,
                                 dsrm_loss, forward_diffuse, make_schedule,
                                 purify, reverse_step, time_embedding,
                                 train_dsrm)
+from dsrm_hrl.diffusion import _state_hash_rng
 from dsrm_hrl.nn import gradient_check
 
 
@@ -226,3 +227,166 @@ def test_collect_pairs_shapes():
     assert not np.allclose(clean, noisy)
     assert sessions.shape == (50,)
     assert np.all(np.diff(sessions) >= 0)
+
+
+# -- reference implementations ------------------------------------------
+# The straightforward forms of the two denoiser hot paths: purify as a chain
+# of single-vector forwards on concat(s_k, temb_k, cond), and the loss as
+# one forward/backward per distinct diffusion step. The library versions
+# reorder float sums, so they must agree to rounding, not bit for bit.
+
+TOL = 1e-12
+
+
+def _ref_predict(den, s_k, k, cond):
+    x = np.concatenate([s_k, time_embedding(k, den.k_steps, den.time_dim), cond])
+    y, _ = den.net.forward(x)
+    return y
+
+
+def _ref_purify(vec, den, sched, mode="deterministic", rng=None, ancestral=False):
+    if mode == "deterministic":
+        rng = _state_hash_rng(vec)
+    k_steps = sched.k_steps
+    eps = rng.standard_normal(vec.shape)
+    s = eps.copy() if ancestral else forward_diffuse(vec, k_steps, eps, sched)
+    for k in range(k_steps, 0, -1):
+        z = (np.zeros_like(vec) if (mode == "deterministic" or k == 1)
+             else rng.standard_normal(vec.shape))
+        a, ab = sched.alpha[k - 1], sched.alpha_bar[k - 1]
+        eps_hat = _ref_predict(den, s, k, vec)
+        s = (s - (1.0 - a) / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a) \
+            + sched.sigma[k - 1] * z
+    return s
+
+
+def _ref_dsrm_loss(den, s0, cond, sched, eps, ks):
+    b = s0.shape[0]
+    grads = {key: np.zeros_like(v) for key, v in den.net.parameters().items()}
+    total = 0.0
+    for k in np.unique(ks):
+        sel = ks == k
+        s_k = forward_diffuse(s0[sel], int(k), eps[sel], sched)
+        temb = np.tile(time_embedding(int(k), den.k_steps, den.time_dim),
+                       (int(sel.sum()), 1))
+        pred, cache = den.net.forward(np.concatenate([s_k, temb, cond[sel]], axis=1))
+        resid = pred - eps[sel]
+        total += float(np.sum(resid * resid))
+        gk, _ = den.net.backward(cache, 2.0 * resid / b)
+        for key in grads:
+            grads[key] += gk[key]
+    return total / b, grads
+
+
+def _random_denoiser(d, k_steps, hidden, activation, seed):
+    den = Denoiser(d, hidden=hidden, time_dim=6, k_steps=k_steps,
+                   rng=np.random.default_rng(seed), activation=activation)
+    # Non-zero biases, so the split first layer's bias term is exercised.
+    for b in den.net.biases:
+        b[:] = np.random.default_rng(seed + 1).standard_normal(b.shape) * 0.1
+    return den
+
+
+@pytest.mark.parametrize("k_steps", [1, 5, 200])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(16,), (16, 12)])
+def test_purify_matches_reference_chain(k_steps, activation, hidden):
+    den = _random_denoiser(5, k_steps, hidden, activation, seed=k_steps)
+    sched = make_schedule(k_steps, 1e-4, 0.02)
+    x = np.random.default_rng(11).standard_normal(5)
+    cases = [
+        (dict(), dict()),
+        (dict(mode="stochastic", rng=np.random.default_rng(3)),
+         dict(mode="stochastic", rng=np.random.default_rng(3))),
+        (dict(mode="stochastic", rng=np.random.default_rng(4), ancestral=True),
+         dict(mode="stochastic", rng=np.random.default_rng(4), ancestral=True)),
+        (dict(ancestral=True), dict(ancestral=True)),
+    ]
+    for kw_lib, kw_ref in cases:
+        got = purify(x, den, sched, **kw_lib)
+        want = _ref_purify(x, den, sched, **kw_ref)
+        assert np.max(np.abs(got - want)) <= TOL, kw_lib
+
+
+def test_purify_stochastic_draws_same_noise_as_reference():
+    """Same rng state after the call: the chain draws one start vector and
+    one z per step k > 1, in the reference order."""
+    den = _random_denoiser(4, 7, (8,), "tanh", seed=2)
+    sched = make_schedule(7, 0.01, 0.1)
+    x = np.ones(4)
+    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
+    purify(x, den, sched, mode="stochastic", rng=r1)
+    _ref_purify(x, den, sched, mode="stochastic", rng=r2)
+    assert r1.random() == r2.random()
+
+
+def test_purify_uses_current_weights():
+    """The conditioning table is rebuilt per call, so an in-place weight
+    update (as Adam makes in stage I) shows up in the next purify."""
+    den = _random_denoiser(4, 5, (8,), "tanh", seed=3)
+    sched = make_schedule(5, 0.01, 0.1)
+    x = np.arange(4.0)
+    before = purify(x, den, sched)
+    den.net.weights[0] += 0.5
+    den.net.biases[0] -= 0.25
+    after = purify(x, den, sched)
+    assert not np.allclose(before, after)
+    assert np.max(np.abs(after - _ref_purify(x, den, sched))) <= TOL
+
+
+def test_purify_rejects_non_finite_weights():
+    den = _random_denoiser(4, 5, (8,), "tanh", seed=4)
+    sched = make_schedule(5, 0.01, 0.1)
+    den.net.weights[-1][0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        purify(np.ones(4), den, sched)
+
+
+@pytest.mark.parametrize("ks", [
+    np.array([1, 5, 2, 5, 5, 3, 1, 4]),   # repeated steps
+    np.array([3]),                         # batch of one
+    np.array([2, 2, 2, 2]),                # a single distinct step
+    np.arange(1, 201),                     # every step of a deep schedule
+])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_dsrm_loss_matches_per_step_reference(ks, activation):
+    k_steps = int(ks.max())
+    den = _random_denoiser(4, k_steps, (16, 12), activation, seed=5)
+    sched = make_schedule(k_steps, 1e-4, 0.02)
+    rng = np.random.default_rng(12)
+    b = len(ks)
+    s0 = rng.standard_normal((b, 4))
+    cond = rng.standard_normal((b, 4))
+    eps = rng.standard_normal((b, 4))
+    loss, grads = dsrm_loss(den, s0, cond, sched, None, eps=eps, ks=ks)
+    ref_loss, ref_grads = _ref_dsrm_loss(den, s0, cond, sched, eps, ks)
+    assert abs(loss - ref_loss) <= TOL
+    assert grads.keys() == ref_grads.keys()
+    for key in grads:
+        assert grads[key].shape == ref_grads[key].shape
+        assert np.max(np.abs(grads[key] - ref_grads[key])) <= TOL, key
+
+
+def test_dsrm_loss_rejects_out_of_range_steps():
+    den = _random_denoiser(3, 4, (6,), "tanh", seed=6)
+    sched = make_schedule(4, 0.05, 0.2)
+    z = np.zeros((2, 3))
+    for ks in (np.array([0, 1]), np.array([1, 5])):
+        with pytest.raises(IndexError):
+            dsrm_loss(den, z, z, sched, None, eps=z, ks=ks)
+
+
+def test_dsrm_loss_draw_order_unchanged():
+    """ks are drawn before eps from the same rng, as train_dsrm's fixed
+    per-epoch targets rely on."""
+    den = _random_denoiser(3, 6, (6,), "tanh", seed=7)
+    sched = make_schedule(6, 0.05, 0.2)
+    rng = np.random.default_rng(13)
+    s0 = rng.standard_normal((5, 3))
+    cond = rng.standard_normal((5, 3))
+    loss, _ = dsrm_loss(den, s0, cond, sched, np.random.default_rng(14))
+    draws = np.random.default_rng(14)
+    ks = draws.integers(1, 7, size=5)
+    eps = draws.standard_normal((5, 3))
+    ref_loss, _ = _ref_dsrm_loss(den, s0, cond, sched, eps, ks)
+    assert abs(loss - ref_loss) <= TOL

@@ -133,6 +133,20 @@ def test_episode_terminates_at_max_len():
     assert not env.abandoned
 
 
+def test_reset_clears_abandoned_flag():
+    """An abandoned session must not leak its flag into the next one."""
+    env = RecEnv(small_cfg(max_len=50, window_a=2, threshold_a=0.4, decay_a=0.5))
+    assert not env.abandoned
+    env.reset(0)
+    popular = env.catalog.popular_ids()[:3]
+    while not env.done:
+        env.step(popular)
+    assert env.abandoned
+    env.reset(1)
+    assert not env.done
+    assert not env.abandoned
+
+
 def test_encode_cold_start_is_prior():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
