@@ -116,12 +116,18 @@ def score_items(state_vec: np.ndarray, action: ManagerAction, catalog) -> np.nda
 
 
 def select_slate(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k by score, ties broken by lower item id."""
+    """Top-k by score, ties broken by lower item id. Partial selection: only
+    the items at or above the k-th best score (all ties included, in id
+    order) are sorted, so the cost is O(n) plus a sort of about k items."""
     n = len(scores)
-    if k > n:
-        raise ValueError(f"slate size {k} exceeds catalog size {n}")
-    order = np.lexsort((np.arange(n), -scores))
-    return order[:k].copy()
+    if not 0 <= k <= n:
+        raise ValueError(f"slate size {k} outside [0, catalog size {n}]")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("non-finite item scores")
+    neg = -scores
+    kth = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(neg <= kth)
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
 def shaped_reward(r: float, episode_exposure: np.ndarray, lambda_fair: float) -> float:
@@ -241,11 +247,13 @@ class Agent:
         rng = np.random.default_rng([seed, 1])
         self.policy = ManagerPolicy(d, hidden=tuple(cfg.hidden), rng=rng)
         self.value_net = ValueNet(d, hidden=tuple(cfg.hidden), rng=rng)
-        if self.variant in ("DSRM-HRL", "FLAT") and denoiser is None:
-            raise ValueError(f"variant {self.variant} requires a trained denoiser")
+        if self.variant == "DSRM-HRL" and denoiser is None:
+            raise ValueError("variant DSRM-HRL requires a trained denoiser")
 
     def policy_state(self, observed_vec: np.ndarray) -> np.ndarray:
-        if self.variant == "HRL-RAW":
+        """The purified state, or the raw one for HRL-RAW and for FLAT
+        without a denoiser."""
+        if self.variant == "HRL-RAW" or self.denoiser is None:
             return np.asarray(observed_vec, dtype=np.float64)
         return purify(observed_vec, self.denoiser, self.schedule,
                       mode="deterministic")
@@ -262,32 +270,38 @@ class Agent:
 
     def run_episode(self, env: RecEnv, session_seed: int, rng,
                     mode: str = "train") -> tuple[SessionOutcome, Trajectory]:
-        cfg = self.cfg
-        greedy = mode == "eval"
+        """One session. Train mode samples actions and records the PPO
+        trajectory (values, shaped rewards); eval mode acts greedily, does
+        inference only and returns an empty Trajectory."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"unknown episode mode {mode!r}")
+        train = mode == "train"
         obs = env.reset(session_seed)
         traj = Trajectory()
-        episode_exposure = np.zeros(env.catalog.n_items)
+        if train:
+            episode_exposure = np.zeros(env.catalog.n_items)
         rewards_log, slates_log = [], []
         held = None
         done = False
         step = 0
         while not done:
             state = self.policy_state(obs.vec)
-            action, lp, u, held = self.manager_action(state, rng, greedy, step, held)
+            action, lp, u, held = self.manager_action(state, rng, not train,
+                                                      step, held)
             scores = score_items(state, action, env.catalog)
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
             r_t = float(np.mean(item_rewards))
-            episode_exposure[slate] += 1
-            r_h = shaped_reward(r_t, episode_exposure, cfg.lambda_fair)
-
-            traj.states.append(state)
-            traj.pre_squash.append(u)
-            traj.log_probs.append(lp)
-            traj.env_rewards.append(r_t)
-            traj.shaped_rewards.append(r_h)
-            traj.values.append(self.value_net.value(state))
-            traj.dones.append(done)
+            if train:
+                episode_exposure[slate] += 1
+                traj.states.append(state)
+                traj.pre_squash.append(u)
+                traj.log_probs.append(lp)
+                traj.env_rewards.append(r_t)
+                traj.shaped_rewards.append(
+                    shaped_reward(r_t, episode_exposure, self.cfg.lambda_fair))
+                traj.values.append(self.value_net.value(state))
+                traj.dones.append(done)
             rewards_log.append(r_t)
             slates_log.append(slate.tolist())
             step += 1

@@ -48,7 +48,8 @@ def gini(counts) -> float:
     xs = np.sort(x)
     # sum_ij |xi - xj| = 2 * sum_i (2i - n + 1) x_(i)  (0-based i)
     coef = 2.0 * np.arange(n) - n + 1.0
-    return float((coef @ xs) / (n * total))
+    # Rounding can take a (near-)uniform vector a few ulps below 0.
+    return max(0.0, float((coef @ xs) / (n * total)))
 
 
 def group_coverage(exposure_log, catalog: ItemCatalog, mode: str = "coverage"):

@@ -6,11 +6,11 @@ motivation analyses. The CLI is a thin wrapper over these functions."""
 from __future__ import annotations
 
 import sys
-from itertools import product
+from dataclasses import replace
 
 import numpy as np
 
-from .agent import Agent, ManagerAction, Trainer, evaluate, score_items, select_slate
+from .agent import Agent, Trainer, evaluate
 from .config import EVAL_SEED_OFFSET, RunConfig, render_config
 from .diffusion import Denoiser, collect_pairs, make_schedule, purify, train_dsrm
 from .env import RecEnv
@@ -23,15 +23,6 @@ from . import config as config_mod
 
 def log(msg: str):
     print(msg, file=sys.stderr)
-
-
-def experiment_plan(variants, seeds=(11, 15, 19), max_lens=(30, 50)):
-    """Cartesian run plan in fixed order: variant-major, then seed, then
-    max_len."""
-    return [
-        {"variant": v, "seed": s, "max_len": m}
-        for v, s, m in product(variants, seeds, max_lens)
-    ]
 
 
 # -- stage I ----------------------------------------------------------------
@@ -227,44 +218,22 @@ def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000,
     return r2, rows
 
 
-def _fixed_policy_outcomes(cfg: RunConfig, denoiser, schedule, use_purified,
-                           episodes: int, seed: int):
-    """Evaluate one fixed scoring policy on raw vs purified states."""
-    from .env import SessionOutcome
-    env = RecEnv(cfg.env)
-    action = ManagerAction(cfg.hrl.flat_omega_acc, cfg.hrl.flat_omega_fair)
-    outcomes = []
-    for i in range(episodes):
-        obs = env.reset(EVAL_SEED_OFFSET + seed * 100_000 + i)
-        rewards_log, slates_log = [], []
-        done = False
-        while not done:
-            state = purify(obs.vec, denoiser, schedule) if use_purified else obs.vec
-            slate = select_slate(score_items(state, action, env.catalog),
-                                 cfg.env.slate_k)
-            item_rewards, obs, done = env.step(slate)
-            rewards_log.append(float(np.mean(item_rewards)))
-            slates_log.append(slate.tolist())
-        outcomes.append(SessionOutcome(length=len(rewards_log), rewards=rewards_log,
-                                       exposure_log=slates_log,
-                                       terminated_by_abandonment=env.abandoned))
-    return outcomes, env.catalog
-
-
 def purification_gain(cfg: RunConfig, dsrm_ckpt, episodes: int = 200,
                       seed: int = 0):
-    """The state-purification comparison: identical FLAT scoring policy on
-    raw vs purified states; returns the two metric reports."""
+    """The state-purification comparison: the same FLAT scoring policy
+    evaluated on raw states (no denoiser) and on purified states; returns
+    the two metric reports."""
     denoiser, schedule, _ = load_denoiser(dsrm_ckpt)
-    raw_out, catalog = _fixed_policy_outcomes(cfg, denoiser, schedule, False,
-                                              episodes, seed)
-    pur_out, _ = _fixed_policy_outcomes(cfg, denoiser, schedule, True,
-                                        episodes, seed)
-    raw = session_stats(raw_out, catalog, variant="RAW-STATE", seed=seed,
-                        max_len=cfg.env.max_len)
-    pur = session_stats(pur_out, catalog, variant="PURIFIED-STATE", seed=seed,
-                        max_len=cfg.env.max_len)
-    return raw, pur
+    flat = replace(cfg.hrl, variant="FLAT")
+    reports = []
+    for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)):
+        env = RecEnv(cfg.env)
+        agent = Agent(flat, cfg.env.d, denoiser=den, schedule=schedule)
+        outcomes = evaluate(env, agent, episodes, base_seed=seed,
+                            seed_offset=EVAL_SEED_OFFSET)
+        reports.append(session_stats(outcomes, env.catalog, variant=name,
+                                     seed=seed, max_len=cfg.env.max_len))
+    return tuple(reports)
 
 
 def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500, seed: int = 0):

@@ -1,5 +1,7 @@
 """Manager policy, worker scoring, GAE, PPO arithmetic, training loop."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from dsrm_hrl.agent import (Agent, ManagerAction, ManagerPolicy, Trainer,
                             Trajectory, ValueNet, compute_gae, evaluate,
                             ppo_update, score_items, select_slate,
                             shaped_reward, softplus)
+from dsrm_hrl.env import SessionOutcome
 from dsrm_hrl.nn import Adam
+from dsrm_hrl import agent as agent_mod
 
 
 def small_env_cfg(**kw):
@@ -143,9 +147,34 @@ def test_select_slate_matches_sort_oracle():
         assert list(slate) == oracle
 
 
+def test_select_slate_matches_sort_oracle_at_catalog_scale():
+    """Partial selection against the full sort at n=5000: heavy ties, all
+    scores equal, signed zeros, and k from 0 up to the whole catalog."""
+    n = 5000
+    rng = np.random.default_rng(11)
+    signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    signed_zeros[::7] = -1.0 - rng.random(len(signed_zeros[::7]))
+    cases = [rng.standard_normal(n).round(1),        # ~60 distinct values
+             rng.standard_normal(n),
+             np.full(n, 0.25),
+             signed_zeros]
+    for scores in cases:
+        oracle = sorted(range(n), key=lambda i: (-scores[i], i))
+        for k in (0, 1, 10, n):
+            assert select_slate(scores, k).tolist() == oracle[:k]
+
+
 def test_select_slate_rejects_oversize():
     with pytest.raises(ValueError):
         select_slate(np.zeros(3), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_slate_rejects_non_finite(bad):
+    scores = np.arange(10, dtype=np.float64)
+    scores[4] = bad
+    with pytest.raises(ValueError):
+        select_slate(scores, 3)
 
 
 def test_shaped_reward_hand_case():
@@ -248,6 +277,94 @@ def make_agent(variant, seed=0):
                        rng=np.random.default_rng(0))
         sched = make_schedule(2, 0.01, 0.1)
     return cfg, Agent(cfg, 8, denoiser=den, schedule=sched, seed=seed)
+
+
+def reference_episode(agent, env, session_seed, rng, mode):
+    """The rollout loop with full bookkeeping in both modes and a full-sort
+    slate selection, as an oracle for Agent.run_episode."""
+    obs = env.reset(session_seed)
+    traj = Trajectory()
+    episode_exposure = np.zeros(env.catalog.n_items)
+    rewards_log, slates_log = [], []
+    held = None
+    done = False
+    step = 0
+    while not done:
+        state = agent.policy_state(obs.vec)
+        action, lp, u, held = agent.manager_action(state, rng, mode == "eval",
+                                                   step, held)
+        scores = score_items(state, action, env.catalog)
+        n = len(scores)
+        slate = np.lexsort((np.arange(n), -scores))[:env.config.slate_k]
+        item_rewards, obs, done = env.step(slate)
+        r_t = float(np.mean(item_rewards))
+        episode_exposure[slate] += 1
+        traj.states.append(state)
+        traj.pre_squash.append(u)
+        traj.log_probs.append(lp)
+        traj.env_rewards.append(r_t)
+        traj.shaped_rewards.append(
+            shaped_reward(r_t, episode_exposure, agent.cfg.lambda_fair))
+        traj.values.append(agent.value_net.value(state))
+        traj.dones.append(done)
+        rewards_log.append(r_t)
+        slates_log.append(slate.tolist())
+        step += 1
+    return SessionOutcome(step, rewards_log, slates_log, env.abandoned), traj
+
+
+@pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_run_episode_matches_full_bookkeeping_loop(variant, mode):
+    """Consecutive sessions on one shared catalog, so exposure carries over
+    between them: every outcome field, the train trajectory and the final
+    catalog exposure must equal the oracle loop's."""
+    env_cfg = small_env_cfg(n_items=300, slate_k=10, max_len=12)
+    env, ref_env = RecEnv(env_cfg), RecEnv(env_cfg)
+    _, agent = make_agent(variant)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for i in range(6):
+        outcome, traj = agent.run_episode(env, 500 + i, rng, mode=mode)
+        ref_outcome, ref_traj = reference_episode(agent, ref_env, 500 + i,
+                                                  ref_rng, mode)
+        assert astuple(outcome) == astuple(ref_outcome)
+        if mode == "train":
+            for name in ("states", "pre_squash", "log_probs", "env_rewards",
+                         "shaped_rewards", "values", "dones"):
+                assert np.array_equal(getattr(traj, name),
+                                      getattr(ref_traj, name)), name
+    assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
+
+
+def test_eval_episode_is_inference_only(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training-only bookkeeping called in eval")
+
+    monkeypatch.setattr(ValueNet, "value", forbidden)
+    monkeypatch.setattr(agent_mod, "gini", forbidden)
+    _, agent = make_agent("DSRM-HRL")
+    outcome, traj = agent.run_episode(RecEnv(small_env_cfg()), 0,
+                                      np.random.default_rng(0), mode="eval")
+    assert outcome.length > 0
+    assert len(traj) == 0
+    with pytest.raises(AssertionError):
+        agent.run_episode(RecEnv(small_env_cfg()), 0,
+                          np.random.default_rng(0), mode="train")
+
+
+def test_run_episode_rejects_unknown_mode():
+    _, agent = make_agent("HRL-RAW")
+    with pytest.raises(ValueError):
+        agent.run_episode(RecEnv(small_env_cfg()), 0,
+                          np.random.default_rng(0), mode="greedy")
+
+
+def test_flat_without_denoiser_uses_raw_state():
+    agent = Agent(small_hrl_cfg(variant="FLAT"), 8)
+    vec = np.random.default_rng(1).standard_normal(8)
+    assert np.array_equal(agent.policy_state(vec), vec)
+    with pytest.raises(ValueError):
+        Agent(small_hrl_cfg(variant="DSRM-HRL"), 8)
 
 
 def test_flat_agent_uses_fixed_weights():

@@ -29,6 +29,7 @@ def test_gini_hand_cases():
     assert gini([5.0, 5.0, 5.0]) == 0.0
     assert gini([0.0, 0.0]) == 0.0
     assert gini([7.0]) == 0.0
+    assert 0.0 <= gini([1e-10] * 6) <= 1e-12   # rounds below 0 unclamped
 
 
 def test_gini_matches_brute_force():
