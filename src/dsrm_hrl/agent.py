@@ -178,6 +178,18 @@ class Trajectory:
             getattr(self, name).extend(getattr(other, name))
 
 
+def value_step(value_net: ValueNet, opt_value: Adam, states: np.ndarray,
+               returns: np.ndarray) -> float:
+    """One Adam step of squared-error regression of the value net to the
+    returns. Returns the loss before the step."""
+    vpred, vcache = value_net.net.forward(states)
+    verr = vpred[:, 0] - returns
+    vloss = float(np.mean(verr**2))
+    vgrads, _ = value_net.net.backward(vcache, (2.0 * verr / len(states))[:, None])
+    opt_value.step(value_net.net.parameters(), vgrads)
+    return vloss
+
+
 def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
                opt_value: Adam, states, pre_squash, old_log_probs, advantages,
                returns, cfg: HrlConfig):
@@ -223,13 +235,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         grads["log_std"] = -dlogstd
         opt_policy.step(policy.parameters(), grads)
 
-        # Value regression to returns.
-        vpred, vcache = value_net.net.forward(states)
-        verr = vpred[:, 0] - ret
-        vloss = float(np.mean(verr**2))
-        vgrads, _ = value_net.net.backward(vcache, (2.0 * verr / b)[:, None])
-        opt_value.step(value_net.net.parameters(), vgrads)
-
+        vloss = value_step(value_net, opt_value, states, ret)
         stats.append({"surrogate": surrogate, "value_loss": vloss,
                       "entropy": entropy, "dropped": dropped})
     return stats
@@ -255,8 +261,7 @@ class Agent:
         without a denoiser."""
         if self.variant == "HRL-RAW" or self.denoiser is None:
             return np.asarray(observed_vec, dtype=np.float64)
-        return purify(observed_vec, self.denoiser, self.schedule,
-                      mode="deterministic")
+        return purify(observed_vec, self.denoiser, self.schedule)
 
     def manager_action(self, state: np.ndarray, rng, greedy: bool, step: int,
                        held: tuple | None):
@@ -379,18 +384,11 @@ class Trainer:
     def _value_only_update(self, batch: Trajectory, returns):
         states = np.asarray(batch.states, dtype=np.float64)
         ret = np.asarray(returns, dtype=np.float64)
-        b = len(states)
-        stats = []
-        for _ in range(self.cfg.ppo_epochs):
-            vpred, vcache = self.agent.value_net.net.forward(states)
-            verr = vpred[:, 0] - ret
-            vloss = float(np.mean(verr**2))
-            vgrads, _ = self.agent.value_net.net.backward(
-                vcache, (2.0 * verr / b)[:, None])
-            self.opt_value.step(self.agent.value_net.net.parameters(), vgrads)
-            stats.append({"surrogate": 0.0, "value_loss": vloss,
-                          "entropy": 0.0, "dropped": 0})
-        return stats
+        return [{"surrogate": 0.0,
+                 "value_loss": value_step(self.agent.value_net, self.opt_value,
+                                          states, ret),
+                 "entropy": 0.0, "dropped": 0}
+                for _ in range(self.cfg.ppo_epochs)]
 
 
 def evaluate(env: RecEnv, agent: Agent, episodes: int, base_seed: int,

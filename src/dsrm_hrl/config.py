@@ -79,7 +79,6 @@ class DsrmConfig:
     batch: int = 128
     n_pairs: int = 5000
     min_pairs: int = 256
-    ancestral_init: bool = False
 
     def validate(self):
         if self.k_steps < 0:
@@ -152,7 +151,6 @@ class HrlConfig:
 @dataclass
 class EvalConfig:
     episodes: int = 200
-    greedy: bool = True
 
     def validate(self):
         if self.episodes < 1:
@@ -175,6 +173,11 @@ class RunConfig:
 
 
 _SECTIONS = {"env": EnvConfig, "dsrm": DsrmConfig, "hrl": HrlConfig, "eval": EvalConfig}
+
+# Removed keys that older checkpoint snapshots still carry, each with the one
+# value the program always behaved as. That value is accepted and dropped;
+# any other is rejected, because that setting never took effect.
+_RETIRED = {("dsrm", "ancestral_init"): False, ("eval", "greedy"): True}
 
 
 def _parse_value(raw: str, pytype, section: str, key: str):
@@ -215,6 +218,13 @@ def parse_config(text: str) -> RunConfig:
         known = {f.name: f.type for f in fields(target)}
         hints = {f.name: type(getattr(target, f.name)) for f in fields(target)}
         for key, raw in parser.items(section):
+            if (section, key) in _RETIRED:
+                value = _RETIRED[section, key]
+                if _parse_value(raw, bool, section, key) != value:
+                    raise ConfigError(
+                        f"retired key {section}.{key} = {raw.strip()}: this setting "
+                        f"was never in effect (the program always ran as {value})")
+                continue
             if key not in known:
                 raise ConfigError(f"unknown key {section}.{key}")
             setattr(target, key, _parse_value(raw, hints[key], section, key))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DsrmConfig
+from .env import random_rollout
 from .nn import Adam, Mlp
 
 
@@ -126,34 +127,22 @@ def _state_hash_rng(vec: np.ndarray) -> np.random.Generator:
 
 
 def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
-           schedule: DiffusionSchedule | None, mode: str = "deterministic",
-           rng: np.random.Generator | None = None,
-           ancestral: bool = False) -> np.ndarray:
+           schedule: DiffusionSchedule | None) -> np.ndarray:
     """Run the full reverse chain conditioned on the observation.
 
-    The chain starts from the diffused observation (or pure noise when
-    ancestral=True). Deterministic mode derives the start noise from a hash
-    of the observation and uses z=0, so repeated calls are bit-identical.
-    Each step is reverse_step with the denoiser's first layer split: the
-    conditioning and time-embedding parts are one table per call.
+    The chain starts from the observation diffused to step K, with start
+    noise derived from a hash of the observation, and adds no noise on the
+    way back (z=0), so repeated calls are bit-identical. Each step is
+    reverse_step with the denoiser's first layer split: the conditioning and
+    time-embedding parts are one table per call.
     """
     vec = np.asarray(observed_vec, dtype=np.float64)
     if schedule is None or denoiser is None or schedule.k_steps == 0:
         return vec.copy()
-    if mode not in ("deterministic", "stochastic"):
-        raise ValueError(f"unknown purify mode {mode!r}")
-    if mode == "deterministic":
-        rng = _state_hash_rng(vec)
-    elif rng is None:
-        raise ValueError("stochastic purify requires an rng")
 
     k_steps = schedule.k_steps
-    eps = rng.standard_normal(vec.shape)
-    if ancestral:
-        s = eps.copy()
-    else:
-        s = forward_diffuse(vec, k_steps, eps, schedule)
-
+    eps = _state_hash_rng(vec).standard_normal(vec.shape)
+    s = forward_diffuse(vec, k_steps, eps, schedule)
     net = denoiser.net
     bias0 = denoiser.first_layer_bias(vec)
     w0_s = net.weights[0][:, :denoiser.d]
@@ -161,15 +150,11 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
     act = net._act
     inv_sqrt_alpha = schedule.inv_sqrt_alpha.tolist()
     eps_coef = schedule.eps_coef.tolist()
-    stochastic = mode == "stochastic"
     for k in range(k_steps, 0, -1):
         h = w0_s @ s + bias0[k]
         for w, b in later:
             h = w @ act(h) + b
         s = inv_sqrt_alpha[k - 1] * (s - eps_coef[k - 1] * h)
-        # z = 0 at k = 1, where sigma is 0 as well.
-        if stochastic and k > 1:
-            s = s + schedule.sigma[k - 1] * rng.standard_normal(vec.shape)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("purification produced non-finite values")
     return s
@@ -211,21 +196,11 @@ def collect_pairs(env, n_pairs: int, rng: np.random.Generator):
     """Paired training data from uniform-random-policy rollouts: clean
     encodings (zero observation noise on the same history) and the
     corrupted observations actually emitted by the environment."""
-    clean, noisy, session_ids = [], [], []
-    session = 0
-    while len(clean) < n_pairs:
-        seed = int(rng.integers(0, 2**31 - 1))
-        obs = env.reset(seed)
-        done = False
-        while not done and len(clean) < n_pairs:
-            slate = env.random_slate()
-            _, nxt, done = env.step(slate)
-            clean.append(env.clean_state())
-            noisy.append(nxt.vec.copy())
-            session_ids.append(session)
-            obs = nxt
-        session += 1
-    return np.array(clean), np.array(noisy), np.array(session_ids)
+    clean, noisy = [], []
+    for _, _, obs in random_rollout(env, rng, n_pairs):
+        clean.append(env.clean_state())
+        noisy.append(obs.vec)
+    return np.array(clean), np.array(noisy)
 
 
 def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,

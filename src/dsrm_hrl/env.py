@@ -279,3 +279,16 @@ class RecEnv:
     @property
     def abandoned(self) -> bool:
         return self._abandoned
+
+
+def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int):
+    """n_steps of the uniform-random policy across as many sessions as it
+    takes: a new session (seed drawn from rng) starts whenever one ends.
+    Yields (slate, rewards, obs) right after each env.step."""
+    done = True
+    for _ in range(n_steps):
+        if done:
+            env.reset(int(rng.integers(0, 2**31 - 1)))
+        slate = env.random_slate()
+        rewards, obs, done = env.step(slate)
+        yield slate, rewards, obs

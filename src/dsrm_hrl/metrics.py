@@ -52,13 +52,10 @@ def gini(counts) -> float:
     return max(0.0, float((coef @ xs) / (n * total)))
 
 
-def group_coverage(exposure_log, catalog: ItemCatalog, mode: str = "coverage"):
-    """Per-episode group statistics (f_pop, f_tail).
-
-    coverage: fraction of the group's items that appeared at least once in
-    the episode's recommendation lists. exposure-share: the group's share
-    of all recommendation slots in the episode.
-    """
+def group_coverage(exposure_log, catalog: ItemCatalog):
+    """Per-episode group coverage (f_pop, f_tail): the fraction of each
+    group's items that appeared at least once in the episode's
+    recommendation lists."""
     if not exposure_log:
         raise ValueError("empty exposure log")
     shown = np.concatenate([np.asarray(s, dtype=np.int64) for s in exposure_log])
@@ -66,30 +63,21 @@ def group_coverage(exposure_log, catalog: ItemCatalog, mode: str = "coverage"):
     tail_ids = catalog.longtail_ids()
     if len(pop_ids) == 0 or len(tail_ids) == 0:
         raise ValueError("catalog must contain both popular and long-tail items")
-    if mode == "coverage":
-        distinct = np.unique(shown)
-        groups = catalog.group[distinct]
-        f_pop = np.sum(groups == GROUP_POPULAR) / len(pop_ids)
-        f_tail = np.sum(groups == GROUP_LONGTAIL) / len(tail_ids)
-    elif mode == "exposure-share":
-        groups = catalog.group[shown]
-        f_pop = np.mean(groups == GROUP_POPULAR)
-        f_tail = np.mean(groups == GROUP_LONGTAIL)
-    else:
-        raise ValueError(f"unknown coverage mode {mode!r}")
+    groups = catalog.group[np.unique(shown)]
+    f_pop = np.sum(groups == GROUP_POPULAR) / len(pop_ids)
+    f_tail = np.sum(groups == GROUP_LONGTAIL) / len(tail_ids)
     return float(f_pop), float(f_tail)
 
 
-def absolute_difference(exposure_log, catalog: ItemCatalog,
-                        mode: str = "coverage") -> float:
+def absolute_difference(exposure_log, catalog: ItemCatalog) -> float:
     """|f(popular) - f(long-tail)| for one episode."""
-    f_pop, f_tail = group_coverage(exposure_log, catalog, mode)
+    f_pop, f_tail = group_coverage(exposure_log, catalog)
     return abs(f_pop - f_tail)
 
 
 def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
-                  variant: str = "", seed: int = 0, max_len: int = 0,
-                  coverage_mode: str = "coverage") -> MetricsReport:
+                  variant: str = "", seed: int = 0,
+                  max_len: int = 0) -> MetricsReport:
     """Aggregate episode outcomes. Stds are population standard deviations.
     Zero-length episodes count toward Len (as 0) but are excluded from the
     per-step reward average."""
@@ -102,7 +90,7 @@ def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
         if nonzero else np.array([0.0])
     ads, fpops, ftails = [], [], []
     for o in nonzero:
-        f_pop, f_tail = group_coverage(o.exposure_log, catalog, coverage_mode)
+        f_pop, f_tail = group_coverage(o.exposure_log, catalog)
         fpops.append(f_pop)
         ftails.append(f_tail)
         ads.append(abs(f_pop - f_tail))

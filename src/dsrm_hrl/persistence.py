@@ -147,30 +147,3 @@ def write_embedding_dump(path, states: np.ndarray, pop_deciles, group_labels):
         cols = [f"{v:.6g}" for v in vec] + [str(int(dec)), str(grp)]
         lines.append("\t".join(cols))
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def write_pairs_file(path, clean: np.ndarray, noisy: np.ndarray, session_ids):
-    """Paired-data replay file: header line, then rows of 2d+1
-    comma-separated values (clean state | observed state | session id)."""
-    d = clean.shape[1]
-    header = [f"s0_{i}" for i in range(d)] + [f"obs_{i}" for i in range(d)] + ["session"]
-    rows = []
-    for c, n, s in zip(clean, noisy, session_ids):
-        rows.append([f"{v:.17g}" for v in c] + [f"{v:.17g}" for v in n] + [int(s)])
-    write_csv(path, header, rows)
-
-
-def read_pairs_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        d = (len(header) - 1) // 2
-        clean, noisy, sessions = [], [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 2 * d + 1:
-                raise CheckpointError(f"{path}: malformed pairs row")
-            vals = [float(p) for p in parts[:-1]]
-            clean.append(vals[:d])
-            noisy.append(vals[d:])
-            sessions.append(int(parts[-1]))
-    return np.array(clean), np.array(noisy), np.array(sessions)

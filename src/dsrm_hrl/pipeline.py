@@ -13,11 +13,11 @@ import numpy as np
 from .agent import Agent, Trainer, evaluate
 from .config import EVAL_SEED_OFFSET, RunConfig, render_config
 from .diffusion import Denoiser, collect_pairs, make_schedule, purify, train_dsrm
-from .env import RecEnv
+from .env import RecEnv, random_rollout
 from .metrics import MetricsReport, session_stats
-from .persistence import (checkpoint_param_hash, load_checkpoint,
-                          save_checkpoint, write_csv, write_embedding_dump,
-                          write_results)
+from .persistence import (CheckpointError, checkpoint_param_hash,
+                          load_checkpoint, save_checkpoint, write_csv,
+                          write_embedding_dump, write_results)
 from . import config as config_mod
 
 
@@ -32,10 +32,10 @@ def run_train_dsrm(cfg: RunConfig, seed: int, ckpt_path, loss_csv_path=None):
     denoiser. Saves a checkpoint and optionally the loss curve."""
     env = RecEnv(cfg.env)
     pair_rng = np.random.default_rng([cfg.env.seed, seed, 10])
-    clean, noisy, _ = collect_pairs(env, cfg.dsrm.n_pairs, pair_rng)
+    clean, noisy = collect_pairs(env, cfg.dsrm.n_pairs, pair_rng)
     denoiser, schedule, curve = train_dsrm(clean, noisy, cfg.dsrm, seed=seed)
-    tensors = {f"denoiser.{k}": v for k, v in denoiser.net.parameters().items()}
-    save_checkpoint(ckpt_path, tensors, render_config(cfg))
+    save_checkpoint(ckpt_path, _prefixed("denoiser", denoiser.net.parameters()),
+                    render_config(cfg))
     if loss_csv_path is not None:
         write_csv(loss_csv_path, ["epoch", "loss"],
                   [[i + 1, l] for i, l in enumerate(curve)])
@@ -44,23 +44,44 @@ def run_train_dsrm(cfg: RunConfig, seed: int, ckpt_path, loss_csv_path=None):
     return denoiser, schedule, curve
 
 
-def load_denoiser(ckpt_path):
-    """Rebuild a denoiser (and its schedule) from a checkpoint."""
+def _prefixed(prefix: str, params: dict) -> dict:
+    """Checkpoint names of a module's parameters: "<prefix>.<name>"."""
+    return {f"{prefix}.{k}": v for k, v in params.items()}
+
+
+def _unprefixed(tensors: dict, prefix: str) -> dict:
+    """The tensors under "<prefix>.", with the prefix stripped."""
+    head = prefix + "."
+    return {k[len(head):]: v for k, v in tensors.items() if k.startswith(head)}
+
+
+def _load(ckpt_path):
+    """A checkpoint's tensors and parsed config snapshot, plus the denoiser
+    and schedule rebuilt from it ((None, None) if it has no denoiser)."""
     tensors, cfg_text = load_checkpoint(ckpt_path)
     cfg = config_mod.parse_config(cfg_text)
-    denoiser = Denoiser(cfg.env.d, hidden=tuple(cfg.dsrm.hidden),
-                        time_dim=cfg.dsrm.time_dim, k_steps=cfg.dsrm.k_steps)
-    params = {k.split(".", 1)[1]: v for k, v in tensors.items()
-              if k.startswith("denoiser.")}
+    params = _unprefixed(tensors, "denoiser")
+    if not params:
+        return tensors, cfg, None, None
+    dcfg = cfg.dsrm
+    denoiser = Denoiser(cfg.env.d, hidden=tuple(dcfg.hidden),
+                        time_dim=dcfg.time_dim, k_steps=dcfg.k_steps)
     denoiser.net.set_parameters(params)
-    schedule = make_schedule(cfg.dsrm.k_steps, cfg.dsrm.beta_min, cfg.dsrm.beta_max) \
-        if cfg.dsrm.k_steps > 0 else None
+    schedule = make_schedule(dcfg.k_steps, dcfg.beta_min, dcfg.beta_max) \
+        if dcfg.k_steps > 0 else None
+    return tensors, cfg, denoiser, schedule
+
+
+def load_denoiser(ckpt_path):
+    """Rebuild a denoiser (and its schedule) from a checkpoint."""
+    _, cfg, denoiser, schedule = _load(ckpt_path)
+    if denoiser is None:
+        raise CheckpointError(f"{ckpt_path}: no denoiser tensors")
     return denoiser, schedule, cfg
 
 
 def denoiser_hash(denoiser: Denoiser) -> str:
-    return checkpoint_param_hash(
-        {f"denoiser.{k}": v for k, v in denoiser.net.parameters().items()})
+    return checkpoint_param_hash(_prefixed("denoiser", denoiser.net.parameters()))
 
 
 # -- stage II ---------------------------------------------------------------
@@ -88,12 +109,10 @@ def run_train_policy(cfg: RunConfig, seed: int, dsrm_ckpt, ckpt_path,
         if hash_before != hash_after:
             raise RuntimeError("denoiser parameters changed during stage II")
         log(f"denoiser frozen: hash {hash_before[:16]} unchanged")
-    tensors = {f"policy.{k}": v for k, v in agent.policy.parameters().items()}
-    tensors.update({f"value.{k}": v
-                    for k, v in agent.value_net.net.parameters().items()})
+    tensors = {**_prefixed("policy", agent.policy.parameters()),
+               **_prefixed("value", agent.value_net.net.parameters())}
     if denoiser is not None:
-        tensors.update({f"denoiser.{k}": v
-                        for k, v in denoiser.net.parameters().items()})
+        tensors.update(_prefixed("denoiser", denoiser.net.parameters()))
     save_checkpoint(ckpt_path, tensors, render_config(cfg))
     if train_csv_path is not None:
         write_csv(train_csv_path,
@@ -107,26 +126,11 @@ def run_train_policy(cfg: RunConfig, seed: int, dsrm_ckpt, ckpt_path,
 def load_agent(ckpt_path):
     """Rebuild an agent (policy, value net, optional denoiser) from a
     policy checkpoint."""
-    tensors, cfg_text = load_checkpoint(ckpt_path)
-    cfg = config_mod.parse_config(cfg_text)
-    denoiser = schedule = None
-    if any(k.startswith("denoiser.") for k in tensors):
-        denoiser = Denoiser(cfg.env.d, hidden=tuple(cfg.dsrm.hidden),
-                            time_dim=cfg.dsrm.time_dim, k_steps=cfg.dsrm.k_steps)
-        denoiser.net.set_parameters(
-            {k.split(".", 1)[1]: v for k, v in tensors.items()
-             if k.startswith("denoiser.")})
-        if cfg.dsrm.k_steps > 0:
-            schedule = make_schedule(cfg.dsrm.k_steps, cfg.dsrm.beta_min,
-                                     cfg.dsrm.beta_max)
+    tensors, cfg, denoiser, schedule = _load(ckpt_path)
     agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser, schedule=schedule)
-    agent.policy.net.set_parameters(
-        {k.split(".", 2)[2]: v for k, v in tensors.items()
-         if k.startswith("policy.net.")})
+    agent.policy.net.set_parameters(_unprefixed(tensors, "policy.net"))
     agent.policy.log_std = tensors["policy.log_std"].copy()
-    agent.value_net.net.set_parameters(
-        {k.split(".", 1)[1]: v for k, v in tensors.items()
-         if k.startswith("value.")})
+    agent.value_net.net.set_parameters(_unprefixed(tensors, "value"))
     return agent, cfg
 
 
@@ -190,19 +194,13 @@ def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000,
     reward_sum = np.zeros(cfg.env.n_items)
     logexp_sum = np.zeros(cfg.env.n_items)
     reward_cnt = np.zeros(cfg.env.n_items)
-    steps = 0
-    while steps < n_steps:
-        env.reset(int(rng.integers(0, 2**31 - 1)))
-        done = False
-        while not done and steps < n_steps:
-            slate = env.random_slate()
-            # exposure at serve time: the bias an impression actually saw
-            logexp_sum[slate] += np.log1p(
-                env.catalog.exposure[slate].astype(np.float64))
-            rewards, _, done = env.step(slate)
-            reward_sum[slate] += rewards
-            reward_cnt[slate] += 1
-            steps += 1
+    for slate, rewards, _ in random_rollout(env, rng, n_steps):
+        # Exposure at serve time, the bias the impression actually saw:
+        # env.step has just added exactly 1 to each (distinct) served item.
+        logexp_sum[slate] += np.log1p(
+            (env.catalog.exposure[slate] - 1).astype(np.float64))
+        reward_sum[slate] += rewards
+        reward_cnt[slate] += 1
     seen = reward_cnt > 0
     mean_r = reward_sum[seen] / reward_cnt[seen]
     log_exp = logexp_sum[seen] / reward_cnt[seen]
@@ -242,17 +240,9 @@ def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500, seed: int = 0):
     denoiser, schedule, _ = load_denoiser(dsrm_ckpt)
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, seed, 30])
-    raw_states, pur_states = [], []
-    while len(raw_states) < n_states:
-        env.reset(int(rng.integers(0, 2**31 - 1)))
-        done = False
-        while not done and len(raw_states) < n_states:
-            slate = env.random_slate()
-            _, obs, done = env.step(slate)
-            raw_states.append(obs.vec.copy())
-            pur_states.append(purify(obs.vec, denoiser, schedule))
-    raw_states = np.array(raw_states)
-    pur_states = np.array(pur_states)
+    raw_states = np.array([obs.vec for _, _, obs
+                           in random_rollout(env, rng, n_states)])
+    pur_states = np.array([purify(v, denoiser, schedule) for v in raw_states])
     # Label each state by its nearest catalog item.
     pop_rank = np.argsort(np.argsort(-env.catalog.initial_popularity))
     deciles = (10 * pop_rank / env.catalog.n_items).astype(int)

@@ -114,3 +114,23 @@ def test_motivate_with_denoiser(cfg_file, tmp_path):
     assert (out / "purification_gain.csv").exists()
     assert (out / "states_raw.tsv").exists()
     assert (out / "states_purified.tsv").exists()
+
+
+def test_denoiser_from_checkpoint_without_one_runtime_error(cfg_file, tmp_path,
+                                                            capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    raw_ckpt = str(out / "policy_hrl_raw_s3.ckpt")
+    capsys.readouterr()
+    rc = main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+               "--variant", "FLAT", "--dsrm-ckpt", raw_ckpt])
+    assert rc == EXIT_RUNTIME
+    assert f"runtime fault: {raw_ckpt}: no denoiser tensors" in capsys.readouterr().err
+
+
+def test_retired_key_with_unused_value_validation_error(tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(FAST_CFG + "greedy = false\n")  # inside [eval]
+    rc = main(["train-dsrm", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION

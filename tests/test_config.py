@@ -1,10 +1,15 @@
 """Config dataclasses, validation, and file parsing."""
 
+import ast
+import pathlib
+from dataclasses import fields
+
 import pytest
 
+import dsrm_hrl
 from dsrm_hrl.config import (ConfigError, DsrmConfig, EnvConfig, EvalConfig,
-                             HrlConfig, RunConfig, VARIANTS, load_config,
-                             parse_config, render_config)
+                             HrlConfig, RunConfig, VARIANTS, _SECTIONS,
+                             load_config, parse_config, render_config)
 
 
 def test_defaults_validate():
@@ -69,7 +74,6 @@ def test_render_parse_round_trip():
     cfg.env.noise_scale = 0.123
     cfg.dsrm.hidden = (32, 16)
     cfg.hrl.variant = "FLAT"
-    cfg.eval.greedy = False
     parsed = parse_config(render_config(cfg))
     assert parsed == cfg
 
@@ -107,3 +111,32 @@ def test_bad_value_type_rejected(tmp_path):
 def test_missing_file_raises():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/run.cfg")
+
+
+def test_retired_keys_accepted_with_the_value_always_used():
+    text = "[dsrm]\nancestral_init = False\n[eval]\ngreedy = true\n"
+    assert parse_config(text) == RunConfig()
+
+
+@pytest.mark.parametrize("text", [
+    "[dsrm]\nancestral_init = true\n",
+    "[eval]\ngreedy = False\n",
+    "[eval]\ngreedy = banana\n",
+])
+def test_retired_keys_other_values_rejected(text):
+    with pytest.raises(ConfigError, match="ancestral_init|greedy"):
+        parse_config(text)
+
+
+def test_every_config_key_is_read():
+    """Each field of each config section is read as an attribute somewhere
+    in the package outside config.py; a key nothing reads is a dead knob."""
+    pkg = pathlib.Path(dsrm_hrl.__file__).parent
+    attrs = set()
+    for path in pkg.glob("*.py"):
+        if path.name != "config.py":
+            attrs.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute))
+    unread = [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+              for f in fields(cls) if f.name not in attrs]
+    assert unread == []

@@ -117,19 +117,6 @@ def test_purify_identity_without_denoiser():
     assert out is not x  # must be a copy
 
 
-def test_purify_stochastic_needs_rng():
-    rng = np.random.default_rng(3)
-    den = Denoiser(4, hidden=(8,), time_dim=4, k_steps=5, rng=rng)
-    sched = make_schedule(5, 0.01, 0.1)
-    with pytest.raises(ValueError):
-        purify(np.zeros(4), den, sched, mode="stochastic")
-    with pytest.raises(ValueError):
-        purify(np.zeros(4), den, sched, mode="bogus")
-    out = purify(np.zeros(4), den, sched, mode="stochastic",
-                 rng=np.random.default_rng(0))
-    assert np.all(np.isfinite(out))
-
-
 def test_dsrm_loss_zero_network_equals_noise_energy():
     """A denoiser with all-zero weights predicts 0, so the loss is exactly
     the mean squared norm of the injected noise."""
@@ -221,12 +208,10 @@ def test_collect_pairs_shapes():
     from dsrm_hrl.env import RecEnv
     env = RecEnv(EnvConfig(d=8, n_items=40, slate_k=3, max_len=6,
                            init_exposure=100, seed=0))
-    clean, noisy, sessions = collect_pairs(env, 50, np.random.default_rng(0))
+    clean, noisy = collect_pairs(env, 50, np.random.default_rng(0))
     assert clean.shape == (50, 8) and noisy.shape == (50, 8)
     assert np.all(np.isfinite(clean)) and np.all(np.isfinite(noisy))
     assert not np.allclose(clean, noisy)
-    assert sessions.shape == (50,)
-    assert np.all(np.diff(sessions) >= 0)
 
 
 # -- reference implementations ------------------------------------------
@@ -244,19 +229,14 @@ def _ref_predict(den, s_k, k, cond):
     return y
 
 
-def _ref_purify(vec, den, sched, mode="deterministic", rng=None, ancestral=False):
-    if mode == "deterministic":
-        rng = _state_hash_rng(vec)
+def _ref_purify(vec, den, sched):
     k_steps = sched.k_steps
-    eps = rng.standard_normal(vec.shape)
-    s = eps.copy() if ancestral else forward_diffuse(vec, k_steps, eps, sched)
+    eps = _state_hash_rng(vec).standard_normal(vec.shape)
+    s = forward_diffuse(vec, k_steps, eps, sched)
     for k in range(k_steps, 0, -1):
-        z = (np.zeros_like(vec) if (mode == "deterministic" or k == 1)
-             else rng.standard_normal(vec.shape))
         a, ab = sched.alpha[k - 1], sched.alpha_bar[k - 1]
         eps_hat = _ref_predict(den, s, k, vec)
-        s = (s - (1.0 - a) / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a) \
-            + sched.sigma[k - 1] * z
+        s = (s - (1.0 - a) / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
     return s
 
 
@@ -294,30 +274,8 @@ def test_purify_matches_reference_chain(k_steps, activation, hidden):
     den = _random_denoiser(5, k_steps, hidden, activation, seed=k_steps)
     sched = make_schedule(k_steps, 1e-4, 0.02)
     x = np.random.default_rng(11).standard_normal(5)
-    cases = [
-        (dict(), dict()),
-        (dict(mode="stochastic", rng=np.random.default_rng(3)),
-         dict(mode="stochastic", rng=np.random.default_rng(3))),
-        (dict(mode="stochastic", rng=np.random.default_rng(4), ancestral=True),
-         dict(mode="stochastic", rng=np.random.default_rng(4), ancestral=True)),
-        (dict(ancestral=True), dict(ancestral=True)),
-    ]
-    for kw_lib, kw_ref in cases:
-        got = purify(x, den, sched, **kw_lib)
-        want = _ref_purify(x, den, sched, **kw_ref)
-        assert np.max(np.abs(got - want)) <= TOL, kw_lib
-
-
-def test_purify_stochastic_draws_same_noise_as_reference():
-    """Same rng state after the call: the chain draws one start vector and
-    one z per step k > 1, in the reference order."""
-    den = _random_denoiser(4, 7, (8,), "tanh", seed=2)
-    sched = make_schedule(7, 0.01, 0.1)
-    x = np.ones(4)
-    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-    purify(x, den, sched, mode="stochastic", rng=r1)
-    _ref_purify(x, den, sched, mode="stochastic", rng=r2)
-    assert r1.random() == r2.random()
+    got = purify(x, den, sched)
+    assert np.max(np.abs(got - _ref_purify(x, den, sched))) <= TOL
 
 
 def test_purify_uses_current_weights():

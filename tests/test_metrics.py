@@ -78,20 +78,15 @@ def test_gini_bounded(xs):
 def test_group_coverage_modes():
     cat = tiny_catalog()
     log = [[0, 2], [0, 3]]
-    f_pop, f_tail = group_coverage(log, cat, mode="coverage")
+    f_pop, f_tail = group_coverage(log, cat)
     assert f_pop == pytest.approx(0.5)    # item 0 of {0,1}
     assert f_tail == pytest.approx(1.0)   # items 2,3 of {2,3}
-    f_pop, f_tail = group_coverage(log, cat, mode="exposure-share")
-    assert f_pop == pytest.approx(0.5)    # 2 of 4 slots
-    assert f_tail == pytest.approx(0.5)
 
 
 def test_group_coverage_errors():
     cat = tiny_catalog()
     with pytest.raises(ValueError):
         group_coverage([], cat)
-    with pytest.raises(ValueError):
-        group_coverage([[0]], cat, mode="bogus")
 
 
 def test_absolute_difference_hand_cases():

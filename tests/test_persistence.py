@@ -1,4 +1,4 @@
-"""Checkpoint binary format, CSV writers, pairs files."""
+"""Checkpoint binary format, CSV and TSV writers."""
 
 import os
 
@@ -7,10 +7,8 @@ import pytest
 
 from dsrm_hrl.metrics import MetricsReport
 from dsrm_hrl.persistence import (CheckpointError, checkpoint_param_hash,
-                                  load_checkpoint, read_pairs_file,
-                                  save_checkpoint, write_csv,
-                                  write_embedding_dump, write_pairs_file,
-                                  write_results)
+                                  load_checkpoint, save_checkpoint, write_csv,
+                                  write_embedding_dump, write_results)
 
 
 def sample_tensors():
@@ -118,19 +116,6 @@ def test_write_csv_atomic_overwrite(tmp_path):
     write_csv(path, ["a", "b"], [[9, 9.0]])
     lines = path.read_text().strip().split("\n")
     assert lines == ["a,b", "9,9"]
-
-
-def test_pairs_file_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    clean = rng.standard_normal((5, 3))
-    noisy = rng.standard_normal((5, 3))
-    sessions = np.array([0, 0, 1, 1, 2])
-    path = tmp_path / "pairs.csv"
-    write_pairs_file(path, clean, noisy, sessions)
-    c2, n2, s2 = read_pairs_file(path)
-    assert np.allclose(c2, clean, atol=1e-6)
-    assert np.allclose(n2, noisy, atol=1e-6)
-    assert np.array_equal(s2, sessions)
 
 
 def test_embedding_dump_row_width(tmp_path):
