@@ -5,11 +5,11 @@ ablation variants share the same rollout machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HrlConfig
+from .config import EVAL_SEED_OFFSET, HrlConfig
 from .diffusion import Denoiser, DiffusionSchedule, purify
 from .env import RecEnv, SessionOutcome
 from .metrics import gini
@@ -136,46 +136,22 @@ def shaped_reward(r: float, episode_exposure: np.ndarray, lambda_fair: float) ->
     return float(r - lambda_fair * gini(episode_exposure))
 
 
-def compute_gae(rewards, values, dones, gamma: float, lam: float,
-                normalize: bool = True):
-    """Generalized advantage estimation over (possibly multi-episode)
-    step arrays; the value after a terminal step is 0."""
+def compute_gae(rewards, values, gamma: float, lam: float):
+    """Generalized advantage estimation over one ended episode; the value
+    after its last step is 0. Returns (advantages, returns)."""
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
     n = len(rewards)
     if n == 0:
         raise ValueError("empty trajectory")
     adv = np.zeros(n)
-    last = 0.0
+    last = next_v = 0.0
     for t in reversed(range(n)):
-        next_v = 0.0 if dones[t] else (values[t + 1] if t + 1 < n else 0.0)
         delta = rewards[t] + gamma * next_v - values[t]
-        last = delta + gamma * lam * (0.0 if dones[t] else last)
+        last = delta + gamma * lam * last
         adv[t] = last
-    returns = adv + values
-    if normalize and n >= 2:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    return adv, returns
-
-
-@dataclass
-class Trajectory:
-    states: list = field(default_factory=list)
-    pre_squash: list = field(default_factory=list)
-    log_probs: list = field(default_factory=list)
-    env_rewards: list = field(default_factory=list)
-    shaped_rewards: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.states)
-
-    def extend(self, other: "Trajectory"):
-        for name in ("states", "pre_squash", "log_probs", "env_rewards",
-                     "shaped_rewards", "values", "dones"):
-            getattr(self, name).extend(getattr(other, name))
+        next_v = values[t]
+    return adv, adv + values
 
 
 def value_step(value_net: ValueNet, opt_value: Adam, states: np.ndarray,
@@ -263,57 +239,48 @@ class Agent:
             return np.asarray(observed_vec, dtype=np.float64)
         return purify(observed_vec, self.denoiser, self.schedule)
 
-    def manager_action(self, state: np.ndarray, rng, greedy: bool, step: int,
-                       held: tuple | None):
-        if self.variant == "FLAT":
-            action = ManagerAction(self.cfg.flat_omega_acc, self.cfg.flat_omega_fair)
-            return action, 0.0, np.zeros(2), held
-        if held is not None and step % self.cfg.manager_interval != 0:
-            return held[0], held[1], held[2], held
-        action, lp, u = self.policy.act(state, rng=rng, greedy=greedy)
-        return action, lp, u, (action, lp, u)
-
-    def run_episode(self, env: RecEnv, session_seed: int, rng,
-                    mode: str = "train") -> tuple[SessionOutcome, Trajectory]:
-        """One session. Train mode samples actions and records the PPO
-        trajectory (values, shaped rewards); eval mode acts greedily, does
-        inference only and returns an empty Trajectory."""
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown episode mode {mode!r}")
-        train = mode == "train"
+    def run_episode(self, env: RecEnv, session_seed: int, rng, train: bool):
+        """One session. The manager acts every manager_interval steps and
+        its action is held in between (FLAT always uses the fixed weights).
+        Training samples actions and returns (outcome, record), where the
+        PPO record is the arrays (states, pre-squash actions, log-probs,
+        shaped rewards, values); evaluation acts greedily, does inference
+        only and returns (outcome, None)."""
         obs = env.reset(session_seed)
-        traj = Trajectory()
+        flat = self.variant == "FLAT"
+        if flat:
+            action = ManagerAction(self.cfg.flat_omega_acc, self.cfg.flat_omega_fair)
+            lp, u = 0.0, np.zeros(2)
         if train:
             episode_exposure = np.zeros(env.catalog.n_items)
+            states, us, lps, shaped, values = [], [], [], [], []
         rewards_log, slates_log = [], []
-        held = None
         done = False
         step = 0
         while not done:
-            state = self.policy_state(obs.vec)
-            action, lp, u, held = self.manager_action(state, rng, not train,
-                                                      step, held)
+            state = self.policy_state(obs)
+            if not flat and step % self.cfg.manager_interval == 0:
+                action, lp, u = self.policy.act(state, rng=rng, greedy=not train)
             scores = score_items(state, action, env.catalog)
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
             r_t = float(np.mean(item_rewards))
             if train:
                 episode_exposure[slate] += 1
-                traj.states.append(state)
-                traj.pre_squash.append(u)
-                traj.log_probs.append(lp)
-                traj.env_rewards.append(r_t)
-                traj.shaped_rewards.append(
-                    shaped_reward(r_t, episode_exposure, self.cfg.lambda_fair))
-                traj.values.append(self.value_net.value(state))
-                traj.dones.append(done)
+                states.append(state)
+                us.append(u)
+                lps.append(lp)
+                shaped.append(shaped_reward(r_t, episode_exposure, self.cfg.lambda_fair))
+                values.append(self.value_net.value(state))
             rewards_log.append(r_t)
             slates_log.append(slate.tolist())
             step += 1
         outcome = SessionOutcome(length=step, rewards=rewards_log,
                                  exposure_log=slates_log,
                                  terminated_by_abandonment=env.abandoned)
-        return outcome, traj
+        if not train:
+            return outcome, None
+        return outcome, tuple(np.array(x) for x in (states, us, lps, shaped, values))
 
 
 class Trainer:
@@ -333,71 +300,52 @@ class Trainer:
         self._session_counter += 1
         return self.seed * 100_000 + self._session_counter
 
-    def train(self, log_rows: list | None = None):
-        """Run to the configured step budget; returns outcomes of all
-        training episodes. Appends per-update log rows if a list is given."""
+    def train(self) -> list[dict]:
+        """Run to the configured step budget: whole episodes until a batch
+        holds batch_steps steps, then one update on it, with advantages
+        normalised over the batch. Returns one log row per update."""
+        cfg = self.cfg
+        rows = []
         steps_done = 0
-        update_idx = 0
-        all_outcomes = []
-        while steps_done < self.cfg.total_steps:
-            batch = Trajectory()
-            batch_adv, batch_ret = [], []
-            while len(batch) < self.cfg.batch_steps and steps_done < self.cfg.total_steps:
-                outcome, traj = self.agent.run_episode(
-                    self.env, self.next_train_seed(), self.rng, mode="train")
-                adv, ret = compute_gae(traj.shaped_rewards, traj.values, traj.dones,
-                                       self.cfg.gamma, self.cfg.lam_gae,
-                                       normalize=False)
-                batch.extend(traj)
-                batch_adv.extend(adv)
-                batch_ret.extend(ret)
-                steps_done += len(traj)
-                all_outcomes.append(outcome)
-            adv = np.asarray(batch_adv)
+        while steps_done < cfg.total_steps:
+            episodes = []
+            batch_len = 0
+            while batch_len < cfg.batch_steps and steps_done < cfg.total_steps:
+                _, (states, us, lps, rewards, values) = self.agent.run_episode(
+                    self.env, self.next_train_seed(), self.rng, train=True)
+                adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
+                episodes.append((states, us, lps, adv, ret))
+                batch_len += len(states)
+                steps_done += len(states)
+            states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
             if len(adv) >= 2:
                 adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            if self.cfg.variant == "FLAT":
+            if cfg.variant == "FLAT":
                 # Fixed manager weights: only the value baseline is learned.
-                stats = self._value_only_update(batch, batch_ret)
+                for _ in range(cfg.ppo_epochs):
+                    vloss = value_step(self.agent.value_net, self.opt_value, states, ret)
+                last = {"surrogate": 0.0, "value_loss": vloss, "entropy": 0.0}
+                omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
             else:
-                stats = ppo_update(self.agent.policy, self.agent.value_net,
-                                   self.opt_policy, self.opt_value,
-                                   batch.states, batch.pre_squash, batch.log_probs,
-                                   adv, batch_ret, self.cfg)
-            update_idx += 1
-            if log_rows is not None:
-                omegas = np.array([[softplus(u[0]), softplus(u[1])]
-                                   for u in batch.pre_squash]) \
-                    if self.cfg.variant != "FLAT" else \
-                    np.array([[self.cfg.flat_omega_acc, self.cfg.flat_omega_fair]])
-                last = stats[-1]
-                log_rows.append({
-                    "update": update_idx,
-                    "surrogate": last["surrogate"],
-                    "value_loss": last["value_loss"],
-                    "entropy": last["entropy"],
-                    "mean_omega_acc": float(np.mean(omegas[:, 0])),
-                    "mean_omega_fair": float(np.mean(omegas[:, 1])),
-                })
-        return all_outcomes
-
-    def _value_only_update(self, batch: Trajectory, returns):
-        states = np.asarray(batch.states, dtype=np.float64)
-        ret = np.asarray(returns, dtype=np.float64)
-        return [{"surrogate": 0.0,
-                 "value_loss": value_step(self.agent.value_net, self.opt_value,
-                                          states, ret),
-                 "entropy": 0.0, "dropped": 0}
-                for _ in range(self.cfg.ppo_epochs)]
+                last = ppo_update(self.agent.policy, self.agent.value_net,
+                                  self.opt_policy, self.opt_value,
+                                  states, us, lps, adv, ret, cfg)[-1]
+                omegas = softplus(us)
+            rows.append({
+                "update": len(rows) + 1,
+                "surrogate": last["surrogate"],
+                "value_loss": last["value_loss"],
+                "entropy": last["entropy"],
+                "mean_omega_acc": float(np.mean(omegas[:, 0])),
+                "mean_omega_fair": float(np.mean(omegas[:, 1])),
+            })
+        return rows
 
 
-def evaluate(env: RecEnv, agent: Agent, episodes: int, base_seed: int,
-             seed_offset: int = 10_000) -> list[SessionOutcome]:
+def evaluate(env: RecEnv, agent: Agent, episodes: int,
+             base_seed: int) -> list[SessionOutcome]:
     """Greedy evaluation on a session-seed range disjoint from training."""
     rng = np.random.default_rng([base_seed, 3])
-    outcomes = []
-    for i in range(episodes):
-        outcome, _ = agent.run_episode(env, seed_offset + base_seed * 100_000 + i,
-                                       rng, mode="eval")
-        outcomes.append(outcome)
-    return outcomes
+    return [agent.run_episode(env, EVAL_SEED_OFFSET + base_seed * 100_000 + i,
+                              rng, train=False)[0]
+            for i in range(episodes)]

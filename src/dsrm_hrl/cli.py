@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, load_config, render_config
+from .config import VARIANTS, ConfigError, RunConfig, load_config, render_config
 from .pipeline import (log, run_eval, run_motivate, run_sweep_steps,
                        run_train_dsrm, run_train_policy)
 
@@ -49,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None, help="override dsrm.epochs")
 
     p = sub.add_parser("train", parents=[common], help="stage II: policy training (denoiser frozen)")
-    p.add_argument("--variant", choices=("DSRM-HRL", "FLAT", "HRL-RAW"),
-                   default=None, help="override hrl.variant")
+    p.add_argument("--variant", choices=VARIANTS, default=None,
+                   help="override hrl.variant")
     p.add_argument("--dsrm-ckpt", default=None,
                    help="denoiser checkpoint (required for DSRM-HRL and FLAT)")
 

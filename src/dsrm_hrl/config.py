@@ -4,7 +4,6 @@ config-file format ([section] headers). Unknown keys are rejected."""
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass, field, fields
 
 VARIANTS = ("DSRM-HRL", "FLAT", "HRL-RAW")
@@ -196,7 +195,7 @@ def _parse_value(raw: str, pytype, section: str, key: str):
             return float(raw)
         if pytype is str:
             return raw
-        if pytype is tuple or str(pytype).startswith("tuple"):
+        if pytype is tuple:
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
@@ -215,7 +214,6 @@ def parse_config(text: str) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(target)}
         hints = {f.name: type(getattr(target, f.name)) for f in fields(target)}
         for key, raw in parser.items(section):
             if (section, key) in _RETIRED:
@@ -225,7 +223,7 @@ def parse_config(text: str) -> RunConfig:
                         f"retired key {section}.{key} = {raw.strip()}: this setting "
                         f"was never in effect (the program always ran as {value})")
                 continue
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(f"unknown key {section}.{key}")
             setattr(target, key, _parse_value(raw, hints[key], section, key))
     cfg.validate()
@@ -244,7 +242,7 @@ def render_config(cfg: RunConfig) -> str:
     for section in _SECTIONS:
         lines.append(f"[{section}]")
         obj = getattr(cfg, section)
-        for f in dataclasses.fields(obj):
+        for f in fields(obj):
             val = getattr(obj, f.name)
             if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)

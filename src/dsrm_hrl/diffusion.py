@@ -199,7 +199,7 @@ def collect_pairs(env, n_pairs: int, rng: np.random.Generator):
     clean, noisy = [], []
     for _, _, obs in random_rollout(env, rng, n_pairs):
         clean.append(env.clean_state())
-        noisy.append(obs.vec)
+        noisy.append(obs)
     return np.array(clean), np.array(noisy)
 
 

@@ -84,12 +84,6 @@ class UserProfile:
 
 
 @dataclass
-class ObservedState:
-    vec: np.ndarray
-    step: int
-
-
-@dataclass
 class SessionOutcome:
     length: int
     rewards: list
@@ -132,16 +126,15 @@ def popularity_drift_direction(catalog: ItemCatalog,
 
 
 def encode_observed(history, catalog: ItemCatalog, noise_scale: float,
-                    rng: np.random.Generator, prior: np.ndarray | None = None,
-                    step: int = 0) -> ObservedState:
+                    rng: np.random.Generator) -> np.ndarray:
     """History encoding plus popularity-structured corruption.
 
     Signal: reward-weighted mean of the embeddings of recently consumed
     items. Corruption: a half-normal drift along the global popularity
     direction (exposure-weighted mean embedding) plus a small isotropic
-    Gaussian whose expected norm is about noise_scale.
+    Gaussian whose expected norm is about noise_scale. An empty history
+    encodes as the catalog's cold-start prior.
     """
-    prior = catalog.prior if prior is None else prior
     d = catalog.embeddings.shape[1]
     if history:
         ids = np.array([i for i, _ in history], dtype=np.int64)
@@ -150,14 +143,14 @@ def encode_observed(history, catalog: ItemCatalog, noise_scale: float,
         w = 1.0 + np.array([r for _, r in history])
         base = (w[:, None] * catalog.embeddings[ids]).sum(axis=0) / w.sum()
     else:
-        base = prior.copy()
+        base = catalog.prior.copy()
     vec = base
     if noise_scale > 0:
         mag = np.abs(rng.standard_normal())
         drift = mag * popularity_drift_direction(catalog, rng)
         vec = vec + noise_scale * POP_DRIFT_RATIO * drift
         vec = vec + (noise_scale / np.sqrt(d)) * rng.standard_normal(d)
-    return ObservedState(vec=np.asarray(vec, dtype=np.float64), step=step)
+    return np.asarray(vec, dtype=np.float64)
 
 
 def update_abandonment(satisfaction: float, slate_groups_window, config: EnvConfig,
@@ -196,9 +189,9 @@ class RecEnv:
 
     # -- session control ---------------------------------------------------
 
-    def reset(self, seed: int) -> ObservedState:
-        """Start a fresh session with a new user; deterministic given
-        (seed, config)."""
+    def reset(self, seed: int) -> np.ndarray:
+        """Start a fresh session with a new user; returns the observed
+        state vector. Deterministic given (seed, config)."""
         self._rng = np.random.default_rng([self.config.seed, seed])
         pref = self._rng.standard_normal(self.config.d)
         pref /= np.linalg.norm(pref)
@@ -208,7 +201,7 @@ class RecEnv:
         self._abandoned = False
         self._slate_groups = []
         return encode_observed([], self.catalog, self.config.noise_scale,
-                               self._rng, step=0)
+                               self._rng)
 
     @property
     def done(self) -> bool:
@@ -225,7 +218,7 @@ class RecEnv:
         if self._user is None:
             raise EnvError("no active session")
         return encode_observed(self._user.history, self.catalog, 0.0,
-                               self._rng, step=self._step).vec
+                               self._rng)
 
     def random_slate(self) -> np.ndarray:
         return self._rng.choice(self.catalog.n_items, size=self.config.slate_k,
@@ -235,7 +228,7 @@ class RecEnv:
 
     def step(self, slate):
         """Serve a slate of distinct item ids; returns (per-item rewards,
-        next ObservedState, done)."""
+        next observed state vector, done)."""
         if self._done or self._user is None:
             raise EnvError("step() on a finished or unstarted session")
         slate = np.asarray(slate, dtype=np.int64)
@@ -273,7 +266,7 @@ class RecEnv:
         self._done = abandoned or self._step >= cfg.max_len
         self._abandoned = abandoned
         nxt = encode_observed(self._user.history, cat, cfg.noise_scale,
-                              self._rng, step=self._step)
+                              self._rng)
         return rewards, nxt, self._done
 
     @property

@@ -28,10 +28,6 @@ class MetricsReport:
     f_tail: float
     n_episodes: int
 
-    CSV_COLUMNS = ("variant", "seed", "max_len", "len_mean", "len_std",
-                   "r_each_mean", "r_each_std", "r_cum_mean", "r_cum_std",
-                   "ad_mean", "ad_std", "f_pop", "f_tail", "n_episodes")
-
 
 def gini(counts) -> float:
     """Gini coefficient of a non-negative vector:

@@ -67,9 +67,6 @@ class Mlp:
             self.weights[i] = np.asarray(w, dtype=np.float64)
             self.biases[i] = np.asarray(b, dtype=np.float64)
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
     def _act(self, z):
         if self.activation == "tanh":
             return np.tanh(z)

@@ -8,6 +8,7 @@ import hashlib
 import os
 import struct
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -115,16 +116,17 @@ def _fmt(val) -> str:
 
 
 def write_results(path, rows: list[MetricsReport]):
-    """Append metric rows to a CSV with a fixed column order; the header is
-    written once when the file is created. Floats use 6 significant digits;
-    stds are population standard deviations."""
+    """Append metric rows to a CSV, one column per MetricsReport field in
+    declaration order; the header is written once when the file is created.
+    Floats use 6 significant digits; stds are population standard
+    deviations."""
+    columns = [f.name for f in fields(MetricsReport)]
     header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
     lines = []
     if header_needed:
-        lines.append(",".join(MetricsReport.CSV_COLUMNS))
+        lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col))
-                              for col in MetricsReport.CSV_COLUMNS))
+        lines.append(",".join(_fmt(getattr(row, col)) for col in columns))
     with open(path, "a", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

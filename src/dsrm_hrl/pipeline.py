@@ -102,8 +102,7 @@ def run_train_policy(cfg: RunConfig, seed: int, dsrm_ckpt, ckpt_path,
     env = RecEnv(env_cfg)
     agent = Agent(cfg.hrl, env_cfg.d, denoiser=denoiser, schedule=schedule, seed=seed)
     trainer = Trainer(env, agent, cfg.hrl, seed=seed)
-    rows = []
-    trainer.train(log_rows=rows)
+    rows = trainer.train()
     if denoiser is not None:
         hash_after = denoiser_hash(denoiser)
         if hash_before != hash_after:
@@ -141,8 +140,7 @@ def run_eval(ckpt_path, episodes: int | None = None,
     agent, cfg = load_agent(ckpt_path)
     episodes = cfg.eval.episodes if episodes is None else episodes
     env = RecEnv(cfg.env)
-    outcomes = evaluate(env, agent, episodes, base_seed=cfg.env.seed,
-                        seed_offset=EVAL_SEED_OFFSET)
+    outcomes = evaluate(env, agent, episodes, base_seed=cfg.env.seed)
     report = session_stats(outcomes, env.catalog, variant=cfg.hrl.variant,
                            seed=cfg.env.seed, max_len=cfg.env.max_len)
     if results_path is not None:
@@ -227,8 +225,7 @@ def purification_gain(cfg: RunConfig, dsrm_ckpt, episodes: int = 200,
     for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)):
         env = RecEnv(cfg.env)
         agent = Agent(flat, cfg.env.d, denoiser=den, schedule=schedule)
-        outcomes = evaluate(env, agent, episodes, base_seed=seed,
-                            seed_offset=EVAL_SEED_OFFSET)
+        outcomes = evaluate(env, agent, episodes, base_seed=seed)
         reports.append(session_stats(outcomes, env.catalog, variant=name,
                                      seed=seed, max_len=cfg.env.max_len))
     return tuple(reports)
@@ -240,8 +237,7 @@ def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500, seed: int = 0):
     denoiser, schedule, _ = load_denoiser(dsrm_ckpt)
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, seed, 30])
-    raw_states = np.array([obs.vec for _, _, obs
-                           in random_rollout(env, rng, n_states)])
+    raw_states = np.array([obs for _, _, obs in random_rollout(env, rng, n_states)])
     pur_states = np.array([purify(v, denoiser, schedule) for v in raw_states])
     # Label each state by its nearest catalog item.
     pop_rank = np.argsort(np.argsort(-env.catalog.initial_popularity))
@@ -259,7 +255,8 @@ def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None,
     """The three motivation analyses: (a) popularity-vs-reward regression
     under a random policy; (b) fixed-policy comparison on raw vs purified
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are
-    skipped with a notice when none is given."""
+    skipped with a notice when none is given. Returns (r_squared, the
+    raw and purified reports of (b), or None when skipped)."""
     import os
     r2, rows = popularity_reward_regression(cfg, n_steps=n_steps, seed=seed)
     write_csv(os.path.join(out_dir, "popularity_reward.csv"),
@@ -269,7 +266,7 @@ def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None,
     log(f"motivate(a): popularity-reward R^2 = {r2:.4f}")
     if dsrm_ckpt is None:
         log("motivate(b,c): skipped (no denoiser checkpoint given)")
-        return r2, None, None
+        return r2, None
     raw, pur = purification_gain(cfg, dsrm_ckpt, episodes=episodes, seed=seed)
     write_results(os.path.join(out_dir, "purification_gain.csv"), [raw, pur])
     log(f"motivate(b): raw Len={raw.len_mean:.3f} AD={raw.ad_mean:.3f} | "
@@ -278,4 +275,4 @@ def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None,
     write_embedding_dump(os.path.join(out_dir, "states_raw.tsv"), rs, rd, rg)
     write_embedding_dump(os.path.join(out_dir, "states_purified.tsv"), ps, pd_, pg)
     log("motivate(c): embedding dumps written")
-    return r2, (raw, pur), None
+    return r2, (raw, pur)

@@ -179,8 +179,8 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
                 _, obs, done = env.step(env.random_slate())
                 step += 1
             truth = env.ground_truth_state()
-            noisy_cos.append(cos(obs.vec, truth))
-            pure_cos.append(cos(purify(obs.vec, denoiser, schedule), truth))
+            noisy_cos.append(cos(obs, truth))
+            pure_cos.append(cos(purify(obs, denoiser, schedule), truth))
         gains[seed] = float(np.mean(pure_cos) - np.mean(noisy_cos))
     elapsed = time.monotonic() - t0
     ok = all(g >= 0.05 for g in gains.values()) and elapsed < 300

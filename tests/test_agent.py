@@ -1,6 +1,6 @@
 """Manager policy, worker scoring, GAE, PPO arithmetic, training loop."""
 
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ import pytest
 from dsrm_hrl.config import EnvConfig, HrlConfig
 from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, RecEnv
 from dsrm_hrl.agent import (Agent, ManagerAction, ManagerPolicy, Trainer,
-                            Trajectory, ValueNet, compute_gae, evaluate,
-                            ppo_update, score_items, select_slate,
-                            shaped_reward, softplus)
+                            ValueNet, compute_gae, evaluate, ppo_update,
+                            score_items, select_slate, shaped_reward,
+                            softplus, value_step)
 from dsrm_hrl.env import SessionOutcome
 from dsrm_hrl.nn import Adam
 from dsrm_hrl import agent as agent_mod
@@ -202,27 +202,24 @@ def gae_oracle(rewards, values, dones, gamma, lam):
 
 
 def test_gae_matches_oracle():
+    """Two episodes in one step array: compute_gae, called once per
+    episode, against the oracle's unroll over the whole array."""
     rng = np.random.default_rng(8)
     rewards = rng.standard_normal(12)
     values = rng.standard_normal(12)
     dones = np.zeros(12, dtype=bool)
-    dones[[4, 11]] = True  # two episodes in one batch
-    adv, returns = compute_gae(rewards, values, dones, 0.9, 0.8,
-                               normalize=False)
+    dones[[4, 11]] = True
     expected = gae_oracle(rewards, values, dones, 0.9, 0.8)
-    assert np.allclose(adv, expected, atol=1e-12)
-    assert np.allclose(returns, expected + values, atol=1e-12)
+    for episode in (slice(0, 5), slice(5, 12)):
+        adv, returns = compute_gae(rewards[episode], values[episode], 0.9, 0.8)
+        assert np.allclose(adv, expected[episode], atol=1e-12)
+        assert np.allclose(returns, expected[episode] + values[episode],
+                           atol=1e-12)
 
 
-def test_gae_normalization():
-    rewards = np.array([1.0, 0.0, 2.0, -1.0])
-    values = np.zeros(4)
-    dones = np.array([False, False, False, True])
-    adv, _ = compute_gae(rewards, values, dones, 0.99, 0.95, normalize=True)
-    assert adv.mean() == pytest.approx(0.0, abs=1e-8)
-    assert adv.std() == pytest.approx(1.0, abs=1e-4)
+def test_gae_rejects_empty_episode():
     with pytest.raises(ValueError):
-        compute_gae([], [], [], 0.99, 0.95)
+        compute_gae([], [], 0.99, 0.95)
 
 
 def test_ppo_surrogate_clip_arithmetic():
@@ -268,8 +265,8 @@ def test_ppo_update_moves_parameters():
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 
-def make_agent(variant, seed=0):
-    cfg = small_hrl_cfg(variant=variant)
+def make_agent(variant, seed=0, **kw):
+    cfg = small_hrl_cfg(variant=variant, **kw)
     den = sched = None
     if variant in ("DSRM-HRL", "FLAT"):
         from dsrm_hrl.diffusion import Denoiser, make_schedule
@@ -279,20 +276,48 @@ def make_agent(variant, seed=0):
     return cfg, Agent(cfg, 8, denoiser=den, schedule=sched, seed=seed)
 
 
-def reference_episode(agent, env, session_seed, rng, mode):
-    """The rollout loop with full bookkeeping in both modes and a full-sort
-    slate selection, as an oracle for Agent.run_episode."""
+RECORD_FIELDS = ("states", "pre_squash", "log_probs", "shaped_rewards", "values")
+
+
+@dataclass
+class ListTrajectory:
+    states: list = field(default_factory=list)
+    pre_squash: list = field(default_factory=list)
+    log_probs: list = field(default_factory=list)
+    shaped_rewards: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+    dones: list = field(default_factory=list)
+
+    def extend(self, other):
+        for name in (*RECORD_FIELDS, "dones"):
+            getattr(self, name).extend(getattr(other, name))
+
+
+def reference_episode(agent, env, session_seed, rng, train):
+    """The rollout loop written the long way, as an oracle for
+    Agent.run_episode: full bookkeeping in both modes, the manager's
+    action threaded through a `held` tuple between decisions, and a
+    full-sort slate selection."""
+    def manager_action(state, step, held):
+        if agent.variant == "FLAT":
+            action = ManagerAction(agent.cfg.flat_omega_acc,
+                                   agent.cfg.flat_omega_fair)
+            return action, 0.0, np.zeros(2), held
+        if held is not None and step % agent.cfg.manager_interval != 0:
+            return held[0], held[1], held[2], held
+        action, lp, u = agent.policy.act(state, rng=rng, greedy=not train)
+        return action, lp, u, (action, lp, u)
+
     obs = env.reset(session_seed)
-    traj = Trajectory()
+    traj = ListTrajectory()
     episode_exposure = np.zeros(env.catalog.n_items)
     rewards_log, slates_log = [], []
     held = None
     done = False
     step = 0
     while not done:
-        state = agent.policy_state(obs.vec)
-        action, lp, u, held = agent.manager_action(state, rng, mode == "eval",
-                                                   step, held)
+        state = agent.policy_state(obs)
+        action, lp, u, held = manager_action(state, step, held)
         scores = score_items(state, action, env.catalog)
         n = len(scores)
         slate = np.lexsort((np.arange(n), -scores))[:env.config.slate_k]
@@ -302,7 +327,6 @@ def reference_episode(agent, env, session_seed, rng, mode):
         traj.states.append(state)
         traj.pre_squash.append(u)
         traj.log_probs.append(lp)
-        traj.env_rewards.append(r_t)
         traj.shaped_rewards.append(
             shaped_reward(r_t, episode_exposure, agent.cfg.lambda_fair))
         traj.values.append(agent.value_net.value(state))
@@ -317,22 +341,23 @@ def reference_episode(agent, env, session_seed, rng, mode):
 @pytest.mark.parametrize("mode", ["eval", "train"])
 def test_run_episode_matches_full_bookkeeping_loop(variant, mode):
     """Consecutive sessions on one shared catalog, so exposure carries over
-    between them: every outcome field, the train trajectory and the final
+    between them: every outcome field, the train record and the final
     catalog exposure must equal the oracle loop's."""
     env_cfg = small_env_cfg(n_items=300, slate_k=10, max_len=12)
     env, ref_env = RecEnv(env_cfg), RecEnv(env_cfg)
-    _, agent = make_agent(variant)
+    _, agent = make_agent(variant, manager_interval=3)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    train = mode == "train"
     for i in range(6):
-        outcome, traj = agent.run_episode(env, 500 + i, rng, mode=mode)
+        outcome, record = agent.run_episode(env, 500 + i, rng, train=train)
         ref_outcome, ref_traj = reference_episode(agent, ref_env, 500 + i,
-                                                  ref_rng, mode)
+                                                  ref_rng, train)
         assert astuple(outcome) == astuple(ref_outcome)
-        if mode == "train":
-            for name in ("states", "pre_squash", "log_probs", "env_rewards",
-                         "shaped_rewards", "values", "dones"):
-                assert np.array_equal(getattr(traj, name),
-                                      getattr(ref_traj, name)), name
+        if train:
+            for name, array in zip(RECORD_FIELDS, record):
+                assert np.array_equal(array, getattr(ref_traj, name)), name
+        else:
+            assert record is None
     assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
 
 
@@ -343,20 +368,13 @@ def test_eval_episode_is_inference_only(monkeypatch):
     monkeypatch.setattr(ValueNet, "value", forbidden)
     monkeypatch.setattr(agent_mod, "gini", forbidden)
     _, agent = make_agent("DSRM-HRL")
-    outcome, traj = agent.run_episode(RecEnv(small_env_cfg()), 0,
-                                      np.random.default_rng(0), mode="eval")
+    outcome, record = agent.run_episode(RecEnv(small_env_cfg()), 0,
+                                        np.random.default_rng(0), train=False)
     assert outcome.length > 0
-    assert len(traj) == 0
+    assert record is None
     with pytest.raises(AssertionError):
         agent.run_episode(RecEnv(small_env_cfg()), 0,
-                          np.random.default_rng(0), mode="train")
-
-
-def test_run_episode_rejects_unknown_mode():
-    _, agent = make_agent("HRL-RAW")
-    with pytest.raises(ValueError):
-        agent.run_episode(RecEnv(small_env_cfg()), 0,
-                          np.random.default_rng(0), mode="greedy")
+                          np.random.default_rng(0), train=True)
 
 
 def test_flat_without_denoiser_uses_raw_state():
@@ -370,18 +388,17 @@ def test_flat_without_denoiser_uses_raw_state():
 def test_flat_agent_uses_fixed_weights():
     cfg, agent = make_agent("FLAT")
     env = RecEnv(small_env_cfg())
-    outcome, traj = agent.run_episode(env, session_seed=0,
-                                      rng=np.random.default_rng(0))
+    outcome, record = agent.run_episode(env, session_seed=0,
+                                        rng=np.random.default_rng(0), train=True)
     assert outcome.length > 0
-    assert len(traj) == outcome.length
+    assert all(len(array) == outcome.length for array in record)
 
 
 def test_trainer_runs_and_logs():
     env = RecEnv(small_env_cfg())
     cfg, agent = make_agent("HRL-RAW")
     trainer = Trainer(env, agent, cfg, seed=0)
-    rows = []
-    trainer.train(log_rows=rows)
+    rows = trainer.train()
     assert len(rows) == cfg.total_steps // cfg.batch_steps
     for r in rows:
         assert np.isfinite(r["surrogate"]) and np.isfinite(r["value_loss"])
@@ -398,10 +415,110 @@ def test_flat_training_keeps_policy_frozen():
 
 def test_evaluate_deterministic_and_held_out():
     cfg, agent = make_agent("HRL-RAW")
-    out1 = evaluate(RecEnv(small_env_cfg()), agent, 5, base_seed=0,
-                    seed_offset=10_000)
-    out2 = evaluate(RecEnv(small_env_cfg()), agent, 5, base_seed=0,
-                    seed_offset=10_000)
+    out1 = evaluate(RecEnv(small_env_cfg()), agent, 5, base_seed=0)
+    out2 = evaluate(RecEnv(small_env_cfg()), agent, 5, base_seed=0)
     assert [o.length for o in out1] == [o.length for o in out2]
     for a, b in zip(out1, out2):
         assert np.allclose(a.rewards, b.rewards)
+
+
+def list_gae(rewards, values, dones, gamma, lam, normalize):
+    """GAE over a multi-episode step array, the value after a terminal step
+    0, with optional normalisation of the result."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    n = len(rewards)
+    adv = np.zeros(n)
+    last = 0.0
+    for t in reversed(range(n)):
+        next_v = 0.0 if dones[t] else (values[t + 1] if t + 1 < n else 0.0)
+        delta = rewards[t] + gamma * next_v - values[t]
+        last = delta + gamma * lam * (0.0 if dones[t] else last)
+        adv[t] = last
+    returns = adv + values
+    if normalize and n >= 2:
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    return adv, returns
+
+
+def list_train(env, agent, cfg, seed, log_rows):
+    """The stage-II loop written the long way, as an oracle for
+    Trainer.train: list-valued trajectories with a dones list, GAE per
+    episode, the batch normalisation as a second step, a value-only update
+    function for FLAT, and log rows appended to the caller's list."""
+    rng = np.random.default_rng([seed, 2])
+    opt_policy = Adam(agent.policy.parameters(), lr=cfg.lr_policy)
+    opt_value = Adam(agent.value_net.net.parameters(), lr=cfg.lr_value)
+    sessions = 0
+
+    def value_only_update(batch, returns):
+        states = np.asarray(batch.states, dtype=np.float64)
+        ret = np.asarray(returns, dtype=np.float64)
+        return [{"surrogate": 0.0,
+                 "value_loss": value_step(agent.value_net, opt_value, states, ret),
+                 "entropy": 0.0, "dropped": 0}
+                for _ in range(cfg.ppo_epochs)]
+
+    steps_done = 0
+    update_idx = 0
+    while steps_done < cfg.total_steps:
+        batch = ListTrajectory()
+        batch_adv, batch_ret = [], []
+        while len(batch.states) < cfg.batch_steps and steps_done < cfg.total_steps:
+            sessions += 1
+            _, traj = reference_episode(agent, env, seed * 100_000 + sessions,
+                                        rng, train=True)
+            adv, ret = list_gae(traj.shaped_rewards, traj.values, traj.dones,
+                                cfg.gamma, cfg.lam_gae, normalize=False)
+            batch.extend(traj)
+            batch_adv.extend(adv)
+            batch_ret.extend(ret)
+            steps_done += len(traj.states)
+        adv = np.asarray(batch_adv)
+        if len(adv) >= 2:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        if cfg.variant == "FLAT":
+            stats = value_only_update(batch, batch_ret)
+        else:
+            stats = ppo_update(agent.policy, agent.value_net, opt_policy,
+                               opt_value, batch.states, batch.pre_squash,
+                               batch.log_probs, adv, batch_ret, cfg)
+        update_idx += 1
+        omegas = np.array([[softplus(u[0]), softplus(u[1])]
+                           for u in batch.pre_squash]) \
+            if cfg.variant != "FLAT" else \
+            np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
+        last = stats[-1]
+        log_rows.append({
+            "update": update_idx,
+            "surrogate": last["surrogate"],
+            "value_loss": last["value_loss"],
+            "entropy": last["entropy"],
+            "mean_omega_acc": float(np.mean(omegas[:, 0])),
+            "mean_omega_fair": float(np.mean(omegas[:, 1])),
+        })
+
+
+@pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
+@pytest.mark.parametrize("interval", [1, 2])
+def test_trainer_matches_list_trajectory_loop(variant, interval):
+    """Trainer.train against list_train on twin agents and envs: equal log
+    rows, parameters and catalog exposure, bit for bit. Episodes are at
+    most 8 steps, so batches of 20 steps overshoot their budget, and the
+    total budget cuts the last batch short."""
+    cfg, agent = make_agent(variant, manager_interval=interval,
+                            batch_steps=20, total_steps=60)
+    _, ref_agent = make_agent(variant, manager_interval=interval,
+                              batch_steps=20, total_steps=60)
+    env, ref_env = RecEnv(small_env_cfg()), RecEnv(small_env_cfg())
+    rows = Trainer(env, agent, cfg, seed=4).train()
+    ref_rows = []
+    list_train(ref_env, ref_agent, cfg, 4, ref_rows)
+    assert len(rows) >= 3
+    assert rows == ref_rows
+    for net, ref_net in ((agent.policy, ref_agent.policy),
+                         (agent.value_net.net, ref_agent.value_net.net)):
+        params, ref_params = net.parameters(), ref_net.parameters()
+        assert params.keys() == ref_params.keys()
+        assert all(np.array_equal(params[k], ref_params[k]) for k in params)
+    assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)

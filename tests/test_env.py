@@ -44,10 +44,10 @@ def test_catalog_popular_items_share_direction():
 def test_reset_determinism():
     env1, env2 = RecEnv(small_cfg()), RecEnv(small_cfg())
     o1, o2 = env1.reset(42), env2.reset(42)
-    assert np.array_equal(o1.vec, o2.vec)
+    assert np.array_equal(o1, o2)
     assert np.array_equal(env1._user.latent_pref, env2._user.latent_pref)
     o3 = env2.reset(43)
-    assert not np.array_equal(o1.vec, o3.vec)
+    assert not np.array_equal(o1, o3)
 
 
 def test_latent_pref_unit_norm():
@@ -150,7 +150,7 @@ def test_reset_clears_abandoned_flag():
 def test_encode_cold_start_is_prior():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
-    assert np.allclose(obs.vec, cat.prior)
+    assert np.allclose(obs, cat.prior)
 
 
 def test_encode_noise_free_weighted_mean():
@@ -158,7 +158,7 @@ def test_encode_noise_free_weighted_mean():
     history = [(3, 1.0), (7, 0.0)]
     obs = encode_observed(history, cat, 0.0, np.random.default_rng(0))
     expected = (2.0 * cat.embeddings[3] + 1.0 * cat.embeddings[7]) / 3.0
-    assert np.allclose(obs.vec, expected, atol=1e-12)
+    assert np.allclose(obs, expected, atol=1e-12)
 
 
 def test_encode_rejects_unknown_items():
@@ -202,7 +202,7 @@ def test_full_episode_determinism():
         rs = []
         while not env.done:
             r, obs, _ = env.step(env.random_slate())
-            rs.append((r.copy(), obs.vec.copy()))
+            rs.append((r.copy(), obs.copy()))
         results.append(rs)
     assert len(results[0]) == len(results[1])
     for (r1, v1), (r2, v2) in zip(*results):

@@ -30,7 +30,7 @@ def old_collect_pairs(env, n_pairs, rng):
         while not done and len(clean) < n_pairs:
             _, nxt, done = env.step(env.random_slate())
             clean.append(env.clean_state())
-            noisy.append(nxt.vec.copy())
+            noisy.append(nxt.copy())
     return np.array(clean), np.array(noisy)
 
 
@@ -75,8 +75,8 @@ def old_dump_states(cfg, denoiser, schedule, n_states, seed):
         done = False
         while not done and len(raw) < n_states:
             _, obs, done = env.step(env.random_slate())
-            raw.append(obs.vec.copy())
-            pur.append(purify(obs.vec, denoiser, schedule))
+            raw.append(obs.copy())
+            pur.append(purify(obs, denoiser, schedule))
     return np.array(raw), np.array(pur), env.catalog.exposure
 
 
