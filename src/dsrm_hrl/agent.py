@@ -53,20 +53,23 @@ class ManagerPolicy:
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None,
             greedy: bool = False):
-        """Returns (ManagerAction, log_prob, pre_squash_sample)."""
+        """Returns (ManagerAction, log_prob, pre_squash_sample). Greedy
+        (evaluation) acting skips the density: its log_prob is the
+        placeholder 0.0, as for FLAT's fixed weights."""
         mean, _ = self.net.forward(state)
         if not np.all(np.isfinite(mean)):
             raise FloatingPointError("manager policy produced non-finite output")
         if greedy:
             u = mean.copy()
+            lp = 0.0
         else:
             if rng is None:
                 raise ValueError("sampling requires an rng")
             log_std = self._clamped_log_std()
             u = mean + np.exp(log_std) * rng.standard_normal(2)
-        lp = self._log_density(mean, u)
+            lp = float(self._log_density(mean, u))
         omega = softplus(u)
-        return ManagerAction(float(omega[0]), float(omega[1])), float(lp), u
+        return ManagerAction(float(omega[0]), float(omega[1])), lp, u
 
     def _log_density(self, mean: np.ndarray, u: np.ndarray):
         """log_prob given the Gaussian mean(s) instead of the state. Sums over

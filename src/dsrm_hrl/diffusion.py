@@ -135,6 +135,11 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
     way back (z=0), so repeated calls are bit-identical. Each step is
     reverse_step with the denoiser's first layer split: the conditioning and
     time-embedding parts are one table per call.
+
+    The chain is a handful of NumPy calls per layer per step, each writing
+    into a buffer allocated once per call, in the op order of
+    s = inv_sqrt_alpha * (s - eps_coef * net(s)). Nothing derived from the
+    weights outlives the call, since stage I updates them in place.
     """
     vec = np.asarray(observed_vec, dtype=np.float64)
     if schedule is None or denoiser is None or schedule.k_steps == 0:
@@ -142,19 +147,38 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
 
     k_steps = schedule.k_steps
     eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = forward_diffuse(vec, k_steps, eps, schedule)
+    s = forward_diffuse(vec, k_steps, eps, schedule)  # a fresh array, updated in place
     net = denoiser.net
     bias0 = denoiser.first_layer_bias(vec)
-    w0_s = net.weights[0][:, :denoiser.d]
-    later = list(zip(net.weights[1:], net.biases[1:]))
-    act = net._act
-    inv_sqrt_alpha = schedule.inv_sqrt_alpha.tolist()
-    eps_coef = schedule.eps_coef.tolist()
-    for k in range(k_steps, 0, -1):
-        h = w0_s @ s + bias0[k]
-        for w, b in later:
-            h = w @ act(h) + b
-        s = inv_sqrt_alpha[k - 1] * (s - eps_coef[k - 1] * h)
+    # Bound ndarray.dot: the same product as np.dot, without np.dot's
+    # Python-level dispatch. Its out must not alias its inputs, so each
+    # layer writes its own buffer.
+    bufs = [np.empty(w.shape[0]) for w in net.weights]
+    h0 = bufs[0]
+    dot0 = np.ascontiguousarray(net.weights[0][:, :denoiser.d]).dot
+    later = [(w.dot, b, out)
+             for w, b, out in zip(net.weights[1:], net.biases[1:], bufs[1:])]
+    relu = net.activation == "relu"
+    # Looked up once: K steps make about 11 calls each.
+    add, multiply, subtract, tanh, maximum = (
+        np.add, np.multiply, np.subtract, np.tanh, np.maximum)
+    for b0, inv_sqrt_alpha, eps_coef in zip(bias0[:0:-1],
+                                            schedule.inv_sqrt_alpha[::-1].tolist(),
+                                            schedule.eps_coef[::-1].tolist()):
+        dot0(s, h0)
+        add(h0, b0, h0)
+        h = h0
+        for dot, b, out in later:
+            if relu:
+                maximum(h, 0.0, out=h)  # a positional out is deprecated here
+            else:
+                tanh(h, h)
+            dot(h, out)
+            add(out, b, out)
+            h = out
+        multiply(h, eps_coef, h)
+        subtract(s, h, s)
+        multiply(s, inv_sqrt_alpha, s)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("purification produced non-finite values")
     return s

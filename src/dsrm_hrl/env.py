@@ -10,6 +10,7 @@ sessions abandon early when slates are dominated by popular items.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,8 +138,8 @@ def encode_observed(history, catalog: ItemCatalog, noise_scale: float,
     """
     d = catalog.embeddings.shape[1]
     if history:
-        ids = np.array([i for i, _ in history], dtype=np.int64)
-        if ids.min() < 0 or ids.max() >= catalog.n_items:
+        ids = [i for i, _ in history]
+        if min(ids) < 0 or max(ids) >= catalog.n_items:
             raise EnvError("history references unknown item id")
         w = 1.0 + np.array([r for _, r in history])
         base = (w[:, None] * catalog.embeddings[ids]).sum(axis=0) / w.sum()
@@ -153,15 +154,18 @@ def encode_observed(history, catalog: ItemCatalog, noise_scale: float,
     return np.asarray(vec, dtype=np.float64)
 
 
-def update_abandonment(satisfaction: float, slate_groups_window, config: EnvConfig,
+def update_abandonment(satisfaction: float, popular_counts, config: EnvConfig,
                        rng: np.random.Generator | None = None):
     """Windowed popularity penalty on satisfaction plus an optional
-    stochastic early exit. Deterministic when abandon_prob == 0."""
+    stochastic early exit. Deterministic when abandon_prob == 0.
+
+    popular_counts holds, for each slate in the window, how many of its
+    slate_k items are popular; the penalty applies when the popular share
+    of the window's impressions exceeds threshold_a."""
     if not 0 <= satisfaction <= 1:
         raise ValueError(f"satisfaction must be in [0,1], got {satisfaction}")
-    if slate_groups_window:
-        flat = np.concatenate(slate_groups_window)
-        p = float(np.mean(flat == GROUP_POPULAR))
+    if popular_counts:
+        p = sum(popular_counts) / (len(popular_counts) * config.slate_k)
         if p > config.threshold_a:
             satisfaction = max(0.0, satisfaction - config.decay_a)
     abandoned = satisfaction <= 0.0
@@ -185,7 +189,7 @@ class RecEnv:
         self._step = 0
         self._done = True
         self._abandoned = False
-        self._slate_groups: list = []
+        self._popular_counts = deque(maxlen=config.window_a)
 
     # -- session control ---------------------------------------------------
 
@@ -199,7 +203,7 @@ class RecEnv:
         self._step = 0
         self._done = False
         self._abandoned = False
-        self._slate_groups = []
+        self._popular_counts.clear()
         return encode_observed([], self.catalog, self.config.noise_scale,
                                self._rng)
 
@@ -235,9 +239,10 @@ class RecEnv:
         if slate.shape != (self.config.slate_k,):
             raise InvalidActionError(
                 f"slate must have exactly {self.config.slate_k} items")
-        if len(np.unique(slate)) != len(slate):
+        ids = slate.tolist()  # k items: Python beats NumPy's per-call cost
+        if len(set(ids)) != len(ids):
             raise InvalidActionError("slate contains duplicate item ids")
-        if slate.min() < 0 or slate.max() >= self.catalog.n_items:
+        if min(ids) < 0 or max(ids) >= self.catalog.n_items:
             raise InvalidActionError("slate contains unknown item ids")
         cfg = self.config
         cat = self.catalog
@@ -256,11 +261,9 @@ class RecEnv:
         if len(self._user.history) > cfg.history_window:
             self._user.history = self._user.history[-cfg.history_window:]
 
-        self._slate_groups.append(cat.group[slate].copy())
-        if len(self._slate_groups) > cfg.window_a:
-            self._slate_groups = self._slate_groups[-cfg.window_a:]
+        self._popular_counts.append(cat.group[slate].tolist().count(GROUP_POPULAR))
         self._user.satisfaction, abandoned = update_abandonment(
-            self._user.satisfaction, self._slate_groups, cfg, self._rng)
+            self._user.satisfaction, self._popular_counts, cfg, self._rng)
 
         self._step += 1
         self._done = abandoned or self._step >= cfg.max_len

@@ -63,7 +63,7 @@ def load_checkpoint(path):
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        raise
+        raise  # a missing file is not a CheckpointError: the CLI exits 1, not 2
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     off = 0
@@ -117,18 +117,22 @@ def _fmt(val) -> str:
 
 def write_results(path, rows: list[MetricsReport]):
     """Append metric rows to a CSV, one column per MetricsReport field in
-    declaration order; the header is written once when the file is created.
+    declaration order; the header is written once when the file is created
+    (or is empty).
     Floats use 6 significant digits; stds are population standard
     deviations."""
     columns = [f.name for f in fields(MetricsReport)]
-    header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
-    lines = []
-    if header_needed:
-        lines.append(",".join(columns))
+    try:
+        with open(path, "rb") as fh:
+            existing = fh.read()
+    except FileNotFoundError:
+        existing = b""
+    lines = [] if existing else [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, col)) for col in columns))
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # The old bytes plus the new rows, written whole: a failed write leaves
+    # the previous file as it was.
+    _atomic_write(path, existing + ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_csv(path, header: list[str], rows: list[list]):

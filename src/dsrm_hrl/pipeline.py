@@ -5,6 +5,8 @@ motivation analyses. The CLI is a thin wrapper over these functions."""
 
 from __future__ import annotations
 
+import copy
+import os
 import sys
 from dataclasses import replace
 
@@ -156,8 +158,6 @@ def run_eval(ckpt_path, episodes: int | None = None,
 def run_sweep_steps(cfg: RunConfig, seed: int, steps: list[int], out_dir):
     """Retrain the denoiser per diffusion-step count, run the full pipeline,
     and report one eval row per K plus a middle-vs-endpoints summary."""
-    import copy
-    import os
     reports = []
     for k in steps:
         kcfg = copy.deepcopy(cfg)
@@ -257,7 +257,6 @@ def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None,
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are
     skipped with a notice when none is given. Returns (r_squared, the
     raw and purified reports of (b), or None when skipped)."""
-    import os
     r2, rows = popularity_reward_regression(cfg, n_steps=n_steps, seed=seed)
     write_csv(os.path.join(out_dir, "popularity_reward.csv"),
               ["item_id", "log1p_exposure", "mean_reward"], rows)

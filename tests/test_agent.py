@@ -84,8 +84,9 @@ def test_log_prob_batch_matches_single():
 
 
 def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
-    """act reuses its own forward for the log-prob; the value must equal a
-    separate log_prob call at the sampled point, bit for bit."""
+    """act reuses its own forward for the log-prob; sampled, the value must
+    equal a separate log_prob call at the sampled point, bit for bit.
+    Greedy (evaluation) acting computes no density and returns 0.0."""
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(7))
     policy.log_std[:] = [-0.4, 0.3]
     state = np.random.default_rng(8).standard_normal(4)
@@ -93,11 +94,19 @@ def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
     forward = policy.net.forward
     monkeypatch.setattr(policy.net, "forward",
                         lambda x: calls.append(1) or forward(x))
+    log_density = policy._log_density
+    densities = []
+    monkeypatch.setattr(policy, "_log_density",
+                        lambda m, u: densities.append(1) or log_density(m, u))
     for greedy, rng in ((True, None), (False, np.random.default_rng(9))):
         calls.clear()
+        densities.clear()
         _, lp, u = policy.act(state, rng=rng, greedy=greedy)
         assert len(calls) == 1
-        assert lp == policy.log_prob(state, u)
+        if greedy:
+            assert lp == 0.0 and not densities
+        else:
+            assert lp == policy.log_prob(state, u)
 
 
 def test_log_std_clamped():

@@ -240,6 +240,28 @@ def _ref_purify(vec, den, sched):
     return s
 
 
+def _allocating_purify(vec, den, sched):
+    """purify's split-first-layer chain in its allocating form: every step
+    builds new arrays with @, +, the net's activation and the scalar
+    update. Same ops in the same order as the buffered library chain, so
+    the two must agree bit for bit."""
+    k_steps = sched.k_steps
+    eps = _state_hash_rng(vec).standard_normal(vec.shape)
+    s = forward_diffuse(vec, k_steps, eps, sched)
+    net = den.net
+    bias0 = den.first_layer_bias(vec)
+    w0_s = net.weights[0][:, :den.d]
+    later = list(zip(net.weights[1:], net.biases[1:]))
+    inv_sqrt_alpha = sched.inv_sqrt_alpha.tolist()
+    eps_coef = sched.eps_coef.tolist()
+    for k in range(k_steps, 0, -1):
+        h = w0_s @ s + bias0[k]
+        for w, b in later:
+            h = w @ net._act(h) + b
+        s = inv_sqrt_alpha[k - 1] * (s - eps_coef[k - 1] * h)
+    return s
+
+
 def _ref_dsrm_loss(den, s0, cond, sched, eps, ks):
     b = s0.shape[0]
     grads = {key: np.zeros_like(v) for key, v in den.net.parameters().items()}
@@ -276,6 +298,32 @@ def test_purify_matches_reference_chain(k_steps, activation, hidden):
     x = np.random.default_rng(11).standard_normal(5)
     got = purify(x, den, sched)
     assert np.max(np.abs(got - _ref_purify(x, den, sched))) <= TOL
+
+
+@pytest.mark.parametrize("k_steps", [1, 5, 20, 200])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(16,), (16, 12)])
+def test_purify_bit_identical_to_allocating_chain(k_steps, activation, hidden):
+    den = _random_denoiser(5, k_steps, hidden, activation, seed=k_steps)
+    sched = make_schedule(k_steps, 1e-4, 0.02)
+    for seed in (11, 12):
+        x = np.random.default_rng(seed).standard_normal(5)
+        assert np.array_equal(purify(x, den, sched), _allocating_purify(x, den, sched))
+
+
+def test_purify_result_is_a_fresh_array():
+    """The PPO record keeps each purified state, so a later call must not
+    write into an earlier result, and the input must not be touched."""
+    den = _random_denoiser(4, 5, (8, 8), "tanh", seed=5)
+    sched = make_schedule(5, 0.01, 0.1)
+    x = np.arange(4.0)
+    first = purify(x, den, sched)
+    kept = first.copy()
+    second = purify(x, den, sched)
+    purify(x + 1.0, den, sched)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and np.array_equal(second, kept)
+    assert np.array_equal(x, np.arange(4.0))
 
 
 def test_purify_uses_current_weights():

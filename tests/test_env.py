@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrm_hrl.config import EnvConfig
-from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, InvalidActionError,
+from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, EnvError, InvalidActionError,
                           ItemCatalog, RecEnv, _exposure_weight, _sigmoid,
                           encode_observed, update_abandonment)
 
@@ -110,6 +110,41 @@ def test_invalid_slates_rejected():
         env.step([0, 1])               # wrong size
 
 
+@pytest.mark.parametrize("slate", [[0, 0, 1], [0, 1, 40], [0, 1, 999],
+                                   [-1, 0, 1], [0, 1], [0, 1, 2, 3]])
+def test_rejected_slate_changes_nothing(slate):
+    env = RecEnv(small_cfg())
+    env.reset(0)
+    env.step(env.random_slate())
+    exposure = env.catalog.exposure.copy()
+    history = list(env._user.history)
+    step, satisfaction = env._step, env._user.satisfaction
+    with pytest.raises(InvalidActionError):
+        env.step(slate)
+    assert np.array_equal(env.catalog.exposure, exposure)
+    assert env._user.history == history
+    assert (env._step, env._user.satisfaction) == (step, satisfaction)
+    assert not env.done
+
+
+def test_abandonment_share_matches_mean_of_groups():
+    """The popular share from per-slate counts equals the mean over the
+    window's group labels bit for bit, so satisfaction moves exactly as
+    with the labels themselves."""
+    rng = np.random.default_rng(4)
+    for k in (1, 3, 7):
+        for n_slates in (1, 2, 5):
+            groups = rng.integers(0, 2, size=(n_slates, k))
+            share = float(np.mean(groups == GROUP_POPULAR))
+            counts = [row.tolist().count(GROUP_POPULAR) for row in groups]
+            at = small_cfg(slate_k=k, threshold_a=share, decay_a=0.5)
+            assert update_abandonment(1.0, counts, at)[0] == 1.0
+            if share > 0:
+                below = small_cfg(slate_k=k, threshold_a=np.nextafter(share, 0.0),
+                                  decay_a=0.5)
+                assert update_abandonment(1.0, counts, below)[0] == 0.5
+
+
 def test_history_window_cap():
     cfg = small_cfg(history_window=4, max_len=10)
     env = RecEnv(cfg)
@@ -163,15 +198,17 @@ def test_encode_noise_free_weighted_mean():
 
 def test_encode_rejects_unknown_items():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
-    with pytest.raises(Exception):
-        encode_observed([(999, 1.0)], cat, 0.0, np.random.default_rng(0))
+    for item in (999, cat.n_items, -1):
+        with pytest.raises(EnvError):
+            encode_observed([(3, 1.0), (item, 1.0)], cat, 0.0,
+                            np.random.default_rng(0))
 
 
 def test_abandonment_hand_simulation():
     """window=2 slates of all-popular items, threshold 0.4, decay 0.5:
     satisfaction 1.0 -> 0.5 -> 0.0 -> abandoned."""
     cfg = small_cfg(window_a=2, threshold_a=0.4, decay_a=0.5)
-    window = [np.array([GROUP_POPULAR] * 3)] * 2
+    window = [3, 3]  # popular items per slate (slate_k = 3)
     s, ab = update_abandonment(1.0, window, cfg)
     assert s == pytest.approx(0.5) and not ab
     s, ab = update_abandonment(s, window, cfg)
@@ -180,7 +217,7 @@ def test_abandonment_hand_simulation():
 
 def test_abandonment_below_threshold_no_decay():
     cfg = small_cfg(window_a=2, threshold_a=0.6, decay_a=0.5)
-    window = [np.array([GROUP_POPULAR, GROUP_LONGTAIL, GROUP_LONGTAIL])]
+    window = [1]  # one popular item of three
     s, ab = update_abandonment(1.0, window, cfg)
     assert s == 1.0 and not ab
 

@@ -110,6 +110,21 @@ def test_write_results_appends_with_single_header(tmp_path):
     assert "12.3457" in lines[1]
 
 
+def test_write_results_failed_replace_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "results.csv"
+    write_results(path, [sample_report()])
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_results(path, [sample_report(seed=2)])
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["results.csv"]
+
+
 def test_write_csv_atomic_overwrite(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(path, ["a", "b"], [[1, 2.5], [3, 4.0]])
