@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from dsrm_hrl.config import RunConfig, VARIANTS, load_config
+from dsrm_hrl.config import EvalConfig, RunConfig, VARIANTS, load_config
 from dsrm_hrl.pipeline import log, run_eval, run_train_dsrm, run_train_policy
 
 
@@ -22,12 +22,14 @@ def main():
     args = ap.parse_args()
 
     seeds = [int(s) for s in args.seeds.split(",")]
+    EvalConfig(episodes=args.episodes).validate()  # before any training
     os.makedirs(args.out, exist_ok=True)
     results_csv = os.path.join(args.out, "results.csv")
 
     for seed in seeds:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg.env.seed = seed
+        cfg.validate()
         dsrm_ckpt = os.path.join(args.out, f"dsrm_s{seed}.ckpt")
         run_train_dsrm(cfg, seed, dsrm_ckpt,
                        os.path.join(args.out, f"dsrm_loss_s{seed}.csv"))

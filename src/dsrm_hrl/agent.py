@@ -40,7 +40,7 @@ class ManagerPolicy:
     is state-independent and clamped to [-5, 2]."""
 
     def __init__(self, d: int, hidden=(64, 64), rng=None):
-        self.net = Mlp([d, *hidden, 2], activation="tanh", rng=rng)
+        self.net = Mlp([d, *hidden, 2], rng=rng)
         self.log_std = np.zeros(2)
 
     def parameters(self):
@@ -97,7 +97,7 @@ class ManagerPolicy:
 
 class ValueNet:
     def __init__(self, d: int, hidden=(64, 64), rng=None):
-        self.net = Mlp([d, *hidden, 1], activation="tanh", rng=rng)
+        self.net = Mlp([d, *hidden, 1], rng=rng)
 
     def value(self, state: np.ndarray) -> float:
         y, _ = self.net.forward(state)

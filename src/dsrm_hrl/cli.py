@@ -21,9 +21,12 @@ EXIT_RUNTIME = 2
 
 
 def _load(args) -> RunConfig:
+    """The config with the flag overrides applied, validated once, logged."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.env.seed = args.seed
+    # --seed, --epochs and --variant set the config key of the same name.
+    for section, key in (("env", "seed"), ("dsrm", "epochs"), ("hrl", "variant")):
+        if getattr(args, key, None) is not None:
+            setattr(getattr(cfg, section), key, getattr(args, key))
     cfg.validate()
     log("resolved config:")
     for line in render_config(cfg).splitlines():
@@ -73,16 +76,10 @@ def run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     seed = cfg.env.seed
     if args.command == "train-dsrm":
-        if args.epochs is not None:
-            if args.epochs < 0:
-                raise ConfigError("--epochs must be >= 0")
-            cfg.dsrm.epochs = args.epochs
         run_train_dsrm(cfg, seed,
                        os.path.join(args.out, "dsrm.ckpt"),
                        os.path.join(args.out, "dsrm_loss.csv"))
     elif args.command == "train":
-        if args.variant is not None:
-            cfg.hrl.variant = args.variant
         variant_tag = cfg.hrl.variant.lower().replace("-", "_")
         run_train_policy(cfg, seed, args.dsrm_ckpt,
                          os.path.join(args.out, f"policy_{variant_tag}_s{seed}.ckpt"),

@@ -4,6 +4,7 @@ config-file format ([section] headers). Unknown keys are rejected."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 VARIANTS = ("DSRM-HRL", "FLAT", "HRL-RAW")
@@ -16,144 +17,110 @@ class ConfigError(ValueError):
     """Invalid, unknown, or out-of-range configuration entry."""
 
 
-@dataclass
-class EnvConfig:
-    d: int = 16
-    n_items: int = 500
-    slate_k: int = 5
-    max_len: int = 30
-    history_window: int = 10
-    kappa: float = 4.0
-    bias_strength: float = 0.4
-    noise_scale: float = 0.3
-    obs_noise: float = 0.05
-    zipf_s: float = 1.2
-    init_exposure: int = 100_000
-    window_a: int = 3
-    threshold_a: float = 0.6
-    decay_a: float = 0.25
-    abandon_prob: float = 0.0
-    seed: int = 0
+def _ranged(default, low=-math.inf, high=math.inf):
+    """A numeric field: its default and closed range [low, high], which a
+    tuple's elements each keep. Other rules are in the section's _rules."""
+    return field(default=default, metadata={"range": (low, high)})
+
+
+class _Section:
+    """The one validator of every section: each float finite, each number
+    in its field's range, then the section's own cross-field rules."""
+
+    def _rules(self):  # (holds, message) pairs
+        return ()
 
     def validate(self):
-        if self.d < 2:
-            raise ConfigError(f"env.d must be >= 2, got {self.d}")
-        if self.n_items < 10:
-            raise ConfigError(f"env.n_items must be >= 10, got {self.n_items}")
-        if not 1 <= self.slate_k <= self.n_items:
-            raise ConfigError(f"env.slate_k must be in [1, n_items], got {self.slate_k}")
-        if self.max_len < 1:
-            raise ConfigError(f"env.max_len must be >= 1, got {self.max_len}")
-        if self.history_window < 1:
-            raise ConfigError(f"env.history_window must be >= 1, got {self.history_window}")
-        if self.noise_scale < 0:
-            raise ConfigError(f"env.noise_scale must be >= 0, got {self.noise_scale}")
-        if self.bias_strength < 0:
-            raise ConfigError(f"env.bias_strength must be >= 0, got {self.bias_strength}")
-        if self.obs_noise < 0:
-            raise ConfigError(f"env.obs_noise must be >= 0, got {self.obs_noise}")
-        if self.zipf_s <= 0:
-            raise ConfigError(f"env.zipf_s must be > 0, got {self.zipf_s}")
-        if self.init_exposure < 0:
-            raise ConfigError(f"env.init_exposure must be >= 0, got {self.init_exposure}")
-        if self.window_a < 1:
-            raise ConfigError(f"env.window_a must be >= 1, got {self.window_a}")
-        if not 0 <= self.threshold_a <= 1:
-            raise ConfigError(f"env.threshold_a must be in [0,1], got {self.threshold_a}")
-        if not 0 <= self.decay_a <= 1:
-            raise ConfigError(f"env.decay_a must be in [0,1], got {self.decay_a}")
-        if not 0 <= self.abandon_prob <= 1:
-            raise ConfigError(f"env.abandon_prob must be in [0,1], got {self.abandon_prob}")
+        section = next(n for n, cls in _SECTIONS.items() if isinstance(self, cls))
+        for f in fields(self):
+            if "range" not in f.metadata:
+                continue
+            value = getattr(self, f.name)
+            low, high = f.metadata["range"]
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
+                if not low <= v <= high:
+                    bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                    raise ConfigError(f"{section}.{f.name} must be {bound}, got {value}")
+        for holds, message in self._rules():
+            if not holds:
+                raise ConfigError(f"{section}.{message}")
+        return self
 
 
 @dataclass
-class DsrmConfig:
-    k_steps: int = 20
-    beta_min: float = 1e-4
-    beta_max: float = 0.02
-    hidden: tuple[int, ...] = (64, 64)
-    time_dim: int = 8
-    lr: float = 1e-3
-    epochs: int = 30
-    batch: int = 128
-    n_pairs: int = 5000
-    min_pairs: int = 256
+class EnvConfig(_Section):
+    d: int = _ranged(16, low=2)
+    n_items: int = _ranged(500, low=10)
+    slate_k: int = _ranged(5, low=1)
+    max_len: int = _ranged(30, low=1)
+    history_window: int = _ranged(10, low=1)
+    kappa: float = _ranged(4.0)  # unbounded: any finite value
+    bias_strength: float = _ranged(0.4, low=0)
+    noise_scale: float = _ranged(0.3, low=0)
+    obs_noise: float = _ranged(0.05, low=0)
+    zipf_s: float = _ranged(1.2)  # > 0: see _rules
+    init_exposure: int = _ranged(100_000, low=0)
+    window_a: int = _ranged(3, low=1)
+    threshold_a: float = _ranged(0.6, 0, 1)
+    decay_a: float = _ranged(0.25, 0, 1)
+    abandon_prob: float = _ranged(0.0, 0, 1)
+    seed: int = _ranged(0, low=0)
 
-    def validate(self):
-        if self.k_steps < 0:
-            raise ConfigError(f"dsrm.k_steps must be >= 0, got {self.k_steps}")
-        if self.k_steps > 0 and not 0 < self.beta_min <= self.beta_max < 1:
-            raise ConfigError(
-                f"dsrm requires 0 < beta_min <= beta_max < 1, got [{self.beta_min}, {self.beta_max}]"
-            )
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError(f"dsrm.hidden sizes must be positive, got {self.hidden}")
-        if self.time_dim < 2 or self.time_dim % 2 != 0:
-            raise ConfigError(f"dsrm.time_dim must be a positive even integer, got {self.time_dim}")
-        if self.lr < 0:
-            raise ConfigError(f"dsrm.lr must be >= 0, got {self.lr}")
-        if self.epochs < 0:
-            raise ConfigError(f"dsrm.epochs must be >= 0, got {self.epochs}")
-        if self.batch < 1:
-            raise ConfigError(f"dsrm.batch must be >= 1, got {self.batch}")
-        if self.n_pairs < 1:
-            raise ConfigError(f"dsrm.n_pairs must be >= 1, got {self.n_pairs}")
-        if self.min_pairs < 1:
-            raise ConfigError(f"dsrm.min_pairs must be >= 1, got {self.min_pairs}")
+    def _rules(self):
+        return ((self.slate_k <= self.n_items,
+                 f"slate_k must be <= n_items ({self.n_items}), got {self.slate_k}"),
+                (self.zipf_s > 0, f"zipf_s must be > 0, got {self.zipf_s}"))
 
 
 @dataclass
-class HrlConfig:
-    gamma: float = 0.99
-    lam_gae: float = 0.95
-    clip_eps: float = 0.2
-    lambda_fair: float = 0.5
-    lr_policy: float = 3e-4
-    lr_value: float = 1e-3
-    entropy_coef: float = 0.01
-    ppo_epochs: int = 4
-    batch_steps: int = 2048
-    manager_interval: int = 1
-    total_steps: int = 20000
-    hidden: tuple[int, ...] = (64, 64)
+class DsrmConfig(_Section):
+    k_steps: int = _ranged(20, low=0)
+    beta_min: float = _ranged(1e-4)  # with beta_max: see _rules
+    beta_max: float = _ranged(0.02)
+    hidden: tuple[int, ...] = _ranged((64, 64), low=1)
+    time_dim: int = _ranged(8, low=2)  # and even: see _rules
+    lr: float = _ranged(1e-3, low=0)
+    epochs: int = _ranged(30, low=0)
+    batch: int = _ranged(128, low=1)
+    n_pairs: int = _ranged(5000, low=1)
+    min_pairs: int = _ranged(256, low=1)
+
+    def _rules(self):
+        return ((self.k_steps == 0 or 0 < self.beta_min <= self.beta_max < 1,
+                 f"beta_min/beta_max must satisfy 0 < beta_min <= beta_max < 1 when "
+                 f"k_steps > 0, got [{self.beta_min}, {self.beta_max}]"),
+                (self.time_dim % 2 == 0, f"time_dim must be even, got {self.time_dim}"))
+
+
+@dataclass
+class HrlConfig(_Section):
+    gamma: float = _ranged(0.99, 0, 1)
+    lam_gae: float = _ranged(0.95, 0, 1)
+    clip_eps: float = _ranged(0.2)  # in (0, 1): see _rules
+    lambda_fair: float = _ranged(0.5, low=0)
+    lr_policy: float = _ranged(3e-4, low=0)
+    lr_value: float = _ranged(1e-3, low=0)
+    entropy_coef: float = _ranged(0.01, low=0)
+    ppo_epochs: int = _ranged(4, low=1)
+    batch_steps: int = _ranged(2048, low=1)
+    manager_interval: int = _ranged(1, low=1)
+    total_steps: int = _ranged(20000, low=0)
+    hidden: tuple[int, ...] = _ranged((64, 64), low=1)
     variant: str = "DSRM-HRL"
-    flat_omega_acc: float = 1.0
-    flat_omega_fair: float = 0.05
+    flat_omega_acc: float = _ranged(1.0, low=0)
+    flat_omega_fair: float = _ranged(0.05, low=0)
 
-    def validate(self):
-        if not 0 <= self.gamma <= 1:
-            raise ConfigError(f"hrl.gamma must be in [0,1], got {self.gamma}")
-        if not 0 <= self.lam_gae <= 1:
-            raise ConfigError(f"hrl.lam_gae must be in [0,1], got {self.lam_gae}")
-        if not 0 < self.clip_eps < 1:
-            raise ConfigError(f"hrl.clip_eps must be in (0,1), got {self.clip_eps}")
-        if self.lambda_fair < 0:
-            raise ConfigError(f"hrl.lambda_fair must be >= 0, got {self.lambda_fair}")
-        if self.lr_policy < 0 or self.lr_value < 0:
-            raise ConfigError("hrl learning rates must be >= 0")
-        if self.entropy_coef < 0:
-            raise ConfigError(f"hrl.entropy_coef must be >= 0, got {self.entropy_coef}")
-        if self.ppo_epochs < 1:
-            raise ConfigError(f"hrl.ppo_epochs must be >= 1, got {self.ppo_epochs}")
-        if self.batch_steps < 1:
-            raise ConfigError(f"hrl.batch_steps must be >= 1, got {self.batch_steps}")
-        if self.manager_interval < 1:
-            raise ConfigError(f"hrl.manager_interval must be >= 1, got {self.manager_interval}")
-        if self.total_steps < 0:
-            raise ConfigError(f"hrl.total_steps must be >= 0, got {self.total_steps}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"hrl.variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.flat_omega_acc < 0 or self.flat_omega_fair < 0:
-            raise ConfigError("hrl.flat_omega_* must be >= 0")
+    def _rules(self):
+        return ((0 < self.clip_eps < 1, f"clip_eps must be in (0, 1), got {self.clip_eps}"),
+                (self.variant in VARIANTS,
+                 f"variant must be one of {VARIANTS}, got {self.variant!r}"))
 
 
 @dataclass
-class EvalConfig:
-    episodes: int = 200
-
-    def validate(self):
-        if self.episodes < 1:
-            raise ConfigError(f"eval.episodes must be >= 1, got {self.episodes}")
+class EvalConfig(_Section):
+    episodes: int = _ranged(200, low=1)
 
 
 @dataclass
@@ -164,10 +131,8 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self):
-        self.env.validate()
-        self.dsrm.validate()
-        self.hrl.validate()
-        self.eval.validate()
+        for section in _SECTIONS:
+            getattr(self, section).validate()
         return self
 
 

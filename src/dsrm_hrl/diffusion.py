@@ -81,12 +81,12 @@ class Denoiser:
     corrupted observation) -> predicted noise."""
 
     def __init__(self, d: int, hidden=(64, 64), time_dim: int = 8,
-                 k_steps: int = 20, rng=None, activation="tanh"):
+                 k_steps: int = 20, rng=None):
         self.d = d
         self.time_dim = time_dim
         self.k_steps = k_steps
         sizes = [2 * d + time_dim, *hidden, d]
-        self.net = Mlp(sizes, activation=activation, rng=rng)
+        self.net = Mlp(sizes, rng=rng)
         # Row k holds the embedding of step k (row 0 is unused by the chain).
         self.temb_table = np.stack([time_embedding(k, k_steps, time_dim)
                                     for k in range(k_steps + 1)])
@@ -158,10 +158,8 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
     dot0 = np.ascontiguousarray(net.weights[0][:, :denoiser.d]).dot
     later = [(w.dot, b, out)
              for w, b, out in zip(net.weights[1:], net.biases[1:], bufs[1:])]
-    relu = net.activation == "relu"
     # Looked up once: K steps make about 11 calls each.
-    add, multiply, subtract, tanh, maximum = (
-        np.add, np.multiply, np.subtract, np.tanh, np.maximum)
+    add, multiply, subtract, tanh = np.add, np.multiply, np.subtract, np.tanh
     for b0, inv_sqrt_alpha, eps_coef in zip(bias0[:0:-1],
                                             schedule.inv_sqrt_alpha[::-1].tolist(),
                                             schedule.eps_coef[::-1].tolist()):
@@ -169,10 +167,7 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
         add(h0, b0, h0)
         h = h0
         for dot, b, out in later:
-            if relu:
-                maximum(h, 0.0, out=h)  # a positional out is deprecated here
-            else:
-                tanh(h, h)
+            tanh(h, h)
             dot(h, out)
             add(out, b, out)
             h = out

@@ -10,42 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-_ACTIVATIONS = ("tanh", "relu")
+# Adam's moment decays and denominator floor.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ShapeError(ValueError):
     pass
 
 
-def _init_scale(fan_in: int, activation: str) -> float:
-    # He for relu, Xavier-ish for tanh.
-    if activation == "relu":
-        return np.sqrt(2.0 / fan_in)
-    return np.sqrt(1.0 / fan_in)
-
-
 class Mlp:
-    """Fully-connected net, hidden activation tanh or relu, identity output.
+    """Fully-connected net, tanh hidden layers, identity output.
 
     Weights W[l] have shape (n_out, n_in); forward accepts a single vector
     (n_in,) or a batch (B, n_in).
     """
 
-    def __init__(self, layer_sizes, activation="tanh", rng=None):
+    def __init__(self, layer_sizes, rng=None):
         if len(layer_sizes) < 2:
             raise ShapeError("need at least input and output layer sizes")
         if any(s < 1 for s in layer_sizes):
             raise ShapeError(f"layer sizes must be positive: {layer_sizes}")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.layer_sizes = list(layer_sizes)
-        self.activation = activation
         self.weights = []
         self.biases = []
         for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            scale = _init_scale(n_in, activation)
-            self.weights.append(rng.standard_normal((n_out, n_in)) * scale)
+            # Xavier-style scale for tanh.
+            self.weights.append(rng.standard_normal((n_out, n_in)) * np.sqrt(1.0 / n_in))
             self.biases.append(np.zeros(n_out))
 
     @property
@@ -67,17 +58,6 @@ class Mlp:
             self.weights[i] = np.asarray(w, dtype=np.float64)
             self.biases[i] = np.asarray(b, dtype=np.float64)
 
-    def _act(self, z):
-        if self.activation == "tanh":
-            return np.tanh(z)
-        return np.maximum(z, 0.0)
-
-    def _act_grad(self, z):
-        if self.activation == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        return (z > 0).astype(np.float64)
-
     def forward(self, x):
         """Returns (y, cache); cache holds activations and pre-activations
         for backward. Accepts (n_in,) or (B, n_in)."""
@@ -94,7 +74,7 @@ class Mlp:
         for i in range(self.n_layers):
             z = h @ self.weights[i].T + self.biases[i]
             pre.append(z)
-            h = z if i == self.n_layers - 1 else self._act(z)
+            h = z if i == self.n_layers - 1 else np.tanh(z)
             acts.append(h)
         y = acts[-1][0] if single else acts[-1]
         return y, {"acts": acts, "pre": pre, "single": single}
@@ -111,7 +91,8 @@ class Mlp:
         grads = {}
         for i in reversed(range(self.n_layers)):
             if i != self.n_layers - 1:
-                d = d * self._act_grad(pre[i])
+                t = np.tanh(pre[i])
+                d = d * (1.0 - t * t)
             grads[f"W{i}"] = d.T @ acts[i]
             grads[f"b{i}"] = d.sum(axis=0)
             d = d @ self.weights[i]
@@ -123,12 +104,8 @@ class Adam:
     """Bias-corrected Adam over a named-parameter dict. Updates in place;
     non-finite gradients skip the update for that tensor and are counted."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-3, beta1=0.9,
-                 beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -146,13 +123,13 @@ class Adam:
                 continue
             m = self.m[key]
             v = self.v[key]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def gradient_check(mlp: Mlp, loss_fn, x, h=1e-5) -> float:

@@ -140,9 +140,10 @@ def run_eval(ckpt_path, episodes: int | None = None,
     """Greedy evaluation of a policy checkpoint on held-out session seeds
     (train seed range shifted by a fixed offset)."""
     agent, cfg = load_agent(ckpt_path)
-    episodes = cfg.eval.episodes if episodes is None else episodes
+    if episodes is not None:  # checked like the config key it replaces
+        cfg.eval = replace(cfg.eval, episodes=episodes).validate()
     env = RecEnv(cfg.env)
-    outcomes = evaluate(env, agent, episodes, base_seed=cfg.env.seed)
+    outcomes = evaluate(env, agent, cfg.eval.episodes, base_seed=cfg.env.seed)
     report = session_stats(outcomes, env.catalog, variant=cfg.hrl.variant,
                            seed=cfg.env.seed, max_len=cfg.env.max_len)
     if results_path is not None:
@@ -250,14 +251,13 @@ def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500, seed: int = 0):
     return (raw_states, *labels(raw_states)), (pur_states, *labels(pur_states))
 
 
-def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None,
-                 n_steps: int = 10_000, episodes: int = 100):
+def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None):
     """The three motivation analyses: (a) popularity-vs-reward regression
     under a random policy; (b) fixed-policy comparison on raw vs purified
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are
     skipped with a notice when none is given. Returns (r_squared, the
     raw and purified reports of (b), or None when skipped)."""
-    r2, rows = popularity_reward_regression(cfg, n_steps=n_steps, seed=seed)
+    r2, rows = popularity_reward_regression(cfg, n_steps=10_000, seed=seed)
     write_csv(os.path.join(out_dir, "popularity_reward.csv"),
               ["item_id", "log1p_exposure", "mean_reward"], rows)
     write_csv(os.path.join(out_dir, "popularity_reward_r2.csv"),
@@ -266,7 +266,7 @@ def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None,
     if dsrm_ckpt is None:
         log("motivate(b,c): skipped (no denoiser checkpoint given)")
         return r2, None
-    raw, pur = purification_gain(cfg, dsrm_ckpt, episodes=episodes, seed=seed)
+    raw, pur = purification_gain(cfg, dsrm_ckpt, episodes=100, seed=seed)
     write_results(os.path.join(out_dir, "purification_gain.csv"), [raw, pur])
     log(f"motivate(b): raw Len={raw.len_mean:.3f} AD={raw.ad_mean:.3f} | "
         f"purified Len={pur.len_mean:.3f} AD={pur.ad_mean:.3f}")

@@ -134,3 +134,38 @@ def test_retired_key_with_unused_value_validation_error(tmp_path):
     cfg.write_text(FAST_CFG + "greedy = false\n")  # inside [eval]
     rc = main(["train-dsrm", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_VALIDATION
+
+
+def test_non_finite_config_value_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(FAST_CFG.replace("[dsrm]\n", "[dsrm]\nlr = nan\n"))
+    out = tmp_path / "run"
+    rc = main(["train-dsrm", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert "error: dsrm.lr must be finite, got nan" in capsys.readouterr().err
+    assert not (out / "dsrm.ckpt").exists()
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_eval_episodes_validated_like_the_config_key(cfg_file, tmp_path, capsys,
+                                                     episodes):
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["eval", "--config", cfg_file, "--out", str(out), "--episodes", episodes,
+               "--ckpt", str(out / "policy_hrl_raw_s3.ckpt")])
+    assert rc == EXIT_VALIDATION
+    assert f"error: eval.episodes must be >= 1, got {episodes}" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_resolved_config_log_shows_flag_overrides(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train-dsrm", "--config", cfg_file, "--seed", "4", "--out", str(out),
+                 "--epochs", "1"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "  seed = 4" in err and "  epochs = 1" in err
+    assert main(["train", "--config", cfg_file, "--seed", "4", "--out", str(out),
+                 "--variant", "FLAT", "--dsrm-ckpt", str(out / "dsrm.ckpt")]) == EXIT_OK
+    assert "  variant = FLAT" in capsys.readouterr().err

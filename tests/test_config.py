@@ -1,9 +1,11 @@
 """Config dataclasses, validation, and file parsing."""
 
 import ast
+import math
 import pathlib
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import dsrm_hrl
@@ -14,6 +16,24 @@ from dsrm_hrl.config import (ConfigError, DsrmConfig, EnvConfig, EvalConfig,
 
 def test_defaults_validate():
     RunConfig().validate()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_floats_rejected(raw):
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            if isinstance(f.default, float):
+                with pytest.raises(ConfigError, match=rf"^{section}\.{f.name} must be finite"):
+                    parse_config(f"[{section}]\n{f.name} = {raw}\n")
+
+
+def test_every_numeric_field_declares_a_range():
+    """A number without a declared range would go unchecked; an unbounded
+    one declares so explicitly (its range is (None, None))."""
+    undeclared = [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+                  for f in fields(cls)
+                  if isinstance(f.default, (int, float, tuple)) and "range" not in f.metadata]
+    assert undeclared == []
 
 
 @pytest.mark.parametrize("field,value", [
@@ -179,3 +199,220 @@ def test_every_library_function_is_referenced():
     unreferenced = sorted(qual for qual, name in defined.items()
                           if name not in referenced and qual not in KEPT_FOR_CHECKS)
     assert unreferenced == []
+
+
+# Defaulted parameters that no call in src/ or scripts/ sets, kept on purpose.
+KEPT_DEFAULTS = {
+    "cli.main:argv",             # tests and perfbench drive the CLI in-process
+    "diffusion.dsrm_loss:eps",   # injected by tests for fixed noise targets
+    "diffusion.dsrm_loss:ks",    # injected by tests for fixed diffusion steps
+    "nn.gradient_check:h",       # criterion 1 passes a larger step
+    "pipeline.state_dumps:n_states",  # tests shrink the dump
+}
+
+
+def test_every_defaulted_parameter_is_set():
+    """Each parameter with a default, of a package function, method or
+    constructor, is passed (by position or keyword) by some call in src/ or
+    scripts/ to a callable of that name; one that only its default ever
+    fills is an option no run can set, unless it is listed above."""
+    pkg = pathlib.Path(dsrm_hrl.__file__).parent
+    paths = [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]
+    calls, defaulted = [], {}
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                n_pos = math.inf if starred else len(node.args)
+                kws = {k.arg for k in node.keywords}
+                calls.append((name, n_pos, kws))
+        if path.parent != pkg:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if isinstance(node, ast.ClassDef):
+                    if fn.name.startswith("__") and fn.name != "__init__":
+                        continue
+                    called_as = node.name if fn.name == "__init__" else fn.name
+                    skip = 0 if any(getattr(d, "id", "") == "staticmethod"
+                                    for d in fn.decorator_list) else 1
+                    qual = f"{path.stem}.{node.name}.{fn.name}"
+                else:
+                    called_as, skip, qual = fn.name, 0, f"{path.stem}.{fn.name}"
+                positional = [*fn.args.posonlyargs, *fn.args.args]
+                first = len(positional) - len(fn.args.defaults)
+                for i, arg in enumerate(positional[first:], start=first - skip):
+                    defaulted[f"{qual}:{arg.arg}"] = (called_as, i, arg.arg)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        defaulted[f"{qual}:{arg.arg}"] = (called_as, math.inf, arg.arg)
+    assert KEPT_DEFAULTS <= defaulted.keys()
+    unset = sorted(
+        key for key, (called_as, index, param) in defaulted.items()
+        if key not in KEPT_DEFAULTS
+        and not any(name == called_as and (n_pos > index or param in kws or None in kws)
+                    for name, n_pos, kws in calls))
+    assert unset == []
+
+
+# The four section validators as they were before the per-field ranges, kept
+# here as the reference the shared validator is checked against.
+def _old_env(c):
+    if c.d < 2:
+        raise ConfigError(f"env.d must be >= 2, got {c.d}")
+    if c.n_items < 10:
+        raise ConfigError(f"env.n_items must be >= 10, got {c.n_items}")
+    if not 1 <= c.slate_k <= c.n_items:
+        raise ConfigError(f"env.slate_k must be in [1, n_items], got {c.slate_k}")
+    if c.max_len < 1:
+        raise ConfigError(f"env.max_len must be >= 1, got {c.max_len}")
+    if c.history_window < 1:
+        raise ConfigError(f"env.history_window must be >= 1, got {c.history_window}")
+    if c.noise_scale < 0:
+        raise ConfigError(f"env.noise_scale must be >= 0, got {c.noise_scale}")
+    if c.bias_strength < 0:
+        raise ConfigError(f"env.bias_strength must be >= 0, got {c.bias_strength}")
+    if c.obs_noise < 0:
+        raise ConfigError(f"env.obs_noise must be >= 0, got {c.obs_noise}")
+    if c.zipf_s <= 0:
+        raise ConfigError(f"env.zipf_s must be > 0, got {c.zipf_s}")
+    if c.init_exposure < 0:
+        raise ConfigError(f"env.init_exposure must be >= 0, got {c.init_exposure}")
+    if c.window_a < 1:
+        raise ConfigError(f"env.window_a must be >= 1, got {c.window_a}")
+    if not 0 <= c.threshold_a <= 1:
+        raise ConfigError(f"env.threshold_a must be in [0,1], got {c.threshold_a}")
+    if not 0 <= c.decay_a <= 1:
+        raise ConfigError(f"env.decay_a must be in [0,1], got {c.decay_a}")
+    if not 0 <= c.abandon_prob <= 1:
+        raise ConfigError(f"env.abandon_prob must be in [0,1], got {c.abandon_prob}")
+
+
+def _old_dsrm(c):
+    if c.k_steps < 0:
+        raise ConfigError(f"dsrm.k_steps must be >= 0, got {c.k_steps}")
+    if c.k_steps > 0 and not 0 < c.beta_min <= c.beta_max < 1:
+        raise ConfigError(
+            f"dsrm requires 0 < beta_min <= beta_max < 1, got [{c.beta_min}, {c.beta_max}]"
+        )
+    if any(h < 1 for h in c.hidden):
+        raise ConfigError(f"dsrm.hidden sizes must be positive, got {c.hidden}")
+    if c.time_dim < 2 or c.time_dim % 2 != 0:
+        raise ConfigError(f"dsrm.time_dim must be a positive even integer, got {c.time_dim}")
+    if c.lr < 0:
+        raise ConfigError(f"dsrm.lr must be >= 0, got {c.lr}")
+    if c.epochs < 0:
+        raise ConfigError(f"dsrm.epochs must be >= 0, got {c.epochs}")
+    if c.batch < 1:
+        raise ConfigError(f"dsrm.batch must be >= 1, got {c.batch}")
+    if c.n_pairs < 1:
+        raise ConfigError(f"dsrm.n_pairs must be >= 1, got {c.n_pairs}")
+    if c.min_pairs < 1:
+        raise ConfigError(f"dsrm.min_pairs must be >= 1, got {c.min_pairs}")
+
+
+def _old_hrl(c):
+    if not 0 <= c.gamma <= 1:
+        raise ConfigError(f"hrl.gamma must be in [0,1], got {c.gamma}")
+    if not 0 <= c.lam_gae <= 1:
+        raise ConfigError(f"hrl.lam_gae must be in [0,1], got {c.lam_gae}")
+    if not 0 < c.clip_eps < 1:
+        raise ConfigError(f"hrl.clip_eps must be in (0,1), got {c.clip_eps}")
+    if c.lambda_fair < 0:
+        raise ConfigError(f"hrl.lambda_fair must be >= 0, got {c.lambda_fair}")
+    if c.lr_policy < 0 or c.lr_value < 0:
+        raise ConfigError("hrl learning rates must be >= 0")
+    if c.entropy_coef < 0:
+        raise ConfigError(f"hrl.entropy_coef must be >= 0, got {c.entropy_coef}")
+    if c.ppo_epochs < 1:
+        raise ConfigError(f"hrl.ppo_epochs must be >= 1, got {c.ppo_epochs}")
+    if c.batch_steps < 1:
+        raise ConfigError(f"hrl.batch_steps must be >= 1, got {c.batch_steps}")
+    if c.manager_interval < 1:
+        raise ConfigError(f"hrl.manager_interval must be >= 1, got {c.manager_interval}")
+    if c.total_steps < 0:
+        raise ConfigError(f"hrl.total_steps must be >= 0, got {c.total_steps}")
+    if c.variant not in VARIANTS:
+        raise ConfigError(f"hrl.variant must be one of {VARIANTS}, got {c.variant!r}")
+    if c.flat_omega_acc < 0 or c.flat_omega_fair < 0:
+        raise ConfigError("hrl.flat_omega_* must be >= 0")
+
+
+def _old_eval(c):
+    if c.episodes < 1:
+        raise ConfigError(f"eval.episodes must be >= 1, got {c.episodes}")
+
+
+_OLD_VALIDATORS = {"env": _old_env, "dsrm": _old_dsrm, "hrl": _old_hrl, "eval": _old_eval}
+
+# Each bound the old validators drew (0, 1, 2, 10), the value just past it on
+# either side, and values well inside and outside.
+_INT_PROBES = (-1, 0, 1, 2, 3, 9, 10, 11, 200)
+_FLOAT_PROBES = (-1.0, float(np.nextafter(0.0, -1.0)), 0.0, float(np.nextafter(0.0, 1.0)),
+                 0.5, float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)),
+                 2.0, math.nan, math.inf, -math.inf)
+_TUPLE_PROBES = ((), (1,), (0,), (-1, 8), (64, 0), (64, 64))
+
+
+def _probes():
+    """(section, key, section config) for every field at each probe value
+    and at its default, then the cross-field cases."""
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            if isinstance(f.default, str):
+                values = ("BOGUS", "dsrm-hrl", *VARIANTS)
+            elif isinstance(f.default, tuple):
+                values = _TUPLE_PROBES
+            elif isinstance(f.default, float):
+                values = _FLOAT_PROBES
+            else:
+                values = _INT_PROBES
+            for value in (*values, f.default):
+                yield section, f.name, cls(**{f.name: value})
+    for slate_k in (9, 10, 11):
+        yield "env", "slate_k", EnvConfig(n_items=10, slate_k=slate_k)
+    for k_steps in (0, 1):
+        for key in ("beta_min", "beta_max"):
+            for value in _FLOAT_PROBES:
+                yield "dsrm", key, DsrmConfig(k_steps=k_steps, **{key: value})
+        for low, high in ((0.5, 0.1), (0.1, 0.1), (0.1, 0.5)):
+            yield "dsrm", "beta_min", DsrmConfig(k_steps=k_steps, beta_min=low, beta_max=high)
+
+
+def _deliberately_rejected(section, key, cfg):
+    """Values the old validators let through and the shared one rejects on
+    purpose: non-finite floats (a NaN lr trained NaN weights), a negative
+    env.seed (it failed inside NumPy) and a non-positive hrl.hidden size (it
+    failed when the networks were built)."""
+    value = getattr(cfg, key)
+    return ((isinstance(value, float) and not math.isfinite(value))
+            or ((section, key) == ("env", "seed") and value < 0)
+            or ((section, key) == ("hrl", "hidden") and any(h < 1 for h in value)))
+
+
+def test_validator_matches_old_validators():
+    checked = 0
+    for section, key, cfg in _probes():
+        try:
+            _OLD_VALIDATORS[section](cfg)
+            old_ok = True
+        except ConfigError:
+            old_ok = False
+        try:
+            cfg.validate()
+            new_ok = True
+        except ConfigError as exc:
+            new_ok = False
+            assert str(exc).startswith(f"{section}.") and key in str(exc), (key, exc)
+        if _deliberately_rejected(section, key, cfg):
+            assert not new_ok, (section, key, getattr(cfg, key))
+        else:
+            assert new_ok == old_ok, (section, key, getattr(cfg, key))
+            checked += 1
+    assert checked > 400

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsrm_hrl.nn import Adam, Mlp, ShapeError, gradient_check
+from dsrm_hrl.nn import ADAM_EPS, Adam, Mlp, ShapeError, gradient_check
 
 
 def quadratic_loss(target):
@@ -46,11 +46,11 @@ def test_backward_rejects_bad_dy_shape():
         mlp.backward(cache, np.zeros(5))
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gradient_check_against_finite_differences(activation, seed):
+# "-tanh" in the ids names the hidden activation, the only one Mlp has.
+@pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda s: f"{s}-tanh")
+def test_gradient_check_against_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    mlp = Mlp([5, 8, 8, 3], activation=activation, rng=rng)
+    mlp = Mlp([5, 8, 8, 3], rng=rng)
     x = rng.standard_normal(5) * 0.5
     target = rng.standard_normal(3)
     assert gradient_check(mlp, quadratic_loss(target), x) < 1e-4
@@ -73,18 +73,13 @@ def test_batch_gradient_matches_sum_of_singles():
         assert np.allclose(batch_grads[k], summed[k], atol=1e-12)
 
 
-def test_unknown_activation_rejected():
-    with pytest.raises(ValueError):
-        Mlp([2, 2], activation="sigmoid")
-
-
 def test_adam_first_step_hand_case():
     # With g=1 everywhere, bias correction makes m_hat = v_hat = 1 at t=1,
     # so the first update is exactly lr / (1 + eps).
     params = {"w": np.array([1.0, -2.0])}
     opt = Adam(params, lr=0.1)
     opt.step(params, {"w": np.ones(2)})
-    expected = 1.0 - 0.1 / (1.0 + opt.eps)
+    expected = 1.0 - 0.1 / (1.0 + ADAM_EPS)
     assert np.allclose(params["w"], [expected, expected - 3.0], atol=1e-12)
 
 
