@@ -22,24 +22,22 @@ def main():
     args = ap.parse_args()
 
     seeds = [int(s) for s in args.seeds.split(",")]
-    EvalConfig(episodes=args.episodes).validate()  # before any training
+    configs = [load_config(args.config) if args.config else RunConfig() for _ in seeds]
+    for seed, cfg in zip(seeds, configs):  # every config valid before any training
+        cfg.env.seed = seed
+        cfg.validate()
+    EvalConfig(episodes=args.episodes).validate()
     os.makedirs(args.out, exist_ok=True)
     results_csv = os.path.join(args.out, "results.csv")
 
-    for seed in seeds:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg.env.seed = seed
-        cfg.validate()
+    for seed, cfg in zip(seeds, configs):
         dsrm_ckpt = os.path.join(args.out, f"dsrm_s{seed}.ckpt")
-        run_train_dsrm(cfg, seed, dsrm_ckpt,
-                       os.path.join(args.out, f"dsrm_loss_s{seed}.csv"))
+        run_train_dsrm(cfg, dsrm_ckpt, os.path.join(args.out, f"dsrm_loss_s{seed}.csv"))
         for variant in VARIANTS:
             cfg.hrl.variant = variant
             tag = variant.lower().replace("-", "_")
             ckpt = os.path.join(args.out, f"policy_{tag}_s{seed}.ckpt")
-            run_train_policy(cfg, seed,
-                             dsrm_ckpt if variant != "HRL-RAW" else None,
-                             ckpt,
+            run_train_policy(cfg, dsrm_ckpt, ckpt,  # HRL-RAW loads no denoiser
                              os.path.join(args.out, f"train_{tag}_s{seed}.csv"))
             run_eval(ckpt, episodes=args.episodes, results_path=results_csv)
     log(f"ablation complete: {results_csv}")

@@ -5,24 +5,16 @@ ablation variants share the same rollout machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import EVAL_SEED_OFFSET, HrlConfig
-from .diffusion import Denoiser, DiffusionSchedule, purify
+from .diffusion import Denoiser, purify
 from .env import RecEnv, SessionOutcome
 from .metrics import gini
 from .nn import Adam, Mlp
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = np.log(2.0 * np.pi)
-
-
-@dataclass
-class ManagerAction:
-    omega_acc: float
-    omega_fair: float
 
 
 def softplus(x):
@@ -53,7 +45,8 @@ class ManagerPolicy:
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None,
             greedy: bool = False):
-        """Returns (ManagerAction, log_prob, pre_squash_sample). Greedy
+        """Returns (omega, log_prob, u): the pre-squash sample u and the
+        weight pair omega = softplus(u) = (accuracy, fairness). Greedy
         (evaluation) acting skips the density: its log_prob is the
         placeholder 0.0, as for FLAT's fixed weights."""
         mean, _ = self.net.forward(state)
@@ -68,8 +61,7 @@ class ManagerPolicy:
             log_std = self._clamped_log_std()
             u = mean + np.exp(log_std) * rng.standard_normal(2)
             lp = float(self._log_density(mean, u))
-        omega = softplus(u)
-        return ManagerAction(float(omega[0]), float(omega[1])), lp, u
+        return softplus(u), lp, u
 
     def _log_density(self, mean: np.ndarray, u: np.ndarray):
         """log_prob given the Gaussian mean(s) instead of the state. Sums over
@@ -104,15 +96,15 @@ class ValueNet:
         return float(y[0])
 
 
-def score_items(state_vec: np.ndarray, action: ManagerAction, catalog) -> np.ndarray:
-    """Per-item score: omega_acc * cosine(state, embedding)
-    - omega_fair * log(1 + cumulative exposure)."""
+def score_items(state_vec: np.ndarray, omega: np.ndarray, catalog) -> np.ndarray:
+    """Per-item score under the weight pair omega = (acc, fair):
+    acc * cosine(state, embedding) - fair * log(1 + cumulative exposure)."""
     norm = np.linalg.norm(state_vec)
     if norm < 1e-12:
         sim = np.zeros(catalog.n_items)
     else:
         sim = catalog.embeddings @ (state_vec / norm)
-    scores = action.omega_acc * sim - action.omega_fair * np.log1p(catalog.exposure)
+    scores = omega[0] * sim - omega[1] * np.log1p(catalog.exposure)
     if not np.all(np.isfinite(scores)):
         raise FloatingPointError("non-finite item scores")
     return scores
@@ -223,24 +215,21 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
 class Agent:
     """Bundles the policy pieces for one variant and runs episodes."""
 
-    def __init__(self, cfg: HrlConfig, d: int, denoiser: Denoiser | None = None,
-                 schedule: DiffusionSchedule | None = None, seed: int = 0):
+    def __init__(self, cfg: HrlConfig, d: int, denoiser: Denoiser | None = None, seed: int = 0):
         self.cfg = cfg
-        self.variant = cfg.variant
         self.denoiser = denoiser
-        self.schedule = schedule
         rng = np.random.default_rng([seed, 1])
         self.policy = ManagerPolicy(d, hidden=tuple(cfg.hidden), rng=rng)
         self.value_net = ValueNet(d, hidden=tuple(cfg.hidden), rng=rng)
-        if self.variant == "DSRM-HRL" and denoiser is None:
+        if cfg.variant == "DSRM-HRL" and denoiser is None:
             raise ValueError("variant DSRM-HRL requires a trained denoiser")
 
     def policy_state(self, observed_vec: np.ndarray) -> np.ndarray:
-        """The purified state, or the raw one for HRL-RAW and for FLAT
-        without a denoiser."""
-        if self.variant == "HRL-RAW" or self.denoiser is None:
+        """The purified state when the agent holds a denoiser, else the raw
+        one (HRL-RAW is never given a denoiser)."""
+        if self.denoiser is None:
             return np.asarray(observed_vec, dtype=np.float64)
-        return purify(observed_vec, self.denoiser, self.schedule)
+        return purify(observed_vec, self.denoiser)
 
     def run_episode(self, env: RecEnv, session_seed: int, rng, train: bool):
         """One session. The manager acts every manager_interval steps and
@@ -250,9 +239,9 @@ class Agent:
         shaped rewards, values); evaluation acts greedily, does inference
         only and returns (outcome, None)."""
         obs = env.reset(session_seed)
-        flat = self.variant == "FLAT"
+        flat = self.cfg.variant == "FLAT"
         if flat:
-            action = ManagerAction(self.cfg.flat_omega_acc, self.cfg.flat_omega_fair)
+            omega = np.array([self.cfg.flat_omega_acc, self.cfg.flat_omega_fair])
             lp, u = 0.0, np.zeros(2)
         if train:
             episode_exposure = np.zeros(env.catalog.n_items)
@@ -263,8 +252,8 @@ class Agent:
         while not done:
             state = self.policy_state(obs)
             if not flat and step % self.cfg.manager_interval == 0:
-                action, lp, u = self.policy.act(state, rng=rng, greedy=not train)
-            scores = score_items(state, action, env.catalog)
+                omega, lp, u = self.policy.act(state, rng=rng, greedy=not train)
+            scores = score_items(state, omega, env.catalog)
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
             r_t = float(np.mean(item_rewards))
@@ -286,69 +275,56 @@ class Agent:
         return outcome, tuple(np.array(x) for x in (states, us, lps, shaped, values))
 
 
-class Trainer:
-    """Stage-two PPO training loop over a fixed env-step budget."""
-
-    def __init__(self, env: RecEnv, agent: Agent, cfg: HrlConfig, seed: int = 0):
-        self.env = env
-        self.agent = agent
-        self.cfg = cfg
-        self.seed = seed
-        self.rng = np.random.default_rng([seed, 2])
-        self.opt_policy = Adam(agent.policy.parameters(), lr=cfg.lr_policy)
-        self.opt_value = Adam(agent.value_net.net.parameters(), lr=cfg.lr_value)
-        self._session_counter = 0
-
-    def next_train_seed(self) -> int:
-        self._session_counter += 1
-        return self.seed * 100_000 + self._session_counter
-
-    def train(self) -> list[dict]:
-        """Run to the configured step budget: whole episodes until a batch
-        holds batch_steps steps, then one update on it, with advantages
-        normalised over the batch. Returns one log row per update."""
-        cfg = self.cfg
-        rows = []
-        steps_done = 0
-        while steps_done < cfg.total_steps:
-            episodes = []
-            batch_len = 0
-            while batch_len < cfg.batch_steps and steps_done < cfg.total_steps:
-                _, (states, us, lps, rewards, values) = self.agent.run_episode(
-                    self.env, self.next_train_seed(), self.rng, train=True)
-                adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
-                episodes.append((states, us, lps, adv, ret))
-                batch_len += len(states)
-                steps_done += len(states)
-            states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
-            if len(adv) >= 2:
-                adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            if cfg.variant == "FLAT":
-                # Fixed manager weights: only the value baseline is learned.
-                for _ in range(cfg.ppo_epochs):
-                    vloss = value_step(self.agent.value_net, self.opt_value, states, ret)
-                last = {"surrogate": 0.0, "value_loss": vloss, "entropy": 0.0}
-                omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
-            else:
-                last = ppo_update(self.agent.policy, self.agent.value_net,
-                                  self.opt_policy, self.opt_value,
-                                  states, us, lps, adv, ret, cfg)[-1]
-                omegas = softplus(us)
-            rows.append({
-                "update": len(rows) + 1,
-                "surrogate": last["surrogate"],
-                "value_loss": last["value_loss"],
-                "entropy": last["entropy"],
-                "mean_omega_acc": float(np.mean(omegas[:, 0])),
-                "mean_omega_fair": float(np.mean(omegas[:, 1])),
-            })
-        return rows
+def train(env: RecEnv, agent: Agent) -> list[dict]:
+    """Stage-two PPO training to the agent config's env-step budget: whole
+    episodes (session n seeded env seed * 100_000 + n) until a batch holds
+    batch_steps steps, then one update on it, with advantages normalised
+    over the batch. Returns one log row per update."""
+    cfg = agent.cfg
+    seed = env.config.seed
+    rng = np.random.default_rng([seed, 2])
+    opt_policy = Adam(agent.policy.parameters(), lr=cfg.lr_policy)
+    opt_value = Adam(agent.value_net.net.parameters(), lr=cfg.lr_value)
+    rows = []
+    sessions = steps_done = 0
+    while steps_done < cfg.total_steps:
+        episodes = []
+        batch_len = 0
+        while batch_len < cfg.batch_steps and steps_done < cfg.total_steps:
+            sessions += 1
+            _, (states, us, lps, rewards, values) = agent.run_episode(
+                env, seed * 100_000 + sessions, rng, train=True)
+            adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
+            episodes.append((states, us, lps, adv, ret))
+            batch_len += len(states)
+            steps_done += len(states)
+        states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
+        if len(adv) >= 2:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        if cfg.variant == "FLAT":
+            # Fixed manager weights: only the value baseline is learned.
+            for _ in range(cfg.ppo_epochs):
+                vloss = value_step(agent.value_net, opt_value, states, ret)
+            last = {"surrogate": 0.0, "value_loss": vloss, "entropy": 0.0}
+            omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
+        else:
+            last = ppo_update(agent.policy, agent.value_net, opt_policy, opt_value,
+                              states, us, lps, adv, ret, cfg)[-1]
+            omegas = softplus(us)
+        rows.append({
+            "update": len(rows) + 1,
+            "surrogate": last["surrogate"],
+            "value_loss": last["value_loss"],
+            "entropy": last["entropy"],
+            "mean_omega_acc": float(np.mean(omegas[:, 0])),
+            "mean_omega_fair": float(np.mean(omegas[:, 1])),
+        })
+    return rows
 
 
-def evaluate(env: RecEnv, agent: Agent, episodes: int,
-             base_seed: int) -> list[SessionOutcome]:
+def evaluate(env: RecEnv, agent: Agent, episodes: int) -> list[SessionOutcome]:
     """Greedy evaluation on a session-seed range disjoint from training."""
-    rng = np.random.default_rng([base_seed, 3])
-    return [agent.run_episode(env, EVAL_SEED_OFFSET + base_seed * 100_000 + i,
+    rng = np.random.default_rng([env.config.seed, 3])
+    return [agent.run_episode(env, EVAL_SEED_OFFSET + env.config.seed * 100_000 + i,
                               rng, train=False)[0]
             for i in range(episodes)]

@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 
-from .config import VARIANTS, ConfigError, RunConfig, load_config, render_config
-from .pipeline import (log, run_eval, run_motivate, run_sweep_steps,
+from .config import VARIANTS, ConfigError, RunConfig, load_config
+from .pipeline import (log, log_config, run_eval, run_motivate, run_sweep_steps,
                        run_train_dsrm, run_train_policy)
 
 EXIT_OK = 0
@@ -28,9 +28,7 @@ def _load(args) -> RunConfig:
         if getattr(args, key, None) is not None:
             setattr(getattr(cfg, section), key, getattr(args, key))
     cfg.validate()
-    log("resolved config:")
-    for line in render_config(cfg).splitlines():
-        log(f"  {line}")
+    log_config(cfg)
     return cfg
 
 
@@ -72,18 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    cfg = _load(args)
+    # eval runs on, and logs, the config snapshot in its checkpoint instead.
+    cfg = None if args.command == "eval" else _load(args)
     os.makedirs(args.out, exist_ok=True)
-    seed = cfg.env.seed
     if args.command == "train-dsrm":
-        run_train_dsrm(cfg, seed,
+        run_train_dsrm(cfg,
                        os.path.join(args.out, "dsrm.ckpt"),
                        os.path.join(args.out, "dsrm_loss.csv"))
     elif args.command == "train":
-        variant_tag = cfg.hrl.variant.lower().replace("-", "_")
-        run_train_policy(cfg, seed, args.dsrm_ckpt,
-                         os.path.join(args.out, f"policy_{variant_tag}_s{seed}.ckpt"),
-                         os.path.join(args.out, f"train_{variant_tag}_s{seed}.csv"))
+        tag = f"{cfg.hrl.variant.lower().replace('-', '_')}_s{cfg.env.seed}"
+        run_train_policy(cfg, args.dsrm_ckpt,
+                         os.path.join(args.out, f"policy_{tag}.ckpt"),
+                         os.path.join(args.out, f"train_{tag}.csv"))
     elif args.command == "eval":
         run_eval(args.ckpt, episodes=args.episodes,
                  results_path=os.path.join(args.out, "results.csv"))
@@ -91,9 +89,9 @@ def run(args) -> int:
         steps = [int(s) for s in args.steps.split(",") if s.strip()]
         if not steps or any(s < 1 for s in steps):
             raise ConfigError(f"--steps must be positive integers, got {args.steps!r}")
-        run_sweep_steps(cfg, seed, steps, args.out)
+        run_sweep_steps(cfg, steps, args.out)
     elif args.command == "motivate":
-        run_motivate(cfg, seed, args.out, dsrm_ckpt=args.dsrm_ckpt)
+        run_motivate(cfg, args.out, dsrm_ckpt=args.dsrm_ckpt)
     return EXIT_OK
 
 

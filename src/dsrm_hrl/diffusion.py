@@ -77,19 +77,19 @@ def time_embedding(k: int, k_steps: int, dim: int) -> np.ndarray:
 
 
 class Denoiser:
-    """Conditional noise predictor: concat(noisy state, time embedding,
-    corrupted observation) -> predicted noise."""
+    """Conditional noise predictor, concat(noisy state, time embedding,
+    corrupted observation) -> predicted noise, with the noise schedule it
+    is trained and run on (None when k_steps is 0: purify is the identity)."""
 
-    def __init__(self, d: int, hidden=(64, 64), time_dim: int = 8,
-                 k_steps: int = 20, rng=None):
+    def __init__(self, cfg: DsrmConfig, d: int, rng=None):
         self.d = d
-        self.time_dim = time_dim
-        self.k_steps = k_steps
-        sizes = [2 * d + time_dim, *hidden, d]
-        self.net = Mlp(sizes, rng=rng)
+        self.time_dim = cfg.time_dim
+        self.net = Mlp([2 * d + cfg.time_dim, *cfg.hidden, d], rng=rng)
         # Row k holds the embedding of step k (row 0 is unused by the chain).
-        self.temb_table = np.stack([time_embedding(k, k_steps, time_dim)
-                                    for k in range(k_steps + 1)])
+        self.temb_table = np.stack([time_embedding(k, cfg.k_steps, cfg.time_dim)
+                                    for k in range(cfg.k_steps + 1)])
+        self.schedule = (make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
+                         if cfg.k_steps > 0 else None)
 
     def predict(self, s_k, k: int, cond):
         """Predicted noise for one state at step k."""
@@ -126,8 +126,7 @@ def _state_hash_rng(vec: np.ndarray) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
-           schedule: DiffusionSchedule | None) -> np.ndarray:
+def purify(observed_vec: np.ndarray, denoiser: Denoiser | None) -> np.ndarray:
     """Run the full reverse chain conditioned on the observation.
 
     The chain starts from the observation diffused to step K, with start
@@ -142,12 +141,12 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
     weights outlives the call, since stage I updates them in place.
     """
     vec = np.asarray(observed_vec, dtype=np.float64)
-    if schedule is None or denoiser is None or schedule.k_steps == 0:
+    if denoiser is None or denoiser.schedule is None:
         return vec.copy()
 
-    k_steps = schedule.k_steps
+    schedule = denoiser.schedule
     eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = forward_diffuse(vec, k_steps, eps, schedule)  # a fresh array, updated in place
+    s = forward_diffuse(vec, schedule.k_steps, eps, schedule)  # a fresh array, updated in place
     net = denoiser.net
     bias0 = denoiser.first_layer_bias(vec)
     # Bound ndarray.dot: the same product as np.dot, without np.dot's
@@ -180,8 +179,8 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None,
 
 
 def dsrm_loss(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
-              schedule: DiffusionSchedule, rng: np.random.Generator,
-              eps: np.ndarray | None = None, ks: np.ndarray | None = None):
+              rng: np.random.Generator, eps: np.ndarray | None = None,
+              ks: np.ndarray | None = None):
     """Noise-reconstruction loss E||eps - predicted||^2 over a batch, with
     gradients for the denoiser net. eps/ks are injectable for tests.
 
@@ -192,6 +191,7 @@ def dsrm_loss(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
     b, d = s0_batch.shape
     if b == 0:
         raise ValueError("empty batch")
+    schedule = denoiser.schedule
     if ks is None:
         ks = rng.integers(1, schedule.k_steps + 1, size=b)
     if eps is None:
@@ -225,7 +225,7 @@ def collect_pairs(env, n_pairs: int, rng: np.random.Generator):
 def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,
                seed: int = 0):
     """Stage-one training: fit the conditional denoiser on paired data with
-    Adam to a fixed epoch budget. Returns (denoiser, schedule, loss_curve)."""
+    Adam to a fixed epoch budget. Returns (denoiser, loss_curve)."""
     clean = np.asarray(clean, dtype=np.float64)
     noisy = np.asarray(noisy, dtype=np.float64)
     if clean.shape != noisy.shape:
@@ -236,11 +236,9 @@ def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,
         )
     d = clean.shape[1]
     rng = np.random.default_rng(seed)
-    denoiser = Denoiser(d, hidden=tuple(cfg.hidden), time_dim=cfg.time_dim,
-                        k_steps=cfg.k_steps, rng=rng)
-    if cfg.k_steps == 0:
-        return denoiser, None, []
-    schedule = make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
+    denoiser = Denoiser(cfg, d, rng=rng)
+    if denoiser.schedule is None:
+        return denoiser, []
     opt = Adam(denoiser.net.parameters(), lr=cfg.lr)
     n = clean.shape[0]
     curve = []
@@ -253,9 +251,9 @@ def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,
         n_batches = 0
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
-            loss, grads = dsrm_loss(denoiser, clean[idx], noisy[idx], schedule, epoch_rng)
+            loss, grads = dsrm_loss(denoiser, clean[idx], noisy[idx], epoch_rng)
             opt.step(denoiser.net.parameters(), grads)
             epoch_loss += loss
             n_batches += 1
         curve.append(epoch_loss / n_batches)
-    return denoiser, schedule, curve
+    return denoiser, curve

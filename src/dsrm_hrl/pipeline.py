@@ -12,9 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .agent import Agent, Trainer, evaluate
+from .agent import Agent, evaluate, train
 from .config import EVAL_SEED_OFFSET, RunConfig, render_config
-from .diffusion import Denoiser, collect_pairs, make_schedule, purify, train_dsrm
+from .diffusion import Denoiser, collect_pairs, purify, train_dsrm
 from .env import RecEnv, random_rollout
 from .metrics import MetricsReport, session_stats
 from .persistence import (CheckpointError, checkpoint_param_hash,
@@ -27,15 +27,24 @@ def log(msg: str):
     print(msg, file=sys.stderr)
 
 
+def log_config(cfg: RunConfig):
+    log("resolved config:")
+    for line in render_config(cfg).splitlines():
+        log(f"  {line}")
+
+
+# The run seed is cfg.env.seed. Keys [seed, seed, tag] repeat it to keep every
+# artifact byte-identical until the seed streams are derived from one key.
+
 # -- stage I ----------------------------------------------------------------
 
-def run_train_dsrm(cfg: RunConfig, seed: int, ckpt_path, loss_csv_path=None):
+def run_train_dsrm(cfg: RunConfig, ckpt_path, loss_csv_path=None):
     """Collect paired data from uniform-random rollouts and fit the
     denoiser. Saves a checkpoint and optionally the loss curve."""
     env = RecEnv(cfg.env)
-    pair_rng = np.random.default_rng([cfg.env.seed, seed, 10])
+    pair_rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 10])
     clean, noisy = collect_pairs(env, cfg.dsrm.n_pairs, pair_rng)
-    denoiser, schedule, curve = train_dsrm(clean, noisy, cfg.dsrm, seed=seed)
+    denoiser, curve = train_dsrm(clean, noisy, cfg.dsrm, seed=cfg.env.seed)
     save_checkpoint(ckpt_path, _prefixed("denoiser", denoiser.net.parameters()),
                     render_config(cfg))
     if loss_csv_path is not None:
@@ -43,7 +52,6 @@ def run_train_dsrm(cfg: RunConfig, seed: int, ckpt_path, loss_csv_path=None):
                   [[i + 1, l] for i, l in enumerate(curve)])
     if curve:
         log(f"stage I: {len(curve)} epochs, loss {curve[0]:.4f} -> {curve[-1]:.4f}")
-    return denoiser, schedule, curve
 
 
 def _prefixed(prefix: str, params: dict) -> dict:
@@ -59,27 +67,23 @@ def _unprefixed(tensors: dict, prefix: str) -> dict:
 
 def _load(ckpt_path):
     """A checkpoint's tensors and parsed config snapshot, plus the denoiser
-    and schedule rebuilt from it ((None, None) if it has no denoiser)."""
+    rebuilt from it (None if it has no denoiser)."""
     tensors, cfg_text = load_checkpoint(ckpt_path)
     cfg = config_mod.parse_config(cfg_text)
     params = _unprefixed(tensors, "denoiser")
     if not params:
-        return tensors, cfg, None, None
-    dcfg = cfg.dsrm
-    denoiser = Denoiser(cfg.env.d, hidden=tuple(dcfg.hidden),
-                        time_dim=dcfg.time_dim, k_steps=dcfg.k_steps)
+        return tensors, cfg, None
+    denoiser = Denoiser(cfg.dsrm, cfg.env.d)
     denoiser.net.set_parameters(params)
-    schedule = make_schedule(dcfg.k_steps, dcfg.beta_min, dcfg.beta_max) \
-        if dcfg.k_steps > 0 else None
-    return tensors, cfg, denoiser, schedule
+    return tensors, cfg, denoiser
 
 
 def load_denoiser(ckpt_path):
-    """Rebuild a denoiser (and its schedule) from a checkpoint."""
-    _, cfg, denoiser, schedule = _load(ckpt_path)
+    """Rebuild a denoiser from a checkpoint."""
+    _, cfg, denoiser = _load(ckpt_path)
     if denoiser is None:
         raise CheckpointError(f"{ckpt_path}: no denoiser tensors")
-    return denoiser, schedule, cfg
+    return denoiser, cfg
 
 
 def denoiser_hash(denoiser: Denoiser) -> str:
@@ -88,23 +92,20 @@ def denoiser_hash(denoiser: Denoiser) -> str:
 
 # -- stage II ---------------------------------------------------------------
 
-def run_train_policy(cfg: RunConfig, seed: int, dsrm_ckpt, ckpt_path,
-                     train_csv_path=None):
+def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
     """PPO training for the configured variant. The denoiser is loaded from
     its checkpoint and never updated; its parameter hash is checked before
-    and after training."""
+    and after training. HRL-RAW gets no denoiser."""
     variant = cfg.hrl.variant
-    denoiser = schedule = None
+    denoiser = None
     if variant in ("DSRM-HRL", "FLAT"):
         if dsrm_ckpt is None:
             raise ValueError(f"variant {variant} requires a denoiser checkpoint")
-        denoiser, schedule, _ = load_denoiser(dsrm_ckpt)
+        denoiser, _ = load_denoiser(dsrm_ckpt)
         hash_before = denoiser_hash(denoiser)
-    env_cfg = cfg.env
-    env = RecEnv(env_cfg)
-    agent = Agent(cfg.hrl, env_cfg.d, denoiser=denoiser, schedule=schedule, seed=seed)
-    trainer = Trainer(env, agent, cfg.hrl, seed=seed)
-    rows = trainer.train()
+    env = RecEnv(cfg.env)
+    agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser, seed=cfg.env.seed)
+    rows = train(env, agent)
     if denoiser is not None:
         hash_after = denoiser_hash(denoiser)
         if hash_before != hash_after:
@@ -121,14 +122,13 @@ def run_train_policy(cfg: RunConfig, seed: int, dsrm_ckpt, ckpt_path,
                    "mean_omega_acc", "mean_omega_fair"],
                   [[r["update"], r["surrogate"], r["value_loss"], r["entropy"],
                     r["mean_omega_acc"], r["mean_omega_fair"]] for r in rows])
-    return agent
 
 
 def load_agent(ckpt_path):
     """Rebuild an agent (policy, value net, optional denoiser) from a
     policy checkpoint."""
-    tensors, cfg, denoiser, schedule = _load(ckpt_path)
-    agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser, schedule=schedule)
+    tensors, cfg, denoiser = _load(ckpt_path)
+    agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser)
     agent.policy.net.set_parameters(_unprefixed(tensors, "policy.net"))
     agent.policy.log_std = tensors["policy.log_std"].copy()
     agent.value_net.net.set_parameters(_unprefixed(tensors, "value"))
@@ -138,12 +138,14 @@ def load_agent(ckpt_path):
 def run_eval(ckpt_path, episodes: int | None = None,
              results_path=None) -> MetricsReport:
     """Greedy evaluation of a policy checkpoint on held-out session seeds
-    (train seed range shifted by a fixed offset)."""
+    (train seed range shifted by a fixed offset). The config is the
+    checkpoint's snapshot, with episodes applied; it is logged."""
     agent, cfg = load_agent(ckpt_path)
     if episodes is not None:  # checked like the config key it replaces
         cfg.eval = replace(cfg.eval, episodes=episodes).validate()
+    log_config(cfg)
     env = RecEnv(cfg.env)
-    outcomes = evaluate(env, agent, cfg.eval.episodes, base_seed=cfg.env.seed)
+    outcomes = evaluate(env, agent, cfg.eval.episodes)
     report = session_stats(outcomes, env.catalog, variant=cfg.hrl.variant,
                            seed=cfg.env.seed, max_len=cfg.env.max_len)
     if results_path is not None:
@@ -156,7 +158,7 @@ def run_eval(ckpt_path, episodes: int | None = None,
 
 # -- sweeps and analyses ------------------------------------------------------
 
-def run_sweep_steps(cfg: RunConfig, seed: int, steps: list[int], out_dir):
+def run_sweep_steps(cfg: RunConfig, steps: list[int], out_dir):
     """Retrain the denoiser per diffusion-step count, run the full pipeline,
     and report one eval row per K plus a middle-vs-endpoints summary."""
     reports = []
@@ -166,8 +168,8 @@ def run_sweep_steps(cfg: RunConfig, seed: int, steps: list[int], out_dir):
         kcfg.validate()
         dsrm_ckpt = os.path.join(out_dir, f"dsrm_k{k}.ckpt")
         pol_ckpt = os.path.join(out_dir, f"policy_k{k}.ckpt")
-        run_train_dsrm(kcfg, seed, dsrm_ckpt)
-        run_train_policy(kcfg, seed, dsrm_ckpt, pol_ckpt)
+        run_train_dsrm(kcfg, dsrm_ckpt)
+        run_train_policy(kcfg, dsrm_ckpt, pol_ckpt)
         report = run_eval(pol_ckpt)
         reports.append((k, report))
     rows = [[k, r.len_mean, r.r_each_mean, r.r_cum_mean, r.ad_mean]
@@ -184,12 +186,11 @@ def run_sweep_steps(cfg: RunConfig, seed: int, steps: list[int], out_dir):
     return reports, summary
 
 
-def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000,
-                                 seed: int = 0):
+def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):
     """Random-policy rollouts; least-squares fit of per-item mean observed
     reward against log(1+exposure). Returns (r_squared, per-item rows)."""
     env = RecEnv(cfg.env)
-    rng = np.random.default_rng([cfg.env.seed, seed, 20])
+    rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 20])
     reward_sum = np.zeros(cfg.env.n_items)
     logexp_sum = np.zeros(cfg.env.n_items)
     reward_cnt = np.zeros(cfg.env.n_items)
@@ -215,31 +216,33 @@ def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000,
     return r2, rows
 
 
-def purification_gain(cfg: RunConfig, dsrm_ckpt, episodes: int = 200,
-                      seed: int = 0):
+PURIFICATION_GAIN_EPISODES = 100
+
+
+def purification_gain(cfg: RunConfig, dsrm_ckpt):
     """The state-purification comparison: the same FLAT scoring policy
-    evaluated on raw states (no denoiser) and on purified states; returns
-    the two metric reports."""
-    denoiser, schedule, _ = load_denoiser(dsrm_ckpt)
+    evaluated on raw states (no denoiser) and on purified states, over
+    PURIFICATION_GAIN_EPISODES sessions each; returns the two reports."""
+    denoiser, _ = load_denoiser(dsrm_ckpt)
     flat = replace(cfg.hrl, variant="FLAT")
     reports = []
     for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)):
         env = RecEnv(cfg.env)
-        agent = Agent(flat, cfg.env.d, denoiser=den, schedule=schedule)
-        outcomes = evaluate(env, agent, episodes, base_seed=seed)
+        agent = Agent(flat, cfg.env.d, denoiser=den)
+        outcomes = evaluate(env, agent, PURIFICATION_GAIN_EPISODES)
         reports.append(session_stats(outcomes, env.catalog, variant=name,
-                                     seed=seed, max_len=cfg.env.max_len))
+                                     seed=cfg.env.seed, max_len=cfg.env.max_len))
     return tuple(reports)
 
 
-def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500, seed: int = 0):
+def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500):
     """Raw and purified state embeddings with label columns (popularity
     decile and group of the nearest catalog item) for external plotting."""
-    denoiser, schedule, _ = load_denoiser(dsrm_ckpt)
+    denoiser, _ = load_denoiser(dsrm_ckpt)
     env = RecEnv(cfg.env)
-    rng = np.random.default_rng([cfg.env.seed, seed, 30])
+    rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 30])
     raw_states = np.array([obs for _, _, obs in random_rollout(env, rng, n_states)])
-    pur_states = np.array([purify(v, denoiser, schedule) for v in raw_states])
+    pur_states = np.array([purify(v, denoiser) for v in raw_states])
     # Label each state by its nearest catalog item.
     pop_rank = np.argsort(np.argsort(-env.catalog.initial_popularity))
     deciles = (10 * pop_rank / env.catalog.n_items).astype(int)
@@ -251,13 +254,13 @@ def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500, seed: int = 0):
     return (raw_states, *labels(raw_states)), (pur_states, *labels(pur_states))
 
 
-def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None):
+def run_motivate(cfg: RunConfig, out_dir, dsrm_ckpt=None):
     """The three motivation analyses: (a) popularity-vs-reward regression
     under a random policy; (b) fixed-policy comparison on raw vs purified
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are
     skipped with a notice when none is given. Returns (r_squared, the
     raw and purified reports of (b), or None when skipped)."""
-    r2, rows = popularity_reward_regression(cfg, n_steps=10_000, seed=seed)
+    r2, rows = popularity_reward_regression(cfg)
     write_csv(os.path.join(out_dir, "popularity_reward.csv"),
               ["item_id", "log1p_exposure", "mean_reward"], rows)
     write_csv(os.path.join(out_dir, "popularity_reward_r2.csv"),
@@ -266,11 +269,11 @@ def run_motivate(cfg: RunConfig, seed: int, out_dir, dsrm_ckpt=None):
     if dsrm_ckpt is None:
         log("motivate(b,c): skipped (no denoiser checkpoint given)")
         return r2, None
-    raw, pur = purification_gain(cfg, dsrm_ckpt, episodes=100, seed=seed)
+    raw, pur = purification_gain(cfg, dsrm_ckpt)
     write_results(os.path.join(out_dir, "purification_gain.csv"), [raw, pur])
     log(f"motivate(b): raw Len={raw.len_mean:.3f} AD={raw.ad_mean:.3f} | "
         f"purified Len={pur.len_mean:.3f} AD={pur.ad_mean:.3f}")
-    (rs, rd, rg), (ps, pd_, pg) = state_dumps(cfg, dsrm_ckpt, seed=seed)
+    (rs, rd, rg), (ps, pd_, pg) = state_dumps(cfg, dsrm_ckpt)
     write_embedding_dump(os.path.join(out_dir, "states_raw.tsv"), rs, rd, rg)
     write_embedding_dump(os.path.join(out_dir, "states_purified.tsv"), ps, pd_, pg)
     log("motivate(c): embedding dumps written")

@@ -47,7 +47,7 @@ def dsrm_ckpts(workdir):
         cfg = RunConfig()
         cfg.env.seed = seed
         path = str(workdir / f"dsrm_s{seed}.ckpt")
-        run_train_dsrm(cfg, seed, path)
+        run_train_dsrm(cfg, path)
         paths[seed] = path
     return paths
 
@@ -55,14 +55,13 @@ def dsrm_ckpts(workdir):
 def test_criterion_01_gradient_check(capsys):
     """Analytic gradients of every architecture match finite differences."""
     cfg = RunConfig()
-    d, td = cfg.env.d, cfg.dsrm.time_dim
+    d = cfg.env.d
     t0 = time.monotonic()
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         nets = [
-            Denoiser(d, hidden=tuple(cfg.dsrm.hidden), time_dim=td,
-                     k_steps=cfg.dsrm.k_steps, rng=rng).net,
+            Denoiser(cfg.dsrm, d, rng=rng).net,
             ManagerPolicy(d, hidden=tuple(cfg.hrl.hidden), rng=rng).net,
             ValueNet(d, hidden=tuple(cfg.hrl.hidden), rng=rng).net,
         ]
@@ -152,10 +151,10 @@ def test_criterion_03_metric_oracles(capsys):
 
 def test_criterion_04_feedback_loop_regression(capsys):
     t0 = time.monotonic()
-    r2, _ = popularity_reward_regression(RunConfig(), n_steps=10_000, seed=0)
+    r2, _ = popularity_reward_regression(RunConfig(), n_steps=10_000)
     ctrl_cfg = RunConfig()
     ctrl_cfg.env.bias_strength = 0.0
-    r2_ctrl, _ = popularity_reward_regression(ctrl_cfg, n_steps=10_000, seed=0)
+    r2_ctrl, _ = popularity_reward_regression(ctrl_cfg, n_steps=10_000)
     elapsed = time.monotonic() - t0
     ok = r2 > 0.5 and r2_ctrl < 0.1 and elapsed < 60
     report(capsys, 4, ok,
@@ -169,7 +168,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
     for seed in SEEDS:
         cfg = RunConfig()
         cfg.env.seed = seed
-        denoiser, schedule, _ = load_denoiser(dsrm_ckpts[seed])
+        denoiser, _ = load_denoiser(dsrm_ckpts[seed])
         env = RecEnv(cfg.env)
         noisy_cos, pure_cos = [], []
         for i in range(200):
@@ -180,7 +179,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
                 step += 1
             truth = env.ground_truth_state()
             noisy_cos.append(cos(obs, truth))
-            pure_cos.append(cos(purify(obs, denoiser, schedule), truth))
+            pure_cos.append(cos(purify(obs, denoiser), truth))
         gains[seed] = float(np.mean(pure_cos) - np.mean(noisy_cos))
     elapsed = time.monotonic() - t0
     ok = all(g >= 0.05 for g in gains.values()) and elapsed < 300
@@ -197,8 +196,7 @@ def test_criterion_06_purification_gain(capsys, dsrm_ckpts):
     for seed in SEEDS:
         cfg = RunConfig()
         cfg.env.seed = seed
-        raw, pur = purification_gain(cfg, dsrm_ckpts[seed],
-                                     episodes=100, seed=seed)
+        raw, pur = purification_gain(cfg, dsrm_ckpts[seed])
         win = pur.len_mean > raw.len_mean and pur.ad_mean < raw.ad_mean
         wins += win
         details.append(f"seed {seed}: Len {raw.len_mean:.1f}->{pur.len_mean:.1f}"
@@ -220,7 +218,7 @@ def ablation_reports(workdir, dsrm_ckpts):
             cfg.hrl.variant = variant
             ckpt = str(workdir / f"policy_{variant}_{seed}.ckpt")
             dsrm = dsrm_ckpts[seed] if variant != "HRL-RAW" else None
-            run_train_policy(cfg, seed, dsrm, ckpt)
+            run_train_policy(cfg, dsrm, ckpt)
             reports[(variant, seed)] = run_eval(ckpt, episodes=200)
     return reports
 
@@ -249,7 +247,7 @@ def test_criterion_08_step_sweep_inverted_u(capsys, workdir):
     cfg.hrl.variant = "FLAT"  # fixed weights isolate the purifier's effect
     out = workdir / "sweep"
     out.mkdir(exist_ok=True)
-    reports, middle_wins = run_sweep_steps(cfg, 11, [5, 20, 200], str(out))
+    reports, middle_wins = run_sweep_steps(cfg, [5, 20, 200], str(out))
     lens = {k: r.len_mean for k, r in reports}
     elapsed = time.monotonic() - t0
     ok = bool(middle_wins) and elapsed < 1200
@@ -289,8 +287,8 @@ def test_criterion_10_runtime_budget(capsys, tmp_path):
     cfg = RunConfig()  # defaults: 20k env steps, n_items=500, one variant
     dsrm = str(tmp_path / "dsrm.ckpt")
     pol = str(tmp_path / "policy.ckpt")
-    run_train_dsrm(cfg, 0, dsrm)
-    run_train_policy(cfg, 0, dsrm, pol)
+    run_train_dsrm(cfg, dsrm)
+    run_train_policy(cfg, dsrm, pol)
     run_eval(pol)
     elapsed = time.monotonic() - t0
     ok = elapsed < 600

@@ -5,12 +5,11 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 import pytest
 
-from dsrm_hrl.config import EnvConfig, HrlConfig
+from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, RecEnv
-from dsrm_hrl.agent import (Agent, ManagerAction, ManagerPolicy, Trainer,
-                            ValueNet, compute_gae, evaluate, ppo_update,
-                            score_items, select_slate, shaped_reward,
-                            softplus, value_step)
+from dsrm_hrl.agent import (Agent, ManagerPolicy, ValueNet, compute_gae,
+                            evaluate, ppo_update, score_items, select_slate,
+                            shaped_reward, softplus, train, value_step)
 from dsrm_hrl.env import SessionOutcome
 from dsrm_hrl.nn import Adam
 from dsrm_hrl import agent as agent_mod
@@ -40,10 +39,10 @@ def test_greedy_action_is_squashed_mean():
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(0))
     state = np.random.default_rng(1).standard_normal(4)
     mean, _ = policy.net.forward(state)
-    action, lp, u = policy.act(state, greedy=True)
+    omega, lp, u = policy.act(state, greedy=True)
     assert np.array_equal(u, mean)
-    assert action.omega_acc == pytest.approx(softplus(mean)[0])
-    assert action.omega_fair == pytest.approx(softplus(mean)[1])
+    assert omega[0] == pytest.approx(softplus(mean)[0])
+    assert omega[1] == pytest.approx(softplus(mean)[1])
     assert np.isfinite(lp)
 
 
@@ -129,12 +128,12 @@ def test_score_items_hand_cases():
     cat = catalog_with([0, 0, 0], emb)
     # accuracy weight off, fairness weight on, zero exposure: all scores 0
     scores = score_items(np.array([1.0, 0.0, 0.0]),
-                         ManagerAction(0.0, 1.0), cat)
+                         np.array([0.0, 1.0]), cat)
     assert np.allclose(scores, 0.0)
     # aligned popular item (exposure 99) loses to an orthogonal fresh item
     cat2 = catalog_with([99, 0, 0], emb)
     scores = score_items(np.array([1.0, 0.0, 0.0]),
-                         ManagerAction(1.0, 1.0), cat2)
+                         np.array([1.0, 1.0]), cat2)
     assert scores[0] == pytest.approx(1.0 - np.log(100.0))
     assert scores[1] == pytest.approx(0.0)
     assert scores[1] > scores[0]
@@ -142,7 +141,7 @@ def test_score_items_hand_cases():
 
 def test_score_items_zero_state_cold_start():
     cat = catalog_with([5, 5, 5], np.eye(3))
-    scores = score_items(np.zeros(3), ManagerAction(1.0, 0.0), cat)
+    scores = score_items(np.zeros(3), np.array([1.0, 0.0]), cat)
     assert np.allclose(scores, 0.0)
 
 
@@ -276,13 +275,13 @@ def test_ppo_update_moves_parameters():
 
 def make_agent(variant, seed=0, **kw):
     cfg = small_hrl_cfg(variant=variant, **kw)
-    den = sched = None
+    den = None
     if variant in ("DSRM-HRL", "FLAT"):
-        from dsrm_hrl.diffusion import Denoiser, make_schedule
-        den = Denoiser(8, hidden=(8,), time_dim=4, k_steps=2,
-                       rng=np.random.default_rng(0))
-        sched = make_schedule(2, 0.01, 0.1)
-    return cfg, Agent(cfg, 8, denoiser=den, schedule=sched, seed=seed)
+        from dsrm_hrl.diffusion import Denoiser
+        den = Denoiser(DsrmConfig(k_steps=2, beta_min=0.01, beta_max=0.1,
+                                  hidden=(8,), time_dim=4),
+                       8, rng=np.random.default_rng(0))
+    return cfg, Agent(cfg, 8, denoiser=den, seed=seed)
 
 
 RECORD_FIELDS = ("states", "pre_squash", "log_probs", "shaped_rewards", "values")
@@ -308,9 +307,9 @@ def reference_episode(agent, env, session_seed, rng, train):
     action threaded through a `held` tuple between decisions, and a
     full-sort slate selection."""
     def manager_action(state, step, held):
-        if agent.variant == "FLAT":
-            action = ManagerAction(agent.cfg.flat_omega_acc,
-                                   agent.cfg.flat_omega_fair)
+        if agent.cfg.variant == "FLAT":
+            action = np.array([agent.cfg.flat_omega_acc,
+                               agent.cfg.flat_omega_fair])
             return action, 0.0, np.zeros(2), held
         if held is not None and step % agent.cfg.manager_interval != 0:
             return held[0], held[1], held[2], held
@@ -406,8 +405,7 @@ def test_flat_agent_uses_fixed_weights():
 def test_trainer_runs_and_logs():
     env = RecEnv(small_env_cfg())
     cfg, agent = make_agent("HRL-RAW")
-    trainer = Trainer(env, agent, cfg, seed=0)
-    rows = trainer.train()
+    rows = train(env, agent)
     assert len(rows) == cfg.total_steps // cfg.batch_steps
     for r in rows:
         assert np.isfinite(r["surrogate"]) and np.isfinite(r["value_loss"])
@@ -417,15 +415,15 @@ def test_flat_training_keeps_policy_frozen():
     env = RecEnv(small_env_cfg())
     cfg, agent = make_agent("FLAT")
     before = {k: v.copy() for k, v in agent.policy.parameters().items()}
-    Trainer(env, agent, cfg, seed=0).train()
+    train(env, agent)
     after = agent.policy.parameters()
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_evaluate_deterministic_and_held_out():
     cfg, agent = make_agent("HRL-RAW")
-    out1 = evaluate(RecEnv(small_env_cfg()), agent, 5, base_seed=0)
-    out2 = evaluate(RecEnv(small_env_cfg()), agent, 5, base_seed=0)
+    out1 = evaluate(RecEnv(small_env_cfg()), agent, 5)
+    out2 = evaluate(RecEnv(small_env_cfg()), agent, 5)
     assert [o.length for o in out1] == [o.length for o in out2]
     for a, b in zip(out1, out2):
         assert np.allclose(a.rewards, b.rewards)
@@ -452,7 +450,7 @@ def list_gae(rewards, values, dones, gamma, lam, normalize):
 
 def list_train(env, agent, cfg, seed, log_rows):
     """The stage-II loop written the long way, as an oracle for
-    Trainer.train: list-valued trajectories with a dones list, GAE per
+    agent.train: list-valued trajectories with a dones list, GAE per
     episode, the batch normalisation as a second step, a value-only update
     function for FLAT, and log rows appended to the caller's list."""
     rng = np.random.default_rng([seed, 2])
@@ -511,7 +509,7 @@ def list_train(env, agent, cfg, seed, log_rows):
 @pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
 @pytest.mark.parametrize("interval", [1, 2])
 def test_trainer_matches_list_trajectory_loop(variant, interval):
-    """Trainer.train against list_train on twin agents and envs: equal log
+    """train against list_train on twin agents and envs: equal log
     rows, parameters and catalog exposure, bit for bit. Episodes are at
     most 8 steps, so batches of 20 steps overshoot their budget, and the
     total budget cuts the last batch short."""
@@ -519,8 +517,8 @@ def test_trainer_matches_list_trajectory_loop(variant, interval):
                             batch_steps=20, total_steps=60)
     _, ref_agent = make_agent(variant, manager_interval=interval,
                               batch_steps=20, total_steps=60)
-    env, ref_env = RecEnv(small_env_cfg()), RecEnv(small_env_cfg())
-    rows = Trainer(env, agent, cfg, seed=4).train()
+    env, ref_env = RecEnv(small_env_cfg(seed=4)), RecEnv(small_env_cfg(seed=4))
+    rows = train(env, agent)
     ref_rows = []
     list_train(ref_env, ref_agent, cfg, 4, ref_rows)
     assert len(rows) >= 3

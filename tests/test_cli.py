@@ -1,4 +1,9 @@
-"""CLI subcommands, exit codes, and output determinism."""
+"""CLI subcommands, exit codes, and output determinism; the ablation script."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,3 +174,46 @@ def test_resolved_config_log_shows_flag_overrides(cfg_file, tmp_path, capsys):
     assert main(["train", "--config", cfg_file, "--seed", "4", "--out", str(out),
                  "--variant", "FLAT", "--dsrm-ckpt", str(out / "dsrm.ckpt")]) == EXIT_OK
     assert "  variant = FLAT" in capsys.readouterr().err
+
+
+def test_eval_runs_and_logs_the_checkpoint_config(cfg_file, tmp_path, capsys):
+    """eval takes its config from the checkpoint snapshot, with --episodes
+    applied; --config and --seed are accepted and not read."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "7", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    ckpt = str(out / "policy_hrl_raw_s7.ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_file, "--seed", "9", "--out", str(out),
+                 "--episodes", "2", "--ckpt", ckpt]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "  seed = 7" in err and "  episodes = 2" in err
+    assert "  seed = 9" not in err
+    assert main(["eval", "--config", str(tmp_path / "missing.cfg"), "--out", str(out),
+                 "--ckpt", ckpt]) == EXIT_OK
+
+
+def run_ablation(cfg_file, out, *flags):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, str(root / "scripts" / "run_ablation.py"),
+                           "--config", cfg_file, "--out", str(out), *flags],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_ablation_validates_every_seed_before_training(cfg_file, tmp_path):
+    out = tmp_path / "abl"
+    proc = run_ablation(cfg_file, out, "--seeds", "3,-1")
+    assert proc.returncode != 0
+    assert "env.seed" in proc.stderr
+    assert not (out / "dsrm_s3.ckpt").exists()
+
+
+def test_ablation_writes_one_row_per_variant(cfg_file, tmp_path):
+    out = tmp_path / "abl"
+    proc = run_ablation(cfg_file, out, "--seeds", "3", "--episodes", "5")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    assert header.startswith("variant,seed,")
+    assert sorted(row.split(",")[:2] for row in rows) == [
+        ["DSRM-HRL", "3"], ["FLAT", "3"], ["HRL-RAW", "3"]]

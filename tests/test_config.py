@@ -201,21 +201,35 @@ def test_every_library_function_is_referenced():
     assert unreferenced == []
 
 
-# Defaulted parameters that no call in src/ or scripts/ sets, kept on purpose.
+# Defaulted parameters that no call in src/ or scripts/ sets, or that every
+# call fills with the same literal, kept on purpose.
 KEPT_DEFAULTS = {
     "cli.main:argv",             # tests and perfbench drive the CLI in-process
     "diffusion.dsrm_loss:eps",   # injected by tests for fixed noise targets
     "diffusion.dsrm_loss:ks",    # injected by tests for fixed diffusion steps
     "nn.gradient_check:h",       # criterion 1 passes a larger step
     "pipeline.state_dumps:n_states",  # tests shrink the dump
+    "pipeline.popularity_reward_regression:n_steps",  # tests shrink the rollout
 }
+
+_UNKNOWN = object()  # a value only a run knows
+
+
+def _literal(node, otherwise=_UNKNOWN):
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return otherwise
+    return type(value), repr(value)
 
 
 def test_every_defaulted_parameter_is_set():
     """Each parameter with a default, of a package function, method or
-    constructor, is passed (by position or keyword) by some call in src/ or
-    scripts/ to a callable of that name; one that only its default ever
-    fills is an option no run can set, unless it is listed above."""
+    constructor, is filled with more than one value by the calls in src/
+    and scripts/ to a callable of that name: the argument passed by
+    position or keyword, else the default. One that every call fills with
+    the same literal, or with its default, or that no call reaches, is an
+    option no run can set, unless it is listed above."""
     pkg = pathlib.Path(dsrm_hrl.__file__).parent
     paths = [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]
     calls, defaulted = [], {}
@@ -225,10 +239,10 @@ def test_every_defaulted_parameter_is_set():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", getattr(func, "attr", None))
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                n_pos = math.inf if starred else len(node.args)
-                kws = {k.arg for k in node.keywords}
-                calls.append((name, n_pos, kws))
+                opaque = (any(isinstance(a, ast.Starred) for a in node.args)
+                          or any(k.arg is None for k in node.keywords))
+                calls.append((name, opaque, node.args,
+                              {k.arg: k.value for k in node.keywords}))
         if path.parent != pkg:
             continue
         for node in tree.body:
@@ -247,18 +261,32 @@ def test_every_defaulted_parameter_is_set():
                     called_as, skip, qual = fn.name, 0, f"{path.stem}.{fn.name}"
                 positional = [*fn.args.posonlyargs, *fn.args.args]
                 first = len(positional) - len(fn.args.defaults)
-                for i, arg in enumerate(positional[first:], start=first - skip):
-                    defaulted[f"{qual}:{arg.arg}"] = (called_as, i, arg.arg)
+                for i, (arg, default) in enumerate(zip(positional[first:], fn.args.defaults),
+                                                   start=first - skip):
+                    defaulted[f"{qual}:{arg.arg}"] = (called_as, i, arg.arg, default)
                 for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                     if default is not None:
-                        defaulted[f"{qual}:{arg.arg}"] = (called_as, math.inf, arg.arg)
+                        defaulted[f"{qual}:{arg.arg}"] = (called_as, math.inf, arg.arg,
+                                                          default)
+
+    def filled(call, index, param, default):
+        _, opaque, args, kws = call
+        if opaque:
+            return _UNKNOWN
+        if index < len(args):
+            return _literal(args[index])
+        if param in kws:
+            return _literal(kws[param])
+        return _literal(default, otherwise=ast.dump(default))
+
     assert KEPT_DEFAULTS <= defaulted.keys()
-    unset = sorted(
-        key for key, (called_as, index, param) in defaulted.items()
-        if key not in KEPT_DEFAULTS
-        and not any(name == called_as and (n_pos > index or param in kws or None in kws)
-                    for name, n_pos, kws in calls))
-    assert unset == []
+    single = []
+    for key, (called_as, index, param, default) in sorted(defaulted.items()):
+        values = {filled(call, index, param, default)
+                  for call in calls if call[0] == called_as}
+        if key not in KEPT_DEFAULTS and _UNKNOWN not in values and len(values) <= 1:
+            single.append(key)
+    assert single == []
 
 
 # The four section validators as they were before the per-field ranges, kept

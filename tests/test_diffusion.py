@@ -101,18 +101,18 @@ def test_time_embedding_shape_and_bounds():
 
 def test_purify_deterministic_repeatable():
     rng = np.random.default_rng(2)
-    den = Denoiser(4, hidden=(8,), time_dim=4, k_steps=5, rng=rng)
-    sched = make_schedule(5, 0.01, 0.1)
+    den = Denoiser(DsrmConfig(k_steps=5, beta_min=0.01, beta_max=0.1, hidden=(8,),
+                              time_dim=4), 4, rng=rng)
     x = rng.standard_normal(4)
-    a = purify(x, den, sched)
-    b = purify(x, den, sched)
+    a = purify(x, den)
+    b = purify(x, den)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
 
 
 def test_purify_identity_without_denoiser():
     x = np.arange(4.0)
-    out = purify(x, None, None)
+    out = purify(x, None)
     assert np.array_equal(out, x)
     assert out is not x  # must be a copy
 
@@ -120,31 +120,29 @@ def test_purify_identity_without_denoiser():
 def test_dsrm_loss_zero_network_equals_noise_energy():
     """A denoiser with all-zero weights predicts 0, so the loss is exactly
     the mean squared norm of the injected noise."""
-    den = Denoiser(4, hidden=(8,), time_dim=4, k_steps=5,
-                   rng=np.random.default_rng(4))
+    den = Denoiser(DsrmConfig(k_steps=5, beta_min=0.01, beta_max=0.1, hidden=(8,),
+                              time_dim=4), 4, rng=np.random.default_rng(4))
     den.net.set_parameters({k: np.zeros_like(v)
                             for k, v in den.net.parameters().items()})
-    sched = make_schedule(5, 0.01, 0.1)
     rng = np.random.default_rng(5)
     s0 = rng.standard_normal((6, 4))
     cond = rng.standard_normal((6, 4))
     eps = rng.standard_normal((6, 4))
     ks = np.array([1, 2, 3, 4, 5, 3])
-    loss, _ = dsrm_loss(den, s0, cond, sched, None, eps=eps, ks=ks)
+    loss, _ = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
     assert loss == pytest.approx(np.mean(np.sum(eps ** 2, axis=1)), rel=1e-12)
 
 
 def test_dsrm_loss_gradients_match_finite_differences():
-    den = Denoiser(3, hidden=(6,), time_dim=4, k_steps=4,
-                   rng=np.random.default_rng(6))
-    sched = make_schedule(4, 0.05, 0.2)
+    den = Denoiser(DsrmConfig(k_steps=4, beta_min=0.05, beta_max=0.2, hidden=(6,),
+                              time_dim=4), 3, rng=np.random.default_rng(6))
     rng = np.random.default_rng(7)
     s0 = rng.standard_normal((4, 3))
     cond = rng.standard_normal((4, 3))
     eps = rng.standard_normal((4, 3))
     ks = np.array([1, 2, 3, 4])
     params = den.net.parameters()
-    _, grads = dsrm_loss(den, s0, cond, sched, None, eps=eps, ks=ks)
+    _, grads = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
     h = 1e-6
     worst = 0.0
     for key, p in params.items():
@@ -153,9 +151,9 @@ def test_dsrm_loss_gradients_match_finite_differences():
         for idx in range(0, flat.size, 7):  # probe a subset
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = dsrm_loss(den, s0, cond, sched, None, eps=eps, ks=ks)
+            lp, _ = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
             flat[idx] = orig - h
-            lm, _ = dsrm_loss(den, s0, cond, sched, None, eps=eps, ks=ks)
+            lm, _ = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
             flat[idx] = orig
             num = (lp - lm) / (2 * h)
             denom = max(abs(num), abs(gflat[idx]), 1e-8)
@@ -169,8 +167,8 @@ def test_train_dsrm_reduces_loss_and_is_deterministic():
     noisy = clean + 0.5 * rng.standard_normal((300, 4))
     cfg = DsrmConfig(k_steps=5, hidden=(16,), time_dim=4, epochs=5,
                      batch=64, n_pairs=300, min_pairs=64)
-    den1, sched1, curve1 = train_dsrm(clean, noisy, cfg, seed=0)
-    den2, _, curve2 = train_dsrm(clean, noisy, cfg, seed=0)
+    den1, curve1 = train_dsrm(clean, noisy, cfg, seed=0)
+    den2, curve2 = train_dsrm(clean, noisy, cfg, seed=0)
     assert curve1 == curve2
     assert curve1[-1] < curve1[0]
     p1, p2 = den1.net.parameters(), den2.net.parameters()
@@ -183,7 +181,7 @@ def test_train_dsrm_zero_lr_constant_curve():
     noisy = clean.copy()
     cfg = DsrmConfig(k_steps=5, hidden=(16,), time_dim=4, epochs=3,
                      batch=64, n_pairs=100, min_pairs=64, lr=0.0)
-    _, _, curve = train_dsrm(clean, noisy, cfg, seed=0)
+    _, curve = train_dsrm(clean, noisy, cfg, seed=0)
     assert len(curve) == 3
     assert curve[0] == pytest.approx(curve[1]) == pytest.approx(curve[2])
 
@@ -192,8 +190,8 @@ def test_train_dsrm_k0_disables_module():
     rng = np.random.default_rng(10)
     clean = rng.standard_normal((100, 4))
     cfg = DsrmConfig(k_steps=0, n_pairs=100, min_pairs=64)
-    den, sched, curve = train_dsrm(clean, clean.copy(), cfg, seed=0)
-    assert sched is None and curve == []
+    den, curve = train_dsrm(clean, clean.copy(), cfg, seed=0)
+    assert den.schedule is None and curve == []
 
 
 def test_train_dsrm_too_few_pairs_rejected():
@@ -224,7 +222,7 @@ TOL = 1e-12
 
 
 def _ref_predict(den, s_k, k, cond):
-    x = np.concatenate([s_k, time_embedding(k, den.k_steps, den.time_dim), cond])
+    x = np.concatenate([s_k, time_embedding(k, den.schedule.k_steps, den.time_dim), cond])
     y, _ = den.net.forward(x)
     return y
 
@@ -269,7 +267,7 @@ def _ref_dsrm_loss(den, s0, cond, sched, eps, ks):
     for k in np.unique(ks):
         sel = ks == k
         s_k = forward_diffuse(s0[sel], int(k), eps[sel], sched)
-        temb = np.tile(time_embedding(int(k), den.k_steps, den.time_dim),
+        temb = np.tile(time_embedding(int(k), den.schedule.k_steps, den.time_dim),
                        (int(sel.sum()), 1))
         pred, cache = den.net.forward(np.concatenate([s_k, temb, cond[sel]], axis=1))
         resid = pred - eps[sel]
@@ -280,9 +278,10 @@ def _ref_dsrm_loss(den, s0, cond, sched, eps, ks):
     return total / b, grads
 
 
-def _random_denoiser(d, k_steps, hidden, seed):
-    den = Denoiser(d, hidden=hidden, time_dim=6, k_steps=k_steps,
-                   rng=np.random.default_rng(seed))
+def _random_denoiser(d, k_steps, hidden, seed, betas=(1e-4, 0.02)):
+    cfg = DsrmConfig(k_steps=k_steps, beta_min=betas[0], beta_max=betas[1],
+                     hidden=hidden, time_dim=6)
+    den = Denoiser(cfg, d, rng=np.random.default_rng(seed))
     # Non-zero biases, so the split first layer's bias term is exercised.
     for b in den.net.biases:
         b[:] = np.random.default_rng(seed + 1).standard_normal(b.shape) * 0.1
@@ -297,7 +296,7 @@ def test_purify_matches_reference_chain(k_steps, hidden):
     den = _random_denoiser(5, k_steps, hidden, seed=k_steps)
     sched = make_schedule(k_steps, 1e-4, 0.02)
     x = np.random.default_rng(11).standard_normal(5)
-    got = purify(x, den, sched)
+    got = purify(x, den)
     assert np.max(np.abs(got - _ref_purify(x, den, sched))) <= TOL
 
 
@@ -308,19 +307,18 @@ def test_purify_bit_identical_to_allocating_chain(k_steps, hidden):
     sched = make_schedule(k_steps, 1e-4, 0.02)
     for seed in (11, 12):
         x = np.random.default_rng(seed).standard_normal(5)
-        assert np.array_equal(purify(x, den, sched), _allocating_purify(x, den, sched))
+        assert np.array_equal(purify(x, den), _allocating_purify(x, den, sched))
 
 
 def test_purify_result_is_a_fresh_array():
     """The PPO record keeps each purified state, so a later call must not
     write into an earlier result, and the input must not be touched."""
-    den = _random_denoiser(4, 5, (8, 8), seed=5)
-    sched = make_schedule(5, 0.01, 0.1)
+    den = _random_denoiser(4, 5, (8, 8), seed=5, betas=(0.01, 0.1))
     x = np.arange(4.0)
-    first = purify(x, den, sched)
+    first = purify(x, den)
     kept = first.copy()
-    second = purify(x, den, sched)
-    purify(x + 1.0, den, sched)
+    second = purify(x, den)
+    purify(x + 1.0, den)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept) and np.array_equal(second, kept)
     assert np.array_equal(x, np.arange(4.0))
@@ -329,23 +327,22 @@ def test_purify_result_is_a_fresh_array():
 def test_purify_uses_current_weights():
     """The conditioning table is rebuilt per call, so an in-place weight
     update (as Adam makes in stage I) shows up in the next purify."""
-    den = _random_denoiser(4, 5, (8,), seed=3)
+    den = _random_denoiser(4, 5, (8,), seed=3, betas=(0.01, 0.1))
     sched = make_schedule(5, 0.01, 0.1)
     x = np.arange(4.0)
-    before = purify(x, den, sched)
+    before = purify(x, den)
     den.net.weights[0] += 0.5
     den.net.biases[0] -= 0.25
-    after = purify(x, den, sched)
+    after = purify(x, den)
     assert not np.allclose(before, after)
     assert np.max(np.abs(after - _ref_purify(x, den, sched))) <= TOL
 
 
 def test_purify_rejects_non_finite_weights():
-    den = _random_denoiser(4, 5, (8,), seed=4)
-    sched = make_schedule(5, 0.01, 0.1)
+    den = _random_denoiser(4, 5, (8,), seed=4, betas=(0.01, 0.1))
     den.net.weights[-1][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
-        purify(np.ones(4), den, sched)
+        purify(np.ones(4), den)
 
 
 @pytest.mark.parametrize("ks", [
@@ -363,7 +360,7 @@ def test_dsrm_loss_matches_per_step_reference(ks):
     s0 = rng.standard_normal((b, 4))
     cond = rng.standard_normal((b, 4))
     eps = rng.standard_normal((b, 4))
-    loss, grads = dsrm_loss(den, s0, cond, sched, None, eps=eps, ks=ks)
+    loss, grads = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
     ref_loss, ref_grads = _ref_dsrm_loss(den, s0, cond, sched, eps, ks)
     assert abs(loss - ref_loss) <= TOL
     assert grads.keys() == ref_grads.keys()
@@ -373,23 +370,22 @@ def test_dsrm_loss_matches_per_step_reference(ks):
 
 
 def test_dsrm_loss_rejects_out_of_range_steps():
-    den = _random_denoiser(3, 4, (6,), seed=6)
-    sched = make_schedule(4, 0.05, 0.2)
+    den = _random_denoiser(3, 4, (6,), seed=6, betas=(0.05, 0.2))
     z = np.zeros((2, 3))
     for ks in (np.array([0, 1]), np.array([1, 5])):
         with pytest.raises(IndexError):
-            dsrm_loss(den, z, z, sched, None, eps=z, ks=ks)
+            dsrm_loss(den, z, z, None, eps=z, ks=ks)
 
 
 def test_dsrm_loss_draw_order_unchanged():
     """ks are drawn before eps from the same rng, as train_dsrm's fixed
     per-epoch targets rely on."""
-    den = _random_denoiser(3, 6, (6,), seed=7)
+    den = _random_denoiser(3, 6, (6,), seed=7, betas=(0.05, 0.2))
     sched = make_schedule(6, 0.05, 0.2)
     rng = np.random.default_rng(13)
     s0 = rng.standard_normal((5, 3))
     cond = rng.standard_normal((5, 3))
-    loss, _ = dsrm_loss(den, s0, cond, sched, np.random.default_rng(14))
+    loss, _ = dsrm_loss(den, s0, cond, np.random.default_rng(14))
     draws = np.random.default_rng(14)
     ks = draws.integers(1, 7, size=5)
     eps = draws.standard_normal((5, 3))

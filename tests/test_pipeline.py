@@ -66,7 +66,7 @@ def old_regression(cfg, n_steps, seed):
     return r2, rows, env.catalog.exposure
 
 
-def old_dump_states(cfg, denoiser, schedule, n_states, seed):
+def old_dump_states(cfg, denoiser, n_states, seed):
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, seed, 30])
     raw, pur = [], []
@@ -76,7 +76,7 @@ def old_dump_states(cfg, denoiser, schedule, n_states, seed):
         while not done and len(raw) < n_states:
             _, obs, done = env.step(env.random_slate())
             raw.append(obs.copy())
-            pur.append(purify(obs, denoiser, schedule))
+            pur.append(purify(obs, denoiser))
     return np.array(raw), np.array(pur), env.catalog.exposure
 
 
@@ -100,13 +100,14 @@ def fast_run(tmp_path_factory):
     """A FAST_CFG denoiser and one policy checkpoint per variant."""
     out = tmp_path_factory.mktemp("fast_run")
     cfg = parse_config(FAST_CFG)
+    cfg.env.seed = 3
     dsrm = str(out / "dsrm.ckpt")
-    run_train_dsrm(cfg, 3, dsrm)
+    run_train_dsrm(cfg, dsrm)
     policies = {}
     for variant in ("DSRM-HRL", "FLAT", "HRL-RAW"):
         cfg.hrl.variant = variant
         policies[variant] = str(out / f"policy_{variant}.ckpt")
-        run_train_policy(cfg, 3, dsrm if variant != "HRL-RAW" else None,
+        run_train_policy(cfg, dsrm if variant != "HRL-RAW" else None,
                          policies[variant])
     return dsrm, policies
 
@@ -126,7 +127,8 @@ def test_collect_pairs_matches_old_loop(name):
 @pytest.mark.parametrize("name,n_steps", [("fast", 500), ("default", 2000)])
 def test_popularity_regression_matches_old_loop(name, n_steps, pipeline_envs):
     cfg = parse_config(CONFIGS[name])
-    r2, rows = popularity_reward_regression(cfg, n_steps=n_steps, seed=4)
+    cfg.env.seed = 4
+    r2, rows = popularity_reward_regression(cfg, n_steps=n_steps)
     ref_r2, ref_rows, ref_exposure = old_regression(cfg, n_steps, seed=4)
     assert r2 == ref_r2
     assert rows == ref_rows
@@ -136,10 +138,10 @@ def test_popularity_regression_matches_old_loop(name, n_steps, pipeline_envs):
 def test_state_dumps_match_old_loop(fast_run, pipeline_envs):
     dsrm, _ = fast_run
     cfg = parse_config(FAST_CFG)
-    (raw, *_), (pur, *_) = state_dumps(cfg, dsrm, n_states=100, seed=5)
-    denoiser, schedule, _ = load_denoiser(dsrm)
-    ref_raw, ref_pur, ref_exposure = old_dump_states(cfg, denoiser, schedule,
-                                                     100, seed=5)
+    cfg.env.seed = 5
+    (raw, *_), (pur, *_) = state_dumps(cfg, dsrm, n_states=100)
+    denoiser, _ = load_denoiser(dsrm)
+    ref_raw, ref_pur, ref_exposure = old_dump_states(cfg, denoiser, 100, seed=5)
     assert np.array_equal(raw, ref_raw)
     assert np.array_equal(pur, ref_pur)
     assert np.array_equal(pipeline_envs[-1].catalog.exposure, ref_exposure)
@@ -173,8 +175,8 @@ def test_old_checkpoint_evaluates_the_same(fast_run, variant, tmp_path):
 def test_old_denoiser_checkpoint_loads(fast_run, tmp_path):
     dsrm, _ = fast_run
     old = with_retired_keys(dsrm, tmp_path / "old.ckpt")
-    denoiser, _, _ = load_denoiser(old)
-    ref, _, _ = load_denoiser(dsrm)
+    denoiser, _ = load_denoiser(old)
+    ref, _ = load_denoiser(dsrm)
     params, ref_params = denoiser.net.parameters(), ref.net.parameters()
     assert all(np.array_equal(params[k], ref_params[k]) for k in ref_params)
 
