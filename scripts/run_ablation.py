@@ -3,12 +3,14 @@
 seeds, appending one row per (variant, seed) to results.csv.
 
 Usage: python scripts/run_ablation.py --out runs/ablation [--seeds 11,15,19]
+Exit codes as for dsrm-hrl: 0 success, 1 invalid input, 2 runtime fault.
 """
 
 import argparse
 import os
 import sys
 
+from dsrm_hrl.cli import exit_code
 from dsrm_hrl.config import EvalConfig, RunConfig, VARIANTS, load_config
 from dsrm_hrl.pipeline import log, run_eval, run_train_dsrm, run_train_policy
 
@@ -45,4 +47,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

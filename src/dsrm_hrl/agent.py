@@ -5,6 +5,8 @@ ablation variants share the same rollout machinery."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import EVAL_SEED_OFFSET, HrlConfig
@@ -99,12 +101,12 @@ class ValueNet:
 def score_items(state_vec: np.ndarray, omega: np.ndarray, catalog) -> np.ndarray:
     """Per-item score under the weight pair omega = (acc, fair):
     acc * cosine(state, embedding) - fair * log(1 + cumulative exposure)."""
-    norm = np.linalg.norm(state_vec)
+    norm = math.sqrt(state_vec.dot(state_vec))
     if norm < 1e-12:
         sim = np.zeros(catalog.n_items)
     else:
         sim = catalog.embeddings @ (state_vec / norm)
-    scores = omega[0] * sim - omega[1] * np.log1p(catalog.exposure)
+    scores = omega[0] * sim - omega[1] * catalog.log1p_exposure
     if not np.all(np.isfinite(scores)):
         raise FloatingPointError("non-finite item scores")
     return scores

@@ -95,16 +95,20 @@ def run(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(fn, *args) -> int:
+    """fn(*args); a fault is logged and returned as its exit code."""
     try:
-        return run(args)
+        return fn(*args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         log(f"error: {exc}")
         return EXIT_VALIDATION
     except Exception as exc:  # runtime fault
         log(f"runtime fault: {exc}")
         return EXIT_RUNTIME
+
+
+def main(argv=None) -> int:
+    return exit_code(run, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ sessions abandon early when slates are dominated by popular items.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -33,7 +34,9 @@ class InvalidActionError(EnvError):
 class ItemCatalog:
     """Items with unit-norm embeddings, cumulative exposure counts, a
     heavy-tailed initial popularity, and a popular/long-tail split (top 20%
-    by initial popularity, ties broken by ascending item id)."""
+    by initial popularity, ties broken by ascending item id). serve() alone
+    writes exposure, and keeps exposure_total, exposure_max, log1p_exposure
+    and log1p_max equal to those of the whole vector."""
 
     n_items: int
     embeddings: np.ndarray          # (n_items, d), rows unit-norm
@@ -70,6 +73,22 @@ class ItemCatalog:
         prior = prior / np.linalg.norm(prior)
         return cls(n, emb, exposure, pop, group, prior)
 
+    def __post_init__(self):
+        self.exposure_total = int(self.exposure.sum())
+        self.exposure_max = int(self.exposure.max())
+        self.log1p_exposure = np.log1p(self.exposure)
+        self.log1p_max = np.log1p(self.exposure_max)
+
+    def serve(self, slate: np.ndarray):
+        """One impression of each item of a slate of distinct ids."""
+        self.exposure[slate] += 1
+        served = self.exposure[slate]
+        self.log1p_exposure[slate] = np.log1p(served)
+        self.exposure_total += len(served)
+        top = int(served.max())
+        if top > self.exposure_max:
+            self.exposure_max, self.log1p_max = top, np.log1p(top)
+
     def popular_ids(self) -> np.ndarray:
         return np.flatnonzero(self.group == GROUP_POPULAR)
 
@@ -92,14 +111,11 @@ class SessionOutcome:
     terminated_by_abandonment: bool
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _exposure_weight(exposure, max_exposure):
-    if max_exposure <= 0:
-        return np.zeros_like(np.asarray(exposure, dtype=np.float64))
-    return np.log1p(exposure) / np.log1p(max_exposure)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed in x's own buffer and returned."""
+    np.exp(np.negative(x, out=x), out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 # Ratio of the popularity-aligned drift to noise_scale; the drift is the
@@ -114,44 +130,41 @@ def popularity_drift_direction(catalog: ItemCatalog,
     a random non-negative combination of item embeddings with
     exposure-share weights. Exposure follows a heavy tail, so the draw is
     dominated by the handful of most-served items."""
-    total = catalog.exposure.sum()
-    n = catalog.n_items
-    if total <= 0:
+    if catalog.exposure_total <= 0:
         return np.zeros(catalog.embeddings.shape[1])
-    share = catalog.exposure / total
-    v = (share * np.abs(rng.standard_normal(n))) @ catalog.embeddings
-    norm = np.linalg.norm(v)
+    share = catalog.exposure / catalog.exposure_total
+    z = rng.standard_normal(catalog.n_items)
+    share *= np.abs(z, out=z)
+    v = share @ catalog.embeddings
+    norm = math.sqrt(v.dot(v))
     if norm < 1e-12:
         return np.zeros(catalog.embeddings.shape[1])
-    return v / norm
+    return np.divide(v, norm, out=v)
 
 
 def encode_observed(history, catalog: ItemCatalog, noise_scale: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """History encoding plus popularity-structured corruption.
-
-    Signal: reward-weighted mean of the embeddings of recently consumed
-    items. Corruption: a half-normal drift along the global popularity
-    direction (exposure-weighted mean embedding) plus a small isotropic
-    Gaussian whose expected norm is about noise_scale. An empty history
-    encodes as the catalog's cold-start prior.
-    """
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(clean, observed): the history's encoding, the reward-weighted mean
+    of the embeddings of recently consumed items (an empty history encodes
+    as the catalog's cold-start prior), and that encoding corrupted by a
+    drift of half-normal magnitude along a random direction from the
+    exposure cone (popularity_drift_direction) plus a small isotropic
+    Gaussian whose expected norm is about noise_scale."""
     d = catalog.embeddings.shape[1]
     if history:
         ids = [i for i, _ in history]
         if min(ids) < 0 or max(ids) >= catalog.n_items:
             raise EnvError("history references unknown item id")
         w = 1.0 + np.array([r for _, r in history])
-        base = (w[:, None] * catalog.embeddings[ids]).sum(axis=0) / w.sum()
+        clean = (w[:, None] * catalog.embeddings[ids]).sum(axis=0) / w.sum()
     else:
-        base = catalog.prior.copy()
-    vec = base
-    if noise_scale > 0:
-        mag = np.abs(rng.standard_normal())
-        drift = mag * popularity_drift_direction(catalog, rng)
-        vec = vec + noise_scale * POP_DRIFT_RATIO * drift
-        vec = vec + (noise_scale / np.sqrt(d)) * rng.standard_normal(d)
-    return np.asarray(vec, dtype=np.float64)
+        clean = catalog.prior.copy()
+    if noise_scale <= 0:
+        return clean, clean.copy()
+    drift = abs(rng.standard_normal()) * popularity_drift_direction(catalog, rng)
+    observed = clean + noise_scale * POP_DRIFT_RATIO * drift
+    observed += (noise_scale / math.sqrt(d)) * rng.standard_normal(d)
+    return clean, observed
 
 
 def update_abandonment(satisfaction: float, popular_counts, config: EnvConfig,
@@ -185,6 +198,7 @@ class RecEnv:
         self.config = config
         self.catalog = ItemCatalog.build(config, np.random.default_rng(config.seed))
         self._user: UserProfile | None = None
+        self._clean: np.ndarray | None = None  # clean encoding of the history
         self._rng: np.random.Generator | None = None
         self._step = 0
         self._done = True
@@ -204,8 +218,8 @@ class RecEnv:
         self._done = False
         self._abandoned = False
         self._popular_counts.clear()
-        return encode_observed([], self.catalog, self.config.noise_scale,
-                               self._rng)
+        self._clean, obs = encode_observed([], self.catalog, self.config.noise_scale, self._rng)
+        return obs
 
     @property
     def done(self) -> bool:
@@ -221,10 +235,11 @@ class RecEnv:
         """Sim-only oracle: noise-free encoding of the current history."""
         if self._user is None:
             raise EnvError("no active session")
-        return encode_observed(self._user.history, self.catalog, 0.0,
-                               self._rng)
+        return self._clean.copy()
 
     def random_slate(self) -> np.ndarray:
+        if self._user is None:
+            raise EnvError("no active session")
         return self._rng.choice(self.catalog.n_items, size=self.config.slate_k,
                                 replace=False)
 
@@ -247,19 +262,22 @@ class RecEnv:
         cfg = self.config
         cat = self.catalog
 
-        align = cat.embeddings[slate] @ self._user.latent_pref
-        bias = cfg.bias_strength * _exposure_weight(cat.exposure[slate],
-                                                    cat.exposure.max())
-        noise = cfg.obs_noise * self._rng.standard_normal(len(slate)) \
-            if cfg.obs_noise > 0 else 0.0
-        rewards = np.clip(_sigmoid(cfg.kappa * align) + bias + noise, 0.0, 1.0)
+        # The reward chain in one buffer; the bias reads pre-serve exposure.
+        rewards = cat.embeddings[slate] @ self._user.latent_pref
+        rewards *= cfg.kappa
+        _sigmoid(rewards)
+        if cat.exposure_max > 0:
+            rewards += cfg.bias_strength * (cat.log1p_exposure[slate] / cat.log1p_max)
+        if cfg.obs_noise > 0:
+            rewards += cfg.obs_noise * self._rng.standard_normal(len(ids))
+        np.maximum(rewards, 0.0, out=rewards)
+        np.minimum(rewards, 1.0, out=rewards)
 
-        cat.exposure[slate] += 1
+        cat.serve(slate)
 
         consumed = int(np.argmax(rewards))  # ties -> lowest slate index
         self._user.history.append((int(slate[consumed]), float(rewards[consumed])))
-        if len(self._user.history) > cfg.history_window:
-            self._user.history = self._user.history[-cfg.history_window:]
+        del self._user.history[:-cfg.history_window]
 
         self._popular_counts.append(cat.group[slate].tolist().count(GROUP_POPULAR))
         self._user.satisfaction, abandoned = update_abandonment(
@@ -268,8 +286,7 @@ class RecEnv:
         self._step += 1
         self._done = abandoned or self._step >= cfg.max_len
         self._abandoned = abandoned
-        nxt = encode_observed(self._user.history, cat, cfg.noise_scale,
-                              self._rng)
+        self._clean, nxt = encode_observed(self._user.history, cat, cfg.noise_scale, self._rng)
         return rewards, nxt, self._done
 
     @property

@@ -209,6 +209,18 @@ def test_ablation_validates_every_seed_before_training(cfg_file, tmp_path):
     assert not (out / "dsrm_s3.ckpt").exists()
 
 
+def test_ablation_exits_like_the_cli(cfg_file, tmp_path):
+    """Invalid input ends in `error: ...` and exit 1, as for dsrm-hrl, not a
+    traceback."""
+    proc = run_ablation(cfg_file, tmp_path / "abl", "--seeds", "3,-1")
+    assert proc.returncode == EXIT_VALIDATION
+    assert "error: " in proc.stderr and "env.seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run_ablation(str(tmp_path / "missing.cfg"), tmp_path / "abl")
+    assert proc.returncode == EXIT_VALIDATION
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_ablation_writes_one_row_per_variant(cfg_file, tmp_path):
     out = tmp_path / "abl"
     proc = run_ablation(cfg_file, out, "--seeds", "3", "--episodes", "5")

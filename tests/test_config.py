@@ -201,6 +201,50 @@ def test_every_library_function_is_referenced():
     assert unreferenced == []
 
 
+def _exposure_writes(tree):
+    """Assignments in tree whose target is x.exposure or an element or slice
+    of it, as (inside ItemCatalog, line)."""
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for elt in node.elts:
+                yield from targets(elt)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    catalog = {id(n) for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) and c.name == "ItemCatalog"
+               for n in ast.walk(c)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            tops = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            tops = [node.target]
+        else:
+            continue
+        for target in (t for top in tops for t in targets(top)):
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr == "exposure":
+                yield id(node) in catalog, node.lineno
+
+
+def test_only_the_catalog_writes_exposure():
+    """ItemCatalog.serve keeps the catalog's exposure statistics in step
+    with exposure, so no code in src/ or scripts/ outside ItemCatalog may
+    assign to .exposure or to its elements."""
+    pkg = pathlib.Path(dsrm_hrl.__file__).parent
+    inside, outside = 0, []
+    for path in [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]:
+        for in_catalog, line in _exposure_writes(ast.parse(path.read_text())):
+            inside += in_catalog
+            if not in_catalog:
+                outside.append(f"{path.name}:{line}")
+    assert inside >= 1  # serve's own write is seen
+    assert outside == []
+
+
 # Defaulted parameters that no call in src/ or scripts/ sets, or that every
 # call fills with the same literal, kept on purpose.
 KEPT_DEFAULTS = {

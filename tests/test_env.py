@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dsrm_hrl.config import EnvConfig
 from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, EnvError, InvalidActionError,
-                          ItemCatalog, RecEnv, _exposure_weight, _sigmoid,
+                          ItemCatalog, RecEnv, _sigmoid,
                           encode_observed, update_abandonment)
 
 
@@ -72,9 +72,18 @@ def test_step_reward_formula_oracle():
 
 
 def test_bias_monotone_in_exposure():
-    w = _exposure_weight(np.array([0, 10, 100, 1000]), 1000)
+    cat = ItemCatalog(4, np.eye(4), np.array([0, 10, 100, 1000]), np.ones(4),
+                      np.zeros(4, dtype=np.int64))
+    w = cat.log1p_exposure / cat.log1p_max
     assert np.all(np.diff(w) > 0)
-    assert _exposure_weight(np.array([5]), 0)[0] == 0.0
+    # Nothing served yet: no bias.
+    cfg = small_cfg(init_exposure=0, obs_noise=0.0)
+    env = RecEnv(cfg)
+    env.reset(5)
+    slate = np.array([0, 7, 23])
+    rewards, _, _ = env.step(slate)
+    sig = _sigmoid(cfg.kappa * env.catalog.embeddings[slate] @ env._user.latent_pref)
+    assert np.array_equal(rewards, np.clip(sig, 0.0, 1.0))
 
 
 def test_step_exposure_conservation():
@@ -86,6 +95,11 @@ def test_step_exposure_conservation():
     after = env.catalog.exposure.sum()
     assert after - before == env.config.slate_k
     assert np.all(np.diff(np.sort(env.catalog.exposure)) >= 0)
+
+
+def test_random_slate_needs_a_session():
+    with pytest.raises(EnvError, match="no active session"):
+        RecEnv(small_cfg()).random_slate()
 
 
 def test_step_consumes_argmax_item():
@@ -184,14 +198,14 @@ def test_reset_clears_abandoned_flag():
 
 def test_encode_cold_start_is_prior():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
-    obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
+    _, obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
     assert np.allclose(obs, cat.prior)
 
 
 def test_encode_noise_free_weighted_mean():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     history = [(3, 1.0), (7, 0.0)]
-    obs = encode_observed(history, cat, 0.0, np.random.default_rng(0))
+    _, obs = encode_observed(history, cat, 0.0, np.random.default_rng(0))
     expected = (2.0 * cat.embeddings[3] + 1.0 * cat.embeddings[7]) / 3.0
     assert np.allclose(obs, expected, atol=1e-12)
 
