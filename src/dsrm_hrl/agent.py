@@ -12,7 +12,7 @@ import numpy as np
 from .config import EVAL_SEED_OFFSET, HrlConfig
 from .diffusion import Denoiser, purify
 from .env import RecEnv, SessionOutcome
-from .metrics import gini
+from .metrics import EpisodeGini, gini  # noqa: F401 (gini: patched by name in perfbench and tests)
 from .nn import Adam, Mlp
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -127,10 +127,10 @@ def select_slate(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
-def shaped_reward(r: float, episode_exposure: np.ndarray, lambda_fair: float) -> float:
-    """Manager reward: environment reward minus lambda * Gini of the
+def shaped_reward(r: float, episode_gini: float, lambda_fair: float) -> float:
+    """Manager reward: environment reward minus lambda * the Gini of the
     episode's exposure counts so far."""
-    return float(r - lambda_fair * gini(episode_exposure))
+    return float(r - lambda_fair * episode_gini)
 
 
 def compute_gae(rewards, values, gamma: float, lam: float):
@@ -246,7 +246,7 @@ class Agent:
             omega = np.array([self.cfg.flat_omega_acc, self.cfg.flat_omega_fair])
             lp, u = 0.0, np.zeros(2)
         if train:
-            episode_exposure = np.zeros(env.catalog.n_items)
+            episode_gini = EpisodeGini(env.catalog.n_items)
             states, us, lps, shaped, values = [], [], [], [], []
         rewards_log, slates_log = [], []
         done = False
@@ -258,16 +258,17 @@ class Agent:
             scores = score_items(state, omega, env.catalog)
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
-            r_t = float(np.mean(item_rewards))
+            r_t = float(item_rewards.sum()) / len(item_rewards)
+            ids = slate.tolist()
             if train:
-                episode_exposure[slate] += 1
+                episode_gini.serve(ids)
                 states.append(state)
                 us.append(u)
                 lps.append(lp)
-                shaped.append(shaped_reward(r_t, episode_exposure, self.cfg.lambda_fair))
+                shaped.append(shaped_reward(r_t, episode_gini.value(), self.cfg.lambda_fair))
                 values.append(self.value_net.value(state))
             rewards_log.append(r_t)
-            slates_log.append(slate.tolist())
+            slates_log.append(ids)
             step += 1
         outcome = SessionOutcome(length=step, rewards=rewards_log,
                                  exposure_log=slates_log,
@@ -326,7 +327,6 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
 
 def evaluate(env: RecEnv, agent: Agent, episodes: int) -> list[SessionOutcome]:
     """Greedy evaluation on a session-seed range disjoint from training."""
-    rng = np.random.default_rng([env.config.seed, 3])
     return [agent.run_episode(env, EVAL_SEED_OFFSET + env.config.seed * 100_000 + i,
-                              rng, train=False)[0]
+                              None, train=False)[0]
             for i in range(episodes)]

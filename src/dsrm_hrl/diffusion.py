@@ -67,13 +67,14 @@ def forward_diffuse(s0: np.ndarray, k: int, eps: np.ndarray,
     return np.sqrt(ab) * s0 + np.sqrt(1.0 - ab) * eps
 
 
-def time_embedding(k: int, k_steps: int, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of the (normalized) diffusion step."""
+def time_embedding(ks, k_steps: int, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of the (normalized) diffusion step; one row per
+    step for an array of steps."""
     half = dim // 2
-    t = k / max(k_steps, 1)
+    t = np.asarray(ks) / max(k_steps, 1)
     freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
-    ang = t * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    ang = t[..., None] * freqs
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 class Denoiser:
@@ -86,8 +87,8 @@ class Denoiser:
         self.time_dim = cfg.time_dim
         self.net = Mlp([2 * d + cfg.time_dim, *cfg.hidden, d], rng=rng)
         # Row k holds the embedding of step k (row 0 is unused by the chain).
-        self.temb_table = np.stack([time_embedding(k, cfg.k_steps, cfg.time_dim)
-                                    for k in range(cfg.k_steps + 1)])
+        self.temb_table = time_embedding(np.arange(cfg.k_steps + 1), cfg.k_steps,
+                                         cfg.time_dim)
         self.schedule = (make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
                          if cfg.k_steps > 0 else None)
 

@@ -59,25 +59,26 @@ class Mlp:
             self.biases[i] = np.asarray(b, dtype=np.float64)
 
     def forward(self, x):
-        """Returns (y, cache); cache holds activations and pre-activations
-        for backward. Accepts (n_in,) or (B, n_in)."""
+        """Returns (y, cache); cache holds every layer's (B, n) activations
+        for backward ((1, n) views for a single vector (n_in,))."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        xb = x[None, :] if single else x
-        if xb.shape[1] != self.layer_sizes[0]:
+        if x.shape[-1] != self.layer_sizes[0]:
             raise ShapeError(
-                f"input width {xb.shape[1]} != first layer size {self.layer_sizes[0]}"
+                f"input width {x.shape[-1]} != first layer size {self.layer_sizes[0]}"
             )
-        acts = [xb]
-        pre = []
-        h = xb
-        for i in range(self.n_layers):
-            z = h @ self.weights[i].T + self.biases[i]
-            pre.append(z)
-            h = z if i == self.n_layers - 1 else np.tanh(z)
+        acts = [x]
+        h = x
+        last = self.n_layers - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = w.dot(h) if single else h @ w.T
+            h += b
+            if i != last:
+                np.tanh(h, h)
             acts.append(h)
-        y = acts[-1][0] if single else acts[-1]
-        return y, {"acts": acts, "pre": pre, "single": single}
+        if single:
+            acts = [a[None, :] for a in acts]
+        return h, {"acts": acts, "single": single}
 
     def backward(self, cache, dy):
         """Gradients of a scalar loss given dL/dy. Returns (grads, dx) where
@@ -85,14 +86,14 @@ class Mlp:
         dy = np.asarray(dy, dtype=np.float64)
         single = cache["single"]
         d = dy[None, :] if single else dy
-        acts, pre = cache["acts"], cache["pre"]
+        acts = cache["acts"]
         if d.shape != acts[-1].shape:
             raise ShapeError("dy shape does not match forward output")
         grads = {}
         for i in reversed(range(self.n_layers)):
             if i != self.n_layers - 1:
-                t = np.tanh(pre[i])
-                d = d * (1.0 - t * t)
+                t = acts[i + 1]  # tanh of this layer's pre-activation
+                d *= 1.0 - t * t  # d is fresh: the product with the layer above
             grads[f"W{i}"] = d.T @ acts[i]
             grads[f"b{i}"] = d.sum(axis=0)
             d = d @ self.weights[i]
@@ -109,6 +110,7 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._tmp = {k: np.empty_like(v) for k, v in params.items()}
         self.skipped = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
@@ -121,15 +123,17 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 self.skipped += 1
                 continue
-            m = self.m[key]
-            v = self.v[key]
+            # In place: ((1 - b2) * g) * g, (lr * m_hat) / (sqrt(v_hat) + eps).
+            m, v, tmp = self.m[key], self.v[key], self._tmp[key]
             m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
+            m += np.multiply(g, 1 - ADAM_BETA1, tmp)
             v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            m_hat = m / (1 - ADAM_BETA1 ** t)
-            v_hat = v / (1 - ADAM_BETA2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, tmp), g, tmp)
+            np.sqrt(np.divide(v, 1 - ADAM_BETA2 ** t, tmp), tmp)
+            tmp += ADAM_EPS
+            step = m / (1 - ADAM_BETA1 ** t)
+            step *= self.lr
+            p -= np.divide(step, tmp, step)
 
 
 def gradient_check(mlp: Mlp, loss_fn, x, h=1e-5) -> float:

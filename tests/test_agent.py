@@ -11,6 +11,7 @@ from dsrm_hrl.agent import (Agent, ManagerPolicy, ValueNet, compute_gae,
                             evaluate, ppo_update, score_items, select_slate,
                             shaped_reward, softplus, train, value_step)
 from dsrm_hrl.env import SessionOutcome
+from dsrm_hrl.metrics import gini
 from dsrm_hrl.nn import Adam
 from dsrm_hrl import agent as agent_mod
 
@@ -187,9 +188,9 @@ def test_select_slate_rejects_non_finite(bad):
 
 def test_shaped_reward_hand_case():
     # gini([0,0,0,4]) = 0.75, so r_h = 0.5 - 1.0 * 0.75
-    assert shaped_reward(0.5, np.array([0.0, 0.0, 0.0, 4.0]), 1.0) == \
+    assert shaped_reward(0.5, gini(np.array([0.0, 0.0, 0.0, 4.0])), 1.0) == \
         pytest.approx(-0.25)
-    assert shaped_reward(0.5, np.ones(4), 1.0) == pytest.approx(0.5)
+    assert shaped_reward(0.5, gini(np.ones(4)), 1.0) == pytest.approx(0.5)
 
 
 def gae_oracle(rewards, values, dones, gamma, lam):
@@ -336,7 +337,7 @@ def reference_episode(agent, env, session_seed, rng, train):
         traj.pre_squash.append(u)
         traj.log_probs.append(lp)
         traj.shaped_rewards.append(
-            shaped_reward(r_t, episode_exposure, agent.cfg.lambda_fair))
+            shaped_reward(r_t, gini(episode_exposure), agent.cfg.lambda_fair))
         traj.values.append(agent.value_net.value(state))
         traj.dones.append(done)
         rewards_log.append(r_t)
@@ -383,6 +384,36 @@ def test_eval_episode_is_inference_only(monkeypatch):
     with pytest.raises(AssertionError):
         agent.run_episode(RecEnv(small_env_cfg()), 0,
                           np.random.default_rng(0), train=True)
+
+
+@pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
+def test_greedy_episode_reads_no_rng(variant):
+    """Evaluation draws nothing from the rng it is given, so evaluate passes
+    none: the outcomes with rng=None equal those with a Generator."""
+    _, agent = make_agent(variant, manager_interval=2)
+    env, ref_env = RecEnv(small_env_cfg()), RecEnv(small_env_cfg())
+    for i in range(4):
+        outcome, _ = agent.run_episode(env, 40 + i, None, train=False)
+        ref_outcome, _ = agent.run_episode(ref_env, 40 + i,
+                                           np.random.default_rng(i), train=False)
+        assert astuple(outcome) == astuple(ref_outcome)
+    assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
+
+
+def test_training_step_is_o_k_at_catalog_scale(monkeypatch):
+    """Training keeps the episode Gini up to date on the served items: no
+    gini() of the whole exposure vector and no sort anywhere in an episode
+    at 5000 items."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("whole-catalog Gini in a training step")
+
+    monkeypatch.setattr(agent_mod, "gini", forbidden)
+    monkeypatch.setattr(np, "sort", forbidden)
+    env = RecEnv(EnvConfig(d=8, n_items=5000, seed=1))
+    _, agent = make_agent("HRL-RAW")
+    outcome, record = agent.run_episode(env, 7, np.random.default_rng(7), train=True)
+    assert outcome.length > 1
+    assert len(record[3]) == outcome.length
 
 
 def test_flat_without_denoiser_uses_raw_state():

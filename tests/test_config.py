@@ -169,6 +169,7 @@ KEPT_FOR_CHECKS = {
     "agent.ManagerPolicy.log_prob",  # single-state reference in test_agent; perfbench SPANS
     "nn.gradient_check",            # the finite-difference oracle (criterion 1)
     "metrics.absolute_difference",  # criterion 3
+    "metrics.gini",                 # criterion 3; oracle for metrics.EpisodeGini; perfbench SPANS
     "env.RecEnv.ground_truth_state",  # criterion 5
 }
 

@@ -99,6 +99,32 @@ def test_time_embedding_shape_and_bounds():
     assert not np.array_equal(time_embedding(3, 20, 8), time_embedding(4, 20, 8))
 
 
+def old_time_embedding(k, k_steps, dim):
+    """The earlier scalar-only embedding, verbatim."""
+    half = dim // 2
+    t = k / max(k_steps, 1)
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
+    ang = t * freqs
+    return np.concatenate([np.sin(ang), np.cos(ang)])
+
+
+@pytest.mark.parametrize("k_steps", [0, 1, 2, 4, 5, 20, 50, 100, 200, 1000])
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+def test_time_embedding_table_matches_scalar_loop(k_steps, dim):
+    """One array call gives the table the per-step loop built, bit for bit
+    (elementwise sin/cos over a 2-d array against one row at a time)."""
+    loop = np.stack([old_time_embedding(k, k_steps, dim) for k in range(k_steps + 1)])
+    table = time_embedding(np.arange(k_steps + 1), k_steps, dim)
+    assert table.shape == loop.shape == (k_steps + 1, dim)
+    assert np.array_equal(table, loop)
+    for k in {0, k_steps // 2, k_steps}:
+        assert np.array_equal(time_embedding(k, k_steps, dim),
+                              old_time_embedding(k, k_steps, dim))
+    den = Denoiser(DsrmConfig(k_steps=k_steps, hidden=(4,), time_dim=dim), 3,
+                   rng=np.random.default_rng(0))
+    assert np.array_equal(den.temb_table, loop)
+
+
 def test_purify_deterministic_repeatable():
     rng = np.random.default_rng(2)
     den = Denoiser(DsrmConfig(k_steps=5, beta_min=0.01, beta_max=0.1, hidden=(8,),
