@@ -158,7 +158,7 @@ def value_step(value_net: ValueNet, opt_value: Adam, states: np.ndarray,
     vpred, vcache = value_net.net.forward(states)
     verr = vpred[:, 0] - returns
     vloss = float(np.mean(verr**2))
-    vgrads, _ = value_net.net.backward(vcache, (2.0 * verr / len(states))[:, None])
+    vgrads = value_net.net.backward(vcache, (2.0 * verr / len(states))[:, None])
     opt_value.step(value_net.net.parameters(), vgrads)
     return vloss
 
@@ -203,7 +203,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         # Zero gradient where the clamp is saturated.
         dlogstd *= ((policy.log_std > LOG_STD_MIN) & (policy.log_std < LOG_STD_MAX))
 
-        net_grads, _ = policy.net.backward(cache, -dmean)  # minimize -objective
+        net_grads = policy.net.backward(cache, -dmean)  # minimize -objective
         grads = {f"net.{k}": v for k, v in net_grads.items()}
         grads["log_std"] = -dlogstd
         opt_policy.step(policy.parameters(), grads)

@@ -76,7 +76,7 @@ class EnvConfig(_Section):
 
 @dataclass
 class DsrmConfig(_Section):
-    k_steps: int = _ranged(20, low=0)
+    k_steps: int = _ranged(20, low=1)
     beta_min: float = _ranged(1e-4)  # with beta_max: see _rules
     beta_max: float = _ranged(0.02)
     hidden: tuple[int, ...] = _ranged((64, 64), low=1)
@@ -88,9 +88,9 @@ class DsrmConfig(_Section):
     min_pairs: int = _ranged(256, low=1)
 
     def _rules(self):
-        return ((self.k_steps == 0 or 0 < self.beta_min <= self.beta_max < 1,
-                 f"beta_min/beta_max must satisfy 0 < beta_min <= beta_max < 1 when "
-                 f"k_steps > 0, got [{self.beta_min}, {self.beta_max}]"),
+        return ((0 < self.beta_min <= self.beta_max < 1,
+                 f"beta_min/beta_max must satisfy 0 < beta_min <= beta_max < 1, "
+                 f"got [{self.beta_min}, {self.beta_max}]"),
                 (self.time_dim % 2 == 0, f"time_dim must be even, got {self.time_dim}"))
 
 

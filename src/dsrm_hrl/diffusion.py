@@ -80,7 +80,7 @@ def time_embedding(ks, k_steps: int, dim: int) -> np.ndarray:
 class Denoiser:
     """Conditional noise predictor, concat(noisy state, time embedding,
     corrupted observation) -> predicted noise, with the noise schedule it
-    is trained and run on (None when k_steps is 0: purify is the identity)."""
+    is trained and run on."""
 
     def __init__(self, cfg: DsrmConfig, d: int, rng=None):
         self.d = d
@@ -89,8 +89,7 @@ class Denoiser:
         # Row k holds the embedding of step k (row 0 is unused by the chain).
         self.temb_table = time_embedding(np.arange(cfg.k_steps + 1), cfg.k_steps,
                                          cfg.time_dim)
-        self.schedule = (make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
-                         if cfg.k_steps > 0 else None)
+        self.schedule = make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
 
     def predict(self, s_k, k: int, cond):
         """Predicted noise for one state at step k."""
@@ -127,7 +126,7 @@ def _state_hash_rng(vec: np.ndarray) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def purify(observed_vec: np.ndarray, denoiser: Denoiser | None) -> np.ndarray:
+def purify(observed_vec: np.ndarray, denoiser: Denoiser) -> np.ndarray:
     """Run the full reverse chain conditioned on the observation.
 
     The chain starts from the observation diffused to step K, with start
@@ -142,9 +141,6 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None) -> np.ndarray:
     weights outlives the call, since stage I updates them in place.
     """
     vec = np.asarray(observed_vec, dtype=np.float64)
-    if denoiser is None or denoiser.schedule is None:
-        return vec.copy()
-
     schedule = denoiser.schedule
     eps = _state_hash_rng(vec).standard_normal(vec.shape)
     s = forward_diffuse(vec, schedule.k_steps, eps, schedule)  # a fresh array, updated in place
@@ -179,37 +175,29 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser | None) -> np.ndarray:
     return s
 
 
-def dsrm_loss(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
-              rng: np.random.Generator, eps: np.ndarray | None = None,
-              ks: np.ndarray | None = None):
-    """Noise-reconstruction loss E||eps - predicted||^2 over a batch, with
-    gradients for the denoiser net. eps/ks are injectable for tests.
-
-    Every row carries its own step k (its own alpha_bar and time
-    embedding), so the whole batch is one forward and one backward pass."""
-    s0_batch = np.atleast_2d(np.asarray(s0_batch, dtype=np.float64))
-    cond_batch = np.atleast_2d(np.asarray(cond_batch, dtype=np.float64))
-    b, d = s0_batch.shape
-    if b == 0:
-        raise ValueError("empty batch")
+def dsrm_input(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
+               ks: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The denoiser's input for a batch, concat(s_k, time embedding of k,
+    cond), where row i is s0_batch[i] diffused to its own step ks[i] with
+    noise eps[i]."""
     schedule = denoiser.schedule
-    if ks is None:
-        ks = rng.integers(1, schedule.k_steps + 1, size=b)
-    if eps is None:
-        eps = rng.standard_normal((b, d))
-    ks = np.asarray(ks)
     if ks.min() < 1 or ks.max() > schedule.k_steps:
         raise IndexError(f"diffusion steps out of range [1, {schedule.k_steps}]")
-
     ab = schedule.alpha_bar[ks - 1][:, None]
     s_k = np.sqrt(ab) * s0_batch + np.sqrt(1.0 - ab) * eps
-    x = np.concatenate([s_k, denoiser.temb_table[ks], cond_batch], axis=1)
+    return np.concatenate([s_k, denoiser.temb_table[ks], cond_batch], axis=1)
+
+
+def dsrm_loss(denoiser: Denoiser, x: np.ndarray, eps: np.ndarray):
+    """Noise-reconstruction loss E||eps - predicted||^2 over a batch of
+    dsrm_input rows, with gradients for the denoiser net: one forward and
+    one backward pass."""
+    b = eps.shape[0]
     pred, cache = denoiser.net.forward(x)
     resid = pred - eps
     loss = float(np.sum(resid * resid)) / b
     # d(mean over batch of ||resid||^2)/dpred = 2 resid / b
-    grads, _ = denoiser.net.backward(cache, 2.0 * resid / b)
-    return loss, grads
+    return loss, denoiser.net.backward(cache, 2.0 * resid / b)
 
 
 def collect_pairs(env, n_pairs: int, rng: np.random.Generator):
@@ -235,26 +223,26 @@ def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,
         raise ValueError(
             f"need at least {cfg.min_pairs} training pairs, got {clean.shape[0]}"
         )
-    d = clean.shape[1]
-    rng = np.random.default_rng(seed)
-    denoiser = Denoiser(cfg, d, rng=rng)
-    if denoiser.schedule is None:
-        return denoiser, []
+    n, d = clean.shape
+    denoiser = Denoiser(cfg, d, rng=np.random.default_rng(seed))
+    # The minibatches and their (k, eps) targets are drawn once and reused
+    # every epoch, which makes the loss curve a pure function of the
+    # parameters.
+    rng = np.random.default_rng([seed, 0x5eed])
+    order = rng.permutation(n)
+    batches = []
+    for start in range(0, n, cfg.batch):
+        idx = order[start:start + cfg.batch]
+        ks = rng.integers(1, cfg.k_steps + 1, size=len(idx))
+        eps = rng.standard_normal((len(idx), d))
+        batches.append((dsrm_input(denoiser, clean[idx], noisy[idx], ks, eps), eps))
     opt = Adam(denoiser.net.parameters(), lr=cfg.lr)
-    n = clean.shape[0]
     curve = []
     for _ in range(cfg.epochs):
-        # Same draws every epoch: each sample keeps a fixed (k, eps) target,
-        # which makes the loss curve a pure function of the parameters.
-        epoch_rng = np.random.default_rng([seed, 0x5eed])
-        order = epoch_rng.permutation(n)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch):
-            idx = order[start:start + cfg.batch]
-            loss, grads = dsrm_loss(denoiser, clean[idx], noisy[idx], epoch_rng)
+        for x, eps in batches:
+            loss, grads = dsrm_loss(denoiser, x, eps)
             opt.step(denoiser.net.parameters(), grads)
             epoch_loss += loss
-            n_batches += 1
-        curve.append(epoch_loss / n_batches)
+        curve.append(epoch_loss / len(batches))
     return denoiser, curve

@@ -221,10 +221,6 @@ class RecEnv:
         self._clean, obs = encode_observed([], self.catalog, self.config.noise_scale, self._rng)
         return obs
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
     def ground_truth_state(self) -> np.ndarray:
         """Sim-only oracle: the session's true preference vector."""
         if self._user is None:

@@ -81,11 +81,10 @@ class Mlp:
         return h, {"acts": acts, "single": single}
 
     def backward(self, cache, dy):
-        """Gradients of a scalar loss given dL/dy. Returns (grads, dx) where
-        grads maps parameter names to arrays of matching shape."""
+        """Gradients of a scalar loss given dL/dy: parameter names mapped to
+        arrays of matching shape."""
         dy = np.asarray(dy, dtype=np.float64)
-        single = cache["single"]
-        d = dy[None, :] if single else dy
+        d = dy[None, :] if cache["single"] else dy
         acts = cache["acts"]
         if d.shape != acts[-1].shape:
             raise ShapeError("dy shape does not match forward output")
@@ -93,12 +92,11 @@ class Mlp:
         for i in reversed(range(self.n_layers)):
             if i != self.n_layers - 1:
                 t = acts[i + 1]  # tanh of this layer's pre-activation
+                d = d @ self.weights[i + 1]
                 d *= 1.0 - t * t  # d is fresh: the product with the layer above
             grads[f"W{i}"] = d.T @ acts[i]
             grads[f"b{i}"] = d.sum(axis=0)
-            d = d @ self.weights[i]
-        dx = d[0] if single else d
-        return grads, dx
+        return grads
 
 
 class Adam:
@@ -141,7 +139,7 @@ def gradient_check(mlp: Mlp, loss_fn, x, h=1e-5) -> float:
     gradients over all parameters. loss_fn(y) -> (loss, dL/dy)."""
     y, cache = mlp.forward(x)
     _, dy = loss_fn(y)
-    grads, _ = mlp.backward(cache, dy)
+    grads = mlp.backward(cache, dy)
     params = mlp.parameters()
     worst = 0.0
     for key, p in params.items():

@@ -58,7 +58,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str = "")
 
 def load_checkpoint(path):
     """Returns (tensors as float64, config_text). Raises CheckpointError on
-    unknown magic or truncation."""
+    unknown magic, truncation or text that is not UTF-8."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -76,18 +76,24 @@ def load_checkpoint(path):
         off += n
         return chunk
 
+    def text(n, what):
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: {what} is not UTF-8 ({exc})") from exc
+
     if take(len(MAGIC), "magic") != MAGIC:
         raise CheckpointError(f"{path}: unknown checkpoint magic")
     version, = struct.unpack("<I", take(4, "version"))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     cfg_len, = struct.unpack("<I", take(4, "config length"))
-    config_text = take(cfg_len, "config snapshot").decode("utf-8")
+    config_text = text(cfg_len, "config snapshot")
     n_tensors, = struct.unpack("<I", take(4, "tensor count"))
     tensors = {}
     for _ in range(n_tensors):
         name_len, = struct.unpack("<I", take(4, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        name = text(name_len, "tensor name")
         ndim, = struct.unpack("<I", take(4, "tensor rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
         count = int(np.prod(shape)) if ndim else 1

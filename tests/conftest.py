@@ -32,6 +32,16 @@ episodes = 5
 """
 
 
+def non_utf8_copy(path, field):
+    """The checkpoint's bytes with the first byte of its config snapshot,
+    or of its first tensor name, set to 0xff (never valid UTF-8)."""
+    data = bytearray(path.read_bytes())
+    cfg_at = len(b"DSRM1") + 4 + 4
+    cfg_len = int.from_bytes(data[cfg_at - 4:cfg_at], "little")
+    data[cfg_at if field == "config snapshot" else cfg_at + cfg_len + 8] = 0xFF
+    return bytes(data)
+
+
 def tiny_catalog():
     """4 items: ids 0,1 popular; 2,3 long-tail."""
     rng = np.random.default_rng(0)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from dsrm_hrl.persistence import load_checkpoint, save_checkpoint
 
-from conftest import FAST_CFG
+from conftest import FAST_CFG, non_utf8_copy
 
 
 @pytest.fixture
@@ -86,6 +87,45 @@ def test_corrupt_checkpoint_runtime_error(cfg_file, tmp_path):
     rc = main(["eval", "--config", cfg_file, "--out", str(tmp_path),
                "--ckpt", str(bad)])
     assert rc == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("field", ["config snapshot", "tensor name"])
+def test_non_utf8_checkpoint_runtime_error(cfg_file, tmp_path, capsys, field):
+    """A corrupt checkpoint exits 2 however it is corrupt, including text
+    that does not decode."""
+    out = tmp_path / "run"
+    assert main(["train-dsrm", "--config", cfg_file, "--seed", "3",
+                 "--out", str(out)]) == EXIT_OK
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    dsrm_ckpt, policy_ckpt = out / "dsrm.ckpt", out / "policy_hrl_raw_s3.ckpt"
+    for ckpt in (dsrm_ckpt, policy_ckpt):
+        ckpt.write_bytes(non_utf8_copy(ckpt, field))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "FLAT", "--dsrm-ckpt", str(dsrm_ckpt)]) == EXIT_RUNTIME
+    assert main(["eval", "--out", str(out), "--ckpt", str(policy_ckpt)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.count("runtime fault: ") == 2 and err.count(f"{field} is not UTF-8") == 2
+
+
+def test_k0_config_and_snapshot_validation_error(cfg_file, tmp_path, capsys):
+    """dsrm.k_steps = 0 is rejected in a config file and in a checkpoint's
+    config snapshot; a run without purification is HRL-RAW."""
+    k0 = tmp_path / "k0.cfg"
+    k0.write_text(FAST_CFG.replace("k_steps = 4", "k_steps = 0"))
+    out = tmp_path / "run"
+    assert main(["train-dsrm", "--config", str(k0), "--out", str(out)]) == EXIT_VALIDATION
+    assert not (out / "dsrm.ckpt").exists()
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    ckpt = out / "policy_hrl_raw_s3.ckpt"
+    tensors, cfg_text = load_checkpoint(ckpt)
+    assert "k_steps = 4" in cfg_text
+    save_checkpoint(ckpt, tensors, cfg_text.replace("k_steps = 4", "k_steps = 0"))
+    capsys.readouterr()
+    assert main(["eval", "--out", str(out), "--ckpt", str(ckpt)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count("error: dsrm.k_steps must be >= 1, got 0") == 1
 
 
 def test_train_without_denoiser_validation_error(cfg_file, tmp_path):

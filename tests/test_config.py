@@ -54,7 +54,7 @@ def test_slate_larger_than_catalog_rejected():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("k_steps", -1), ("beta_min", 0.0), ("beta_max", 1.0),
+    ("k_steps", -1), ("k_steps", 0), ("beta_min", 0.0), ("beta_max", 1.0),
     ("lr", -1.0), ("epochs", -1), ("batch", 0), ("n_pairs", 0),
 ])
 def test_dsrm_validation_errors(field, value):
@@ -175,30 +175,36 @@ KEPT_FOR_CHECKS = {
 
 
 def test_every_library_function_is_referenced():
-    """Each top-level function and method in the package is referenced by
-    name somewhere in src/ or scripts/ (dunder methods excepted); one that
-    only tests reach is dead library code unless it is listed above."""
+    """Each top-level function and method in the package is referenced
+    somewhere in src/ or scripts/ (dunder methods excepted): a method by an
+    attribute access (x.name), a function by loading its name or importing
+    it. A local variable of the same name does not count. One that only
+    tests reach is dead library code unless it is listed above."""
     pkg = pathlib.Path(dsrm_hrl.__file__).parent
     paths = [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]
-    referenced, defined = set(), {}
+    names, attrs, defined = set(), set(), {}
     for path in paths:
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
         if path.parent != pkg:
             continue
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            is_class = isinstance(node, ast.ClassDef)
+            members = node.body if is_class else [node]
+            prefix = f"{node.name}." if is_class else ""
             for fn in members:
                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
-                    defined[f"{path.stem}.{prefix}{fn.name}"] = fn.name
+                    defined[f"{path.stem}.{prefix}{fn.name}"] = (
+                        fn.name, attrs if is_class else names)
     assert KEPT_FOR_CHECKS <= defined.keys()
-    unreferenced = sorted(qual for qual, name in defined.items()
-                          if name not in referenced and qual not in KEPT_FOR_CHECKS)
+    unreferenced = sorted(qual for qual, (name, refs) in defined.items()
+                          if name not in refs and qual not in KEPT_FOR_CHECKS)
     assert unreferenced == []
 
 
@@ -250,8 +256,6 @@ def test_only_the_catalog_writes_exposure():
 # call fills with the same literal, kept on purpose.
 KEPT_DEFAULTS = {
     "cli.main:argv",             # tests and perfbench drive the CLI in-process
-    "diffusion.dsrm_loss:eps",   # injected by tests for fixed noise targets
-    "diffusion.dsrm_loss:ks",    # injected by tests for fixed diffusion steps
     "nn.gradient_check:h",       # criterion 1 passes a larger step
     "pipeline.state_dumps:n_states",  # tests shrink the dump
     "pipeline.popularity_reward_regression:n_steps",  # tests shrink the rollout
@@ -450,22 +454,23 @@ def _probes():
                 yield section, f.name, cls(**{f.name: value})
     for slate_k in (9, 10, 11):
         yield "env", "slate_k", EnvConfig(n_items=10, slate_k=slate_k)
-    for k_steps in (0, 1):
-        for key in ("beta_min", "beta_max"):
-            for value in _FLOAT_PROBES:
-                yield "dsrm", key, DsrmConfig(k_steps=k_steps, **{key: value})
-        for low, high in ((0.5, 0.1), (0.1, 0.1), (0.1, 0.5)):
-            yield "dsrm", "beta_min", DsrmConfig(k_steps=k_steps, beta_min=low, beta_max=high)
+    for key in ("beta_min", "beta_max"):
+        for value in _FLOAT_PROBES:
+            yield "dsrm", key, DsrmConfig(k_steps=1, **{key: value})
+    for low, high in ((0.5, 0.1), (0.1, 0.1), (0.1, 0.5)):
+        yield "dsrm", "beta_min", DsrmConfig(k_steps=1, beta_min=low, beta_max=high)
 
 
 def _deliberately_rejected(section, key, cfg):
     """Values the old validators let through and the shared one rejects on
     purpose: non-finite floats (a NaN lr trained NaN weights), a negative
-    env.seed (it failed inside NumPy) and a non-positive hrl.hidden size (it
-    failed when the networks were built)."""
+    env.seed (it failed inside NumPy), a non-positive hrl.hidden size (it
+    failed when the networks were built) and dsrm.k_steps = 0 (no denoiser:
+    a run without purification is HRL-RAW)."""
     value = getattr(cfg, key)
     return ((isinstance(value, float) and not math.isfinite(value))
             or ((section, key) == ("env", "seed") and value < 0)
+            or ((section, key) == ("dsrm", "k_steps") and value == 0)
             or ((section, key) == ("hrl", "hidden") and any(h < 1 for h in value)))
 
 

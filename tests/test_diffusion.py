@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from dsrm_hrl.config import DsrmConfig
+from dsrm_hrl.config import ConfigError, DsrmConfig
 from dsrm_hrl.diffusion import (Denoiser, ScheduleError, collect_pairs,
-                                dsrm_loss, forward_diffuse, make_schedule,
-                                purify, reverse_step, time_embedding,
-                                train_dsrm)
+                                dsrm_input, dsrm_loss, forward_diffuse,
+                                make_schedule, purify, reverse_step,
+                                time_embedding, train_dsrm)
 from dsrm_hrl.diffusion import _state_hash_rng
 from dsrm_hrl.nn import gradient_check
 
@@ -112,7 +112,8 @@ def old_time_embedding(k, k_steps, dim):
 @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
 def test_time_embedding_table_matches_scalar_loop(k_steps, dim):
     """One array call gives the table the per-step loop built, bit for bit
-    (elementwise sin/cos over a 2-d array against one row at a time)."""
+    (elementwise sin/cos over a 2-d array against one row at a time), and
+    a denoiser's table is that table (a denoiser has K >= 1)."""
     loop = np.stack([old_time_embedding(k, k_steps, dim) for k in range(k_steps + 1)])
     table = time_embedding(np.arange(k_steps + 1), k_steps, dim)
     assert table.shape == loop.shape == (k_steps + 1, dim)
@@ -120,9 +121,10 @@ def test_time_embedding_table_matches_scalar_loop(k_steps, dim):
     for k in {0, k_steps // 2, k_steps}:
         assert np.array_equal(time_embedding(k, k_steps, dim),
                               old_time_embedding(k, k_steps, dim))
-    den = Denoiser(DsrmConfig(k_steps=k_steps, hidden=(4,), time_dim=dim), 3,
-                   rng=np.random.default_rng(0))
-    assert np.array_equal(den.temb_table, loop)
+    if k_steps >= 1:
+        den = Denoiser(DsrmConfig(k_steps=k_steps, hidden=(4,), time_dim=dim), 3,
+                       rng=np.random.default_rng(0))
+        assert np.array_equal(den.temb_table, loop)
 
 
 def test_purify_deterministic_repeatable():
@@ -134,13 +136,6 @@ def test_purify_deterministic_repeatable():
     b = purify(x, den)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
-
-
-def test_purify_identity_without_denoiser():
-    x = np.arange(4.0)
-    out = purify(x, None)
-    assert np.array_equal(out, x)
-    assert out is not x  # must be a copy
 
 
 def test_dsrm_loss_zero_network_equals_noise_energy():
@@ -155,7 +150,7 @@ def test_dsrm_loss_zero_network_equals_noise_energy():
     cond = rng.standard_normal((6, 4))
     eps = rng.standard_normal((6, 4))
     ks = np.array([1, 2, 3, 4, 5, 3])
-    loss, _ = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
+    loss, _ = dsrm_loss(den, dsrm_input(den, s0, cond, ks, eps), eps)
     assert loss == pytest.approx(np.mean(np.sum(eps ** 2, axis=1)), rel=1e-12)
 
 
@@ -166,9 +161,9 @@ def test_dsrm_loss_gradients_match_finite_differences():
     s0 = rng.standard_normal((4, 3))
     cond = rng.standard_normal((4, 3))
     eps = rng.standard_normal((4, 3))
-    ks = np.array([1, 2, 3, 4])
+    x = dsrm_input(den, s0, cond, np.array([1, 2, 3, 4]), eps)
     params = den.net.parameters()
-    _, grads = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
+    _, grads = dsrm_loss(den, x, eps)
     h = 1e-6
     worst = 0.0
     for key, p in params.items():
@@ -177,9 +172,9 @@ def test_dsrm_loss_gradients_match_finite_differences():
         for idx in range(0, flat.size, 7):  # probe a subset
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
+            lp, _ = dsrm_loss(den, x, eps)
             flat[idx] = orig - h
-            lm, _ = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
+            lm, _ = dsrm_loss(den, x, eps)
             flat[idx] = orig
             num = (lp - lm) / (2 * h)
             denom = max(abs(num), abs(gflat[idx]), 1e-8)
@@ -212,12 +207,15 @@ def test_train_dsrm_zero_lr_constant_curve():
     assert curve[0] == pytest.approx(curve[1]) == pytest.approx(curve[2])
 
 
-def test_train_dsrm_k0_disables_module():
-    rng = np.random.default_rng(10)
-    clean = rng.standard_normal((100, 4))
+def test_train_dsrm_k0_rejected():
+    """K = 0 is no denoiser: the config rejects it, and a denoiser is not
+    built on it. Running without purification is Agent(denoiser=None)."""
+    with pytest.raises(ConfigError, match=r"^dsrm\.k_steps must be >= 1, got 0$"):
+        DsrmConfig(k_steps=0).validate()
+    clean = np.random.default_rng(10).standard_normal((100, 4))
     cfg = DsrmConfig(k_steps=0, n_pairs=100, min_pairs=64)
-    den, curve = train_dsrm(clean, clean.copy(), cfg, seed=0)
-    assert den.schedule is None and curve == []
+    with pytest.raises(ScheduleError):
+        train_dsrm(clean, clean.copy(), cfg, seed=0)
 
 
 def test_train_dsrm_too_few_pairs_rejected():
@@ -298,7 +296,7 @@ def _ref_dsrm_loss(den, s0, cond, sched, eps, ks):
         pred, cache = den.net.forward(np.concatenate([s_k, temb, cond[sel]], axis=1))
         resid = pred - eps[sel]
         total += float(np.sum(resid * resid))
-        gk, _ = den.net.backward(cache, 2.0 * resid / b)
+        gk = den.net.backward(cache, 2.0 * resid / b)
         for key in grads:
             grads[key] += gk[key]
     return total / b, grads
@@ -386,7 +384,7 @@ def test_dsrm_loss_matches_per_step_reference(ks):
     s0 = rng.standard_normal((b, 4))
     cond = rng.standard_normal((b, 4))
     eps = rng.standard_normal((b, 4))
-    loss, grads = dsrm_loss(den, s0, cond, None, eps=eps, ks=ks)
+    loss, grads = dsrm_loss(den, dsrm_input(den, s0, cond, ks, eps), eps)
     ref_loss, ref_grads = _ref_dsrm_loss(den, s0, cond, sched, eps, ks)
     assert abs(loss - ref_loss) <= TOL
     assert grads.keys() == ref_grads.keys()
@@ -400,20 +398,29 @@ def test_dsrm_loss_rejects_out_of_range_steps():
     z = np.zeros((2, 3))
     for ks in (np.array([0, 1]), np.array([1, 5])):
         with pytest.raises(IndexError):
-            dsrm_loss(den, z, z, None, eps=z, ks=ks)
+            dsrm_input(den, z, z, ks, z)
 
 
 def test_dsrm_loss_draw_order_unchanged():
-    """ks are drawn before eps from the same rng, as train_dsrm's fixed
-    per-epoch targets rely on."""
-    den = _random_denoiser(3, 6, (6,), seed=7, betas=(0.05, 0.2))
+    """train_dsrm draws from default_rng([seed, 0x5eed]) the permutation,
+    then for each minibatch its ks before its eps. With lr = 0 the weights
+    stay put, so the one epoch's loss is the mean per-step reference loss
+    over minibatches drawn in that order."""
+    n, d, batch, seed = 130, 3, 64, 13
+    rng = np.random.default_rng(seed)
+    clean = rng.standard_normal((n, d))
+    noisy = clean + 0.3 * rng.standard_normal((n, d))
+    cfg = DsrmConfig(k_steps=6, beta_min=0.05, beta_max=0.2, hidden=(6,), time_dim=4,
+                     epochs=1, batch=batch, lr=0.0, n_pairs=n, min_pairs=64)
+    den, curve = train_dsrm(clean, noisy, cfg, seed=seed)
     sched = make_schedule(6, 0.05, 0.2)
-    rng = np.random.default_rng(13)
-    s0 = rng.standard_normal((5, 3))
-    cond = rng.standard_normal((5, 3))
-    loss, _ = dsrm_loss(den, s0, cond, np.random.default_rng(14))
-    draws = np.random.default_rng(14)
-    ks = draws.integers(1, 7, size=5)
-    eps = draws.standard_normal((5, 3))
-    ref_loss, _ = _ref_dsrm_loss(den, s0, cond, sched, eps, ks)
-    assert abs(loss - ref_loss) <= TOL
+    draws = np.random.default_rng([seed, 0x5eed])
+    order = draws.permutation(n)
+    ref = []
+    for start in range(0, n, batch):
+        idx = order[start:start + batch]
+        ks = draws.integers(1, 7, size=len(idx))
+        eps = draws.standard_normal((len(idx), d))
+        ref.append(_ref_dsrm_loss(den, clean[idx], noisy[idx], sched, eps, ks)[0])
+    assert len(ref) == 3  # the last minibatch is short
+    assert abs(curve[0] - np.mean(ref)) <= TOL

@@ -129,7 +129,8 @@ def test_invalid_slates_rejected():
 def test_rejected_slate_changes_nothing(slate):
     env = RecEnv(small_cfg())
     env.reset(0)
-    env.step(env.random_slate())
+    _, _, done = env.step(env.random_slate())
+    assert not done
     exposure = env.catalog.exposure.copy()
     history = list(env._user.history)
     step, satisfaction = env._step, env._user.satisfaction
@@ -137,8 +138,7 @@ def test_rejected_slate_changes_nothing(slate):
         env.step(slate)
     assert np.array_equal(env.catalog.exposure, exposure)
     assert env._user.history == history
-    assert (env._step, env._user.satisfaction) == (step, satisfaction)
-    assert not env.done
+    assert (env._step, env._user.satisfaction, env._done) == (step, satisfaction, done)
 
 
 def test_abandonment_share_matches_mean_of_groups():
@@ -164,9 +164,9 @@ def test_history_window_cap():
     env = RecEnv(cfg)
     env.reset(3)
     for _ in range(6):
-        if env.done:
+        _, _, done = env.step(env.random_slate())
+        if done:
             break
-        env.step(env.random_slate())
     assert len(env._user.history) <= 4
 
 
@@ -174,9 +174,9 @@ def test_episode_terminates_at_max_len():
     cfg = small_cfg(max_len=5, threshold_a=1.0)  # abandonment can't fire
     env = RecEnv(cfg)
     env.reset(0)
-    steps = 0
-    while not env.done:
-        env.step(env.random_slate())
+    steps, done = 0, False
+    while not done:
+        _, _, done = env.step(env.random_slate())
         steps += 1
     assert steps == 5
     assert not env.abandoned
@@ -188,12 +188,14 @@ def test_reset_clears_abandoned_flag():
     assert not env.abandoned
     env.reset(0)
     popular = env.catalog.popular_ids()[:3]
-    while not env.done:
-        env.step(popular)
+    done = False
+    while not done:
+        _, _, done = env.step(popular)
     assert env.abandoned
     env.reset(1)
-    assert not env.done
     assert not env.abandoned
+    _, _, done = env.step(env.random_slate())  # a finished session would raise
+    assert not done and not env.abandoned
 
 
 def test_encode_cold_start_is_prior():
@@ -250,9 +252,9 @@ def test_full_episode_determinism():
     for _ in range(2):
         env = RecEnv(small_cfg(seed=9))
         env.reset(17)
-        rs = []
-        while not env.done:
-            r, obs, _ = env.step(env.random_slate())
+        rs, done = [], False
+        while not done:
+            r, obs, done = env.step(env.random_slate())
             rs.append((r.copy(), obs.copy()))
         results.append(rs)
     assert len(results[0]) == len(results[1])

@@ -62,11 +62,11 @@ def test_batch_gradient_matches_sum_of_singles():
     xs = rng.standard_normal((5, 4))
     dys = rng.standard_normal((5, 2))
     _, cache = mlp.forward(xs)
-    batch_grads, _ = mlp.backward(cache, dys)
+    batch_grads = mlp.backward(cache, dys)
     summed = {k: np.zeros_like(v) for k, v in batch_grads.items()}
     for x, dy in zip(xs, dys):
         _, c = mlp.forward(x)
-        g, _ = mlp.backward(c, dy)
+        g = mlp.backward(c, dy)
         for k in summed:
             summed[k] += g[k]
     for k in summed:

@@ -10,6 +10,8 @@ from dsrm_hrl.persistence import (CheckpointError, checkpoint_param_hash,
                                   load_checkpoint, save_checkpoint, write_csv,
                                   write_embedding_dump, write_results)
 
+from conftest import non_utf8_copy
+
 
 def sample_tensors():
     rng = np.random.default_rng(0)
@@ -65,6 +67,15 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     data[0] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["config snapshot", "tensor name"])
+def test_checkpoint_non_utf8_text_rejected(tmp_path, field):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, sample_tensors(), "[env]\nseed = 3\n")
+    path.write_bytes(non_utf8_copy(path, field))
+    with pytest.raises(CheckpointError, match=f"{field} is not UTF-8"):
         load_checkpoint(path)
 
 

@@ -193,12 +193,12 @@ def test_random_rollout_matches_old_step(catalog):
         seed = int(rng.integers(0, 2**31 - 1))
         assert np.array_equal(env.reset(seed), ref.reset(seed))
         assert np.array_equal(env.clean_state(), ref.clean_state())
-        while not env.done:
+        done = False
+        while not done:
             slate = env.random_slate()
             assert np.array_equal(slate, ref.random_slate())
-            env.step(slate)
-            ref.step(slate)
-        assert ref.done
+            done = env.step(slate)[2]
+            assert ref.step(slate)[2] == done
     assert_logs_equal(log, ref_log)
 
 

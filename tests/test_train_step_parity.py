@@ -188,12 +188,11 @@ def test_forward_and_backward_match_old_on_single_vectors(sizes):
             assert y.shape == ref_y.shape and np.array_equal(y, ref_y)
             assert_caches_equal(cache, ref_cache)
             dy = rng.standard_normal(sizes[-1])
-            grads, dx = mlp.backward(cache, dy)
-            ref_grads, ref_dx = old_backward(mlp, ref_cache, dy)
+            grads = mlp.backward(cache, dy)
+            ref_grads, _ = old_backward(mlp, ref_cache, dy)
             assert grads.keys() == ref_grads.keys()
             for k in grads:
                 assert np.array_equal(grads[k], ref_grads[k]), k
-            assert dx.shape == ref_dx.shape and np.array_equal(dx, ref_dx)
 
 
 @pytest.mark.parametrize("sizes", NETS)
@@ -209,11 +208,11 @@ def test_forward_and_backward_match_old_on_batches(sizes, batch):
         assert_caches_equal(cache, ref_cache)
         dy = rng.standard_normal((batch, sizes[-1]))
         dy_before = dy.copy()
-        grads, dx = mlp.backward(cache, dy)
-        ref_grads, ref_dx = old_backward(mlp, ref_cache, dy)
+        grads = mlp.backward(cache, dy)
+        ref_grads, _ = old_backward(mlp, ref_cache, dy)
+        assert grads.keys() == ref_grads.keys()
         for k in ref_grads:
             assert np.array_equal(grads[k], ref_grads[k]), k
-        assert np.array_equal(dx, ref_dx)
         assert np.array_equal(dy, dy_before)  # the caller's dy is not written
 
 
