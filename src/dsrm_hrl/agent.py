@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .config import EVAL_SEED_OFFSET, HrlConfig
-from .diffusion import Denoiser, purify
+from .diffusion import Denoiser, ReverseChain, purify
 from .env import RecEnv, SessionOutcome
 from .metrics import EpisodeGini, gini  # noqa: F401 (gini: patched by name in perfbench and tests)
 from .nn import Adam, Mlp
@@ -21,11 +21,6 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 def softplus(x):
     return np.logaddexp(0.0, x)
-
-
-def log_sigmoid(x):
-    # log of d softplus / dx
-    return -softplus(-x)
 
 
 class ManagerPolicy:
@@ -47,23 +42,19 @@ class ManagerPolicy:
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None,
             greedy: bool = False):
-        """Returns (omega, log_prob, u): the pre-squash sample u and the
-        weight pair omega = softplus(u) = (accuracy, fairness). Greedy
-        (evaluation) acting skips the density: its log_prob is the
-        placeholder 0.0, as for FLAT's fixed weights."""
+        """Returns (omega, mean, u): the Gaussian mean, the pre-squash sample
+        u (the mean when greedy) and the weights omega = softplus(u) =
+        (accuracy, fairness); u's log-prob is _log_density(mean, u)."""
         mean, _ = self.net.forward(state)
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise FloatingPointError("manager policy produced non-finite output")
         if greedy:
             u = mean.copy()
-            lp = 0.0
         else:
             if rng is None:
                 raise ValueError("sampling requires an rng")
-            log_std = self._clamped_log_std()
-            u = mean + np.exp(log_std) * rng.standard_normal(2)
-            lp = float(self._log_density(mean, u))
-        return softplus(u), lp, u
+            u = mean + np.exp(self._clamped_log_std()) * rng.standard_normal(2)
+        return softplus(u), mean, u
 
     def _log_density(self, mean: np.ndarray, u: np.ndarray):
         """log_prob given the Gaussian mean(s) instead of the state. Sums over
@@ -71,13 +62,12 @@ class ManagerPolicy:
         log_std = self._clamped_log_std()
         var = np.exp(2 * log_std)
         gauss = -0.5 * np.sum((u - mean) ** 2 / var + 2 * log_std + _LOG_2PI, axis=-1)
-        return gauss - np.sum(log_sigmoid(u), axis=-1)
+        return gauss + np.sum(softplus(-u), axis=-1)  # log d softplus/du = -softplus(-u)
 
     def log_prob(self, state: np.ndarray, u: np.ndarray) -> float:
         """Density of the squashed action evaluated at pre-squash point u:
         Gaussian log-density minus the log-Jacobian of the softplus."""
-        mean, _ = self.net.forward(state)
-        return float(self._log_density(mean, u))
+        return float(self._log_density(self.net.forward(state)[0], u))
 
     def log_prob_batch(self, states: np.ndarray, us: np.ndarray):
         """Batched log-probs plus the forward cache needed for backprop."""
@@ -93,9 +83,9 @@ class ValueNet:
     def __init__(self, d: int, hidden=(64, 64), rng=None):
         self.net = Mlp([d, *hidden, 1], rng=rng)
 
-    def value(self, state: np.ndarray) -> float:
-        y, _ = self.net.forward(state)
-        return float(y[0])
+    def value(self, states: np.ndarray) -> np.ndarray:
+        """Values of states (B, d), each bit for bit its single-state forward's."""
+        return self.net.forward_rows(states)[:, 0]
 
 
 def score_items(state_vec: np.ndarray, omega: np.ndarray, catalog) -> np.ndarray:
@@ -107,7 +97,7 @@ def score_items(state_vec: np.ndarray, omega: np.ndarray, catalog) -> np.ndarray
     else:
         sim = catalog.embeddings @ (state_vec / norm)
     scores = omega[0] * sim - omega[1] * catalog.log1p_exposure
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise FloatingPointError("non-finite item scores")
     return scores
 
@@ -119,7 +109,7 @@ def select_slate(scores: np.ndarray, k: int) -> np.ndarray:
     n = len(scores)
     if not 0 <= k <= n:
         raise ValueError(f"slate size {k} outside [0, catalog size {n}]")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("non-finite item scores")
     neg = -scores
     kth = np.partition(neg, k - 1)[k - 1]
@@ -219,7 +209,7 @@ class Agent:
 
     def __init__(self, cfg: HrlConfig, d: int, denoiser: Denoiser | None = None, seed: int = 0):
         self.cfg = cfg
-        self.denoiser = denoiser
+        self.chain = None if denoiser is None else ReverseChain(denoiser)
         rng = np.random.default_rng([seed, 1])
         self.policy = ManagerPolicy(d, hidden=tuple(cfg.hidden), rng=rng)
         self.value_net = ValueNet(d, hidden=tuple(cfg.hidden), rng=rng)
@@ -229,32 +219,32 @@ class Agent:
     def policy_state(self, observed_vec: np.ndarray) -> np.ndarray:
         """The purified state when the agent holds a denoiser, else the raw
         one (HRL-RAW is never given a denoiser)."""
-        if self.denoiser is None:
+        if self.chain is None:
             return np.asarray(observed_vec, dtype=np.float64)
-        return purify(observed_vec, self.denoiser)
+        return purify(observed_vec, self.chain)
 
     def run_episode(self, env: RecEnv, session_seed: int, rng, train: bool):
         """One session. The manager acts every manager_interval steps and
         its action is held in between (FLAT always uses the fixed weights).
         Training samples actions and returns (outcome, record), where the
         PPO record is the arrays (states, pre-squash actions, log-probs,
-        shaped rewards, values); evaluation acts greedily, does inference
-        only and returns (outcome, None)."""
+        shaped rewards, values), the last two computed after the episode;
+        evaluation acts greedily, does inference only and returns (outcome, None)."""
         obs = env.reset(session_seed)
         flat = self.cfg.variant == "FLAT"
         if flat:
             omega = np.array([self.cfg.flat_omega_acc, self.cfg.flat_omega_fair])
-            lp, u = 0.0, np.zeros(2)
+            mean = u = np.zeros(2)
         if train:
             episode_gini = EpisodeGini(env.catalog.n_items)
-            states, us, lps, shaped, values = [], [], [], [], []
+            states, means, us, shaped = [], [], [], []
         rewards_log, slates_log = [], []
         done = False
         step = 0
         while not done:
             state = self.policy_state(obs)
             if not flat and step % self.cfg.manager_interval == 0:
-                omega, lp, u = self.policy.act(state, rng=rng, greedy=not train)
+                omega, mean, u = self.policy.act(state, rng=rng, greedy=not train)
             scores = score_items(state, omega, env.catalog)
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
@@ -263,10 +253,9 @@ class Agent:
             if train:
                 episode_gini.serve(ids)
                 states.append(state)
+                means.append(mean)
                 us.append(u)
-                lps.append(lp)
                 shaped.append(shaped_reward(r_t, episode_gini.value(), self.cfg.lambda_fair))
-                values.append(self.value_net.value(state))
             rewards_log.append(r_t)
             slates_log.append(ids)
             step += 1
@@ -275,7 +264,9 @@ class Agent:
                                  terminated_by_abandonment=env.abandoned)
         if not train:
             return outcome, None
-        return outcome, tuple(np.array(x) for x in (states, us, lps, shaped, values))
+        states, us = np.array(states), np.array(us)
+        lps = np.zeros(step) if flat else self.policy._log_density(np.array(means), us)
+        return outcome, (states, us, lps, np.array(shaped), self.value_net.value(states))
 
 
 def train(env: RecEnv, agent: Agent) -> list[dict]:

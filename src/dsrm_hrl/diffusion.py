@@ -58,12 +58,14 @@ def make_schedule(k_steps: int, beta_min: float, beta_max: float) -> DiffusionSc
                              eps_coef=(1.0 - alpha) / np.sqrt(1.0 - alpha_bar))
 
 
-def forward_diffuse(s0: np.ndarray, k: int, eps: np.ndarray,
+def forward_diffuse(s0: np.ndarray, k, eps: np.ndarray,
                     schedule: DiffusionSchedule) -> np.ndarray:
-    """Closed-form marginal sample at step k: sqrt(abar_k) s0 + sqrt(1-abar_k) eps."""
-    if not 1 <= k <= schedule.k_steps:
-        raise IndexError(f"diffusion step {k} out of range [1, {schedule.k_steps}]")
-    ab = schedule.alpha_bar[k - 1]
+    """Closed-form marginal sample at step k, sqrt(abar_k) s0 + sqrt(1-abar_k)
+    eps, for one step k or for an array of steps, one per row of s0."""
+    k = np.asarray(k)
+    if k.min() < 1 or k.max() > schedule.k_steps:
+        raise IndexError(f"diffusion steps out of range [1, {schedule.k_steps}]")
+    ab = schedule.alpha_bar[k - 1][..., None]
     return np.sqrt(ab) * s0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -71,7 +73,7 @@ def time_embedding(ks, k_steps: int, dim: int) -> np.ndarray:
     """Sinusoidal embedding of the (normalized) diffusion step; one row per
     step for an array of steps."""
     half = dim // 2
-    t = np.asarray(ks) / max(k_steps, 1)
+    t = np.asarray(ks) / k_steps
     freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
     ang = t[..., None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
@@ -86,10 +88,10 @@ class Denoiser:
         self.d = d
         self.time_dim = cfg.time_dim
         self.net = Mlp([2 * d + cfg.time_dim, *cfg.hidden, d], rng=rng)
+        self.schedule = make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
         # Row k holds the embedding of step k (row 0 is unused by the chain).
         self.temb_table = time_embedding(np.arange(cfg.k_steps + 1), cfg.k_steps,
                                          cfg.time_dim)
-        self.schedule = make_schedule(cfg.k_steps, cfg.beta_min, cfg.beta_max)
 
     def predict(self, s_k, k: int, cond):
         """Predicted noise for one state at step k."""
@@ -97,16 +99,6 @@ class Denoiser:
                             np.asarray(cond, dtype=np.float64)])
         y, _ = self.net.forward(x)
         return y
-
-    def first_layer_bias(self, cond: np.ndarray) -> np.ndarray:
-        """(k_steps+1, H) table of the first layer's state-independent part,
-        W0_t @ temb_k + W0_c @ cond + b0, so that step k's first
-        pre-activation is W0_s @ s_k + table[k]. Built from the current
-        weights on every call, since training updates them in place."""
-        w0 = self.net.weights[0]
-        d, t = self.d, self.time_dim
-        return (self.temb_table @ w0[:, d:d + t].T
-                + (w0[:, d + t:] @ cond + self.net.biases[0]))
 
 
 def reverse_step(s_k: np.ndarray, k: int, cond: np.ndarray, denoiser: Denoiser,
@@ -126,39 +118,49 @@ def _state_hash_rng(vec: np.ndarray) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def purify(observed_vec: np.ndarray, denoiser: Denoiser) -> np.ndarray:
-    """Run the full reverse chain conditioned on the observation.
+class ReverseChain:
+    """purify's constants for one frozen denoiser, from a copy of its weights,
+    so an in-place update (stage I's Adam) can leave it neither half stale
+    nor changed. Step k's first pre-activation is W0_s @ s_k + time_part[K-k]
+    + (W0_c @ cond + b0). Coefficients are 0-d arrays, which ufuncs take
+    faster than Python floats."""
 
-    The chain starts from the observation diffused to step K, with start
-    noise derived from a hash of the observation, and adds no noise on the
-    way back (z=0), so repeated calls are bit-identical. Each step is
-    reverse_step with the denoiser's first layer split: the conditioning and
-    time-embedding parts are one table per call.
+    def __init__(self, denoiser: Denoiser):
+        d, t, schedule = denoiser.d, denoiser.time_dim, denoiser.schedule
+        weights, biases = ([p.copy() for p in ps]
+                           for ps in (denoiser.net.weights, denoiser.net.biases))
+        w0 = weights[0]
+        self.time_part = np.ascontiguousarray(
+            (denoiser.temb_table @ w0[:, d:d + t].T)[:0:-1])
+        self.w0_c, self.b0 = w0[:, d + t:], biases[0]
+        ab = schedule.alpha_bar[-1]
+        self.sqrt_ab, self.sqrt_1m_ab = np.array(np.sqrt(ab)), np.array(np.sqrt(1.0 - ab))
+        self.coefs = [(np.array(a), np.array(c)) for a, c in
+                      zip(schedule.inv_sqrt_alpha[::-1], schedule.eps_coef[::-1])]
+        # Bound ndarray.dot skips np.dot's Python-level dispatch. Its out must
+        # not alias its inputs, so each layer has its own scratch buffer.
+        self.h0 = np.empty(w0.shape[0])
+        self.dot0 = np.ascontiguousarray(w0[:, :d]).dot
+        self.later = [(w.dot, b, np.empty(w.shape[0]))
+                      for w, b in zip(weights[1:], biases[1:])]
 
-    The chain is a handful of NumPy calls per layer per step, each writing
-    into a buffer allocated once per call, in the op order of
-    s = inv_sqrt_alpha * (s - eps_coef * net(s)). Nothing derived from the
-    weights outlives the call, since stage I updates them in place.
-    """
+
+def purify(observed_vec: np.ndarray, denoiser: ReverseChain | Denoiser) -> np.ndarray:
+    """Run the full reverse chain of a ReverseChain, or of a Denoiser's
+    current weights, conditioned on the observation. It starts from the
+    observation diffused to step K with start noise hashed from it, and adds
+    no noise on the way back (z=0), so repeated calls are bit-identical. Each
+    step is reverse_step as ~11 NumPy calls writing into buffers, in the op
+    order of s = inv_sqrt_alpha * (s - eps_coef * net(s))."""
+    chain = denoiser if isinstance(denoiser, ReverseChain) else ReverseChain(denoiser)
     vec = np.asarray(observed_vec, dtype=np.float64)
-    schedule = denoiser.schedule
     eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = forward_diffuse(vec, schedule.k_steps, eps, schedule)  # a fresh array, updated in place
-    net = denoiser.net
-    bias0 = denoiser.first_layer_bias(vec)
-    # Bound ndarray.dot: the same product as np.dot, without np.dot's
-    # Python-level dispatch. Its out must not alias its inputs, so each
-    # layer writes its own buffer.
-    bufs = [np.empty(w.shape[0]) for w in net.weights]
-    h0 = bufs[0]
-    dot0 = np.ascontiguousarray(net.weights[0][:, :denoiser.d]).dot
-    later = [(w.dot, b, out)
-             for w, b, out in zip(net.weights[1:], net.biases[1:], bufs[1:])]
+    s = chain.sqrt_ab * vec + chain.sqrt_1m_ab * eps  # a fresh array, updated in place
+    table = chain.time_part + (chain.w0_c @ vec + chain.b0)
+    h0, dot0, later = chain.h0, chain.dot0, chain.later
     # Looked up once: K steps make about 11 calls each.
     add, multiply, subtract, tanh = np.add, np.multiply, np.subtract, np.tanh
-    for b0, inv_sqrt_alpha, eps_coef in zip(bias0[:0:-1],
-                                            schedule.inv_sqrt_alpha[::-1].tolist(),
-                                            schedule.eps_coef[::-1].tolist()):
+    for b0, (inv_sqrt_alpha, eps_coef) in zip(table, chain.coefs):
         dot0(s, h0)
         add(h0, b0, h0)
         h = h0
@@ -170,7 +172,7 @@ def purify(observed_vec: np.ndarray, denoiser: Denoiser) -> np.ndarray:
         multiply(h, eps_coef, h)
         subtract(s, h, s)
         multiply(s, inv_sqrt_alpha, s)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise FloatingPointError("purification produced non-finite values")
     return s
 
@@ -180,11 +182,7 @@ def dsrm_input(denoiser: Denoiser, s0_batch: np.ndarray, cond_batch: np.ndarray,
     """The denoiser's input for a batch, concat(s_k, time embedding of k,
     cond), where row i is s0_batch[i] diffused to its own step ks[i] with
     noise eps[i]."""
-    schedule = denoiser.schedule
-    if ks.min() < 1 or ks.max() > schedule.k_steps:
-        raise IndexError(f"diffusion steps out of range [1, {schedule.k_steps}]")
-    ab = schedule.alpha_bar[ks - 1][:, None]
-    s_k = np.sqrt(ab) * s0_batch + np.sqrt(1.0 - ab) * eps
+    s_k = forward_diffuse(s0_batch, ks, eps, denoiser.schedule)
     return np.concatenate([s_k, denoiser.temb_table[ks], cond_batch], axis=1)
 
 

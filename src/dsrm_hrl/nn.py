@@ -80,6 +80,17 @@ class Mlp:
             acts = [a[None, :] for a in acts]
         return h, {"acts": acts, "single": single}
 
+    def forward_rows(self, x):
+        """Outputs for a batch (B, n_in), each row bit for bit forward's for
+        that row: one matrix-vector product per row (x @ W.T sums otherwise)."""
+        h = np.asarray(x, dtype=np.float64)[:, :, None]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = np.matmul(w, h)
+            h += b[:, None]
+            if i != self.n_layers - 1:
+                np.tanh(h, h)
+        return h[:, :, 0]
+
     def backward(self, cache, dy):
         """Gradients of a scalar loss given dL/dy: parameter names mapped to
         arrays of matching shape."""
@@ -118,7 +129,7 @@ class Adam:
             g = grads[key]
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape mismatch for {key}")
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 self.skipped += 1
                 continue
             # In place: ((1 - b2) * g) * g, (lr * m_hat) / (sqrt(v_hat) + eps).

@@ -14,7 +14,7 @@ import numpy as np
 
 from .agent import Agent, evaluate, train
 from .config import EVAL_SEED_OFFSET, RunConfig, render_config
-from .diffusion import Denoiser, collect_pairs, purify, train_dsrm
+from .diffusion import Denoiser, ReverseChain, collect_pairs, purify, train_dsrm
 from .env import RecEnv, random_rollout
 from .metrics import MetricsReport, session_stats
 from .persistence import (CheckpointError, checkpoint_param_hash,
@@ -238,11 +238,11 @@ def purification_gain(cfg: RunConfig, dsrm_ckpt):
 def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500):
     """Raw and purified state embeddings with label columns (popularity
     decile and group of the nearest catalog item) for external plotting."""
-    denoiser, _ = load_denoiser(dsrm_ckpt)
+    chain = ReverseChain(load_denoiser(dsrm_ckpt)[0])
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 30])
     raw_states = np.array([obs for _, _, obs in random_rollout(env, rng, n_states)])
-    pur_states = np.array([purify(v, denoiser) for v in raw_states])
+    pur_states = np.array([purify(v, chain) for v in raw_states])
     # Label each state by its nearest catalog item.
     pop_rank = np.argsort(np.argsort(-env.catalog.initial_popularity))
     deciles = (10 * pop_rank / env.catalog.n_items).astype(int)

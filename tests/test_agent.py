@@ -40,11 +40,10 @@ def test_greedy_action_is_squashed_mean():
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(0))
     state = np.random.default_rng(1).standard_normal(4)
     mean, _ = policy.net.forward(state)
-    omega, lp, u = policy.act(state, greedy=True)
-    assert np.array_equal(u, mean)
+    omega, act_mean, u = policy.act(state, greedy=True)
+    assert np.array_equal(u, mean) and np.array_equal(act_mean, mean)
     assert omega[0] == pytest.approx(softplus(mean)[0])
     assert omega[1] == pytest.approx(softplus(mean)[1])
-    assert np.isfinite(lp)
 
 
 def test_sampling_requires_rng():
@@ -84,9 +83,9 @@ def test_log_prob_batch_matches_single():
 
 
 def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
-    """act reuses its own forward for the log-prob; sampled, the value must
-    equal a separate log_prob call at the sampled point, bit for bit.
-    Greedy (evaluation) acting computes no density and returns 0.0."""
+    """act makes one forward and computes no density; the density of the
+    mean it returns, at the sampled point, equals a separate log_prob call
+    there, bit for bit. Greedy (evaluation) acting returns the mean as u."""
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(7))
     policy.log_std[:] = [-0.4, 0.3]
     state = np.random.default_rng(8).standard_normal(4)
@@ -101,12 +100,29 @@ def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
     for greedy, rng in ((True, None), (False, np.random.default_rng(9))):
         calls.clear()
         densities.clear()
-        _, lp, u = policy.act(state, rng=rng, greedy=greedy)
-        assert len(calls) == 1
+        _, mean, u = policy.act(state, rng=rng, greedy=greedy)
+        assert len(calls) == 1 and not densities
+        assert np.array_equal(mean, forward(state)[0])
         if greedy:
-            assert lp == 0.0 and not densities
+            assert np.array_equal(u, mean)
         else:
-            assert lp == policy.log_prob(state, u)
+            assert log_density(mean, u) == policy.log_prob(state, u)
+
+
+@pytest.mark.parametrize("log_std", [(-0.4, 0.3), (-7.0, 3.0), (0.0, 0.0)])
+def test_episode_log_density_matches_per_step_log_prob(log_std):
+    """The per-episode call _log_density(means, us) on the stored means and
+    pre-squash actions gives, row by row, the per-step log_prob of each
+    state at its action, bit for bit (clamped log-std included)."""
+    policy = ManagerPolicy(6, hidden=(16, 16), rng=np.random.default_rng(2))
+    policy.log_std[:] = log_std
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((40, 6)) * np.logspace(-3, 3, 40)[:, None]
+    means = np.array([policy.act(s, rng=rng)[1] for s in states])
+    us = means + rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-3, 1, (40, 1))
+    lps = policy._log_density(means, us)
+    assert lps.shape == (40,)
+    assert all(lps[i] == policy.log_prob(states[i], us[i]) for i in range(40))
 
 
 def test_log_std_clamped():
@@ -314,7 +330,8 @@ def reference_episode(agent, env, session_seed, rng, train):
             return action, 0.0, np.zeros(2), held
         if held is not None and step % agent.cfg.manager_interval != 0:
             return held[0], held[1], held[2], held
-        action, lp, u = agent.policy.act(state, rng=rng, greedy=not train)
+        action, _, u = agent.policy.act(state, rng=rng, greedy=not train)
+        lp = agent.policy.log_prob(state, u)
         return action, lp, u, (action, lp, u)
 
     obs = env.reset(session_seed)
@@ -338,7 +355,7 @@ def reference_episode(agent, env, session_seed, rng, train):
         traj.log_probs.append(lp)
         traj.shaped_rewards.append(
             shaped_reward(r_t, gini(episode_exposure), agent.cfg.lambda_fair))
-        traj.values.append(agent.value_net.value(state))
+        traj.values.append(float(agent.value_net.net.forward(state)[0][0]))
         traj.dones.append(done)
         rewards_log.append(r_t)
         slates_log.append(slate.tolist())
@@ -351,23 +368,25 @@ def reference_episode(agent, env, session_seed, rng, train):
 def test_run_episode_matches_full_bookkeeping_loop(variant, mode):
     """Consecutive sessions on one shared catalog, so exposure carries over
     between them: every outcome field, the train record and the final
-    catalog exposure must equal the oracle loop's."""
+    catalog exposure must equal the oracle loop's, with the manager acting
+    every step and every third step."""
     env_cfg = small_env_cfg(n_items=300, slate_k=10, max_len=12)
-    env, ref_env = RecEnv(env_cfg), RecEnv(env_cfg)
-    _, agent = make_agent(variant, manager_interval=3)
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     train = mode == "train"
-    for i in range(6):
-        outcome, record = agent.run_episode(env, 500 + i, rng, train=train)
-        ref_outcome, ref_traj = reference_episode(agent, ref_env, 500 + i,
-                                                  ref_rng, train)
-        assert astuple(outcome) == astuple(ref_outcome)
-        if train:
-            for name, array in zip(RECORD_FIELDS, record):
-                assert np.array_equal(array, getattr(ref_traj, name)), name
-        else:
-            assert record is None
-    assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
+    for interval in (1, 3):
+        env, ref_env = RecEnv(env_cfg), RecEnv(env_cfg)
+        _, agent = make_agent(variant, manager_interval=interval)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for i in range(6):
+            outcome, record = agent.run_episode(env, 500 + i, rng, train=train)
+            ref_outcome, ref_traj = reference_episode(agent, ref_env, 500 + i,
+                                                      ref_rng, train)
+            assert astuple(outcome) == astuple(ref_outcome)
+            if train:
+                for name, array in zip(RECORD_FIELDS, record):
+                    assert np.array_equal(array, getattr(ref_traj, name)), name
+            else:
+                assert record is None
+        assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
 
 
 def test_eval_episode_is_inference_only(monkeypatch):
@@ -414,6 +433,36 @@ def test_training_step_is_o_k_at_catalog_scale(monkeypatch):
     outcome, record = agent.run_episode(env, 7, np.random.default_rng(7), train=True)
     assert outcome.length > 1
     assert len(record[3]) == outcome.length
+
+
+@pytest.mark.parametrize("variant", ["DSRM-HRL", "FLAT"])
+def test_training_episode_keeps_ppo_bookkeeping_off_the_step(monkeypatch, variant):
+    """A training step makes no value forward and no log-density: the
+    episode's values are one batched value call and its log-probs one
+    _log_density call on all its stored means (none for FLAT's fixed
+    weights)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-step PPO bookkeeping")
+
+    _, agent = make_agent(variant, manager_interval=2)
+    monkeypatch.setattr(agent.value_net.net, "forward", forbidden)
+    monkeypatch.setattr(ManagerPolicy, "log_prob", forbidden)
+    calls = {"value": [], "density": []}
+    value, log_density = ValueNet.value, ManagerPolicy._log_density
+    monkeypatch.setattr(ValueNet, "value", lambda self, states: calls["value"].append(
+        len(states)) or value(self, states))
+    monkeypatch.setattr(ManagerPolicy, "_log_density", lambda self, means, us: calls[
+        "density"].append(np.shape(means)) or log_density(self, means, us))
+    env = RecEnv(small_env_cfg())
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        calls["value"].clear()
+        calls["density"].clear()
+        outcome, record = agent.run_episode(env, 60 + i, rng, train=True)
+        assert outcome.length > 1
+        assert calls["value"] == [outcome.length]
+        assert calls["density"] == ([] if variant == "FLAT" else [(outcome.length, 2)])
+        assert len(record[2]) == len(record[4]) == outcome.length
 
 
 def test_flat_without_denoiser_uses_raw_state():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dsrm_hrl.config import ConfigError, DsrmConfig
-from dsrm_hrl.diffusion import (Denoiser, ScheduleError, collect_pairs,
-                                dsrm_input, dsrm_loss, forward_diffuse,
-                                make_schedule, purify, reverse_step,
-                                time_embedding, train_dsrm)
+from dsrm_hrl.diffusion import (Denoiser, ReverseChain, ScheduleError,
+                                collect_pairs, dsrm_input, dsrm_loss,
+                                forward_diffuse, make_schedule, purify,
+                                reverse_step, time_embedding, train_dsrm)
 from dsrm_hrl.diffusion import _state_hash_rng
 from dsrm_hrl.nn import gradient_check
 
@@ -108,12 +108,12 @@ def old_time_embedding(k, k_steps, dim):
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
-@pytest.mark.parametrize("k_steps", [0, 1, 2, 4, 5, 20, 50, 100, 200, 1000])
+@pytest.mark.parametrize("k_steps", [1, 2, 4, 5, 20, 50, 100, 200, 1000])
 @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
 def test_time_embedding_table_matches_scalar_loop(k_steps, dim):
     """One array call gives the table the per-step loop built, bit for bit
     (elementwise sin/cos over a 2-d array against one row at a time), and
-    a denoiser's table is that table (a denoiser has K >= 1)."""
+    a denoiser's table is that table."""
     loop = np.stack([old_time_embedding(k, k_steps, dim) for k in range(k_steps + 1)])
     table = time_embedding(np.arange(k_steps + 1), k_steps, dim)
     assert table.shape == loop.shape == (k_steps + 1, dim)
@@ -121,10 +121,9 @@ def test_time_embedding_table_matches_scalar_loop(k_steps, dim):
     for k in {0, k_steps // 2, k_steps}:
         assert np.array_equal(time_embedding(k, k_steps, dim),
                               old_time_embedding(k, k_steps, dim))
-    if k_steps >= 1:
-        den = Denoiser(DsrmConfig(k_steps=k_steps, hidden=(4,), time_dim=dim), 3,
-                       rng=np.random.default_rng(0))
-        assert np.array_equal(den.temb_table, loop)
+    den = Denoiser(DsrmConfig(k_steps=k_steps, hidden=(4,), time_dim=dim), 3,
+                   rng=np.random.default_rng(0))
+    assert np.array_equal(den.temb_table, loop)
 
 
 def test_purify_deterministic_repeatable():
@@ -271,7 +270,8 @@ def _allocating_purify(vec, den, sched):
     eps = _state_hash_rng(vec).standard_normal(vec.shape)
     s = forward_diffuse(vec, k_steps, eps, sched)
     net = den.net
-    bias0 = den.first_layer_bias(vec)
+    w0, d, t = net.weights[0], den.d, den.time_dim
+    bias0 = den.temb_table @ w0[:, d:d + t].T + (w0[:, d + t:] @ vec + net.biases[0])
     w0_s = net.weights[0][:, :den.d]
     later = list(zip(net.weights[1:], net.biases[1:]))
     inv_sqrt_alpha = sched.inv_sqrt_alpha.tolist()
@@ -334,6 +334,63 @@ def test_purify_bit_identical_to_allocating_chain(k_steps, hidden):
         assert np.array_equal(purify(x, den), _allocating_purify(x, den, sched))
 
 
+def _old_purify(observed_vec, denoiser):
+    """purify as it was before ReverseChain, verbatim but for its first-layer
+    table, which was the method Denoiser.first_layer_bias."""
+    vec = np.asarray(observed_vec, dtype=np.float64)
+    schedule = denoiser.schedule
+    eps = _state_hash_rng(vec).standard_normal(vec.shape)
+    s = forward_diffuse(vec, schedule.k_steps, eps, schedule)
+    net = denoiser.net
+    w0, d, t = net.weights[0], denoiser.d, denoiser.time_dim
+    bias0 = denoiser.temb_table @ w0[:, d:d + t].T + (w0[:, d + t:] @ vec + net.biases[0])
+    bufs = [np.empty(w.shape[0]) for w in net.weights]
+    h0 = bufs[0]
+    dot0 = np.ascontiguousarray(net.weights[0][:, :denoiser.d]).dot
+    later = [(w.dot, b, out)
+             for w, b, out in zip(net.weights[1:], net.biases[1:], bufs[1:])]
+    add, multiply, subtract, tanh = np.add, np.multiply, np.subtract, np.tanh
+    for b0, inv_sqrt_alpha, eps_coef in zip(bias0[:0:-1],
+                                            schedule.inv_sqrt_alpha[::-1].tolist(),
+                                            schedule.eps_coef[::-1].tolist()):
+        dot0(s, h0)
+        add(h0, b0, h0)
+        h = h0
+        for dot, b, out in later:
+            tanh(h, h)
+            dot(h, out)
+            add(out, b, out)
+            h = out
+        multiply(h, eps_coef, h)
+        subtract(s, h, s)
+        multiply(s, inv_sqrt_alpha, s)
+    if not np.all(np.isfinite(s)):
+        raise FloatingPointError("purification produced non-finite values")
+    return s
+
+
+@pytest.mark.parametrize("k_steps", [1, 5, 20, 200])
+@pytest.mark.parametrize("hidden", [(16,), (16, 12), (64, 64)])
+def test_reverse_chain_is_a_frozen_snapshot(k_steps, hidden):
+    """purify with a ReverseChain equals the earlier purify bit for bit, and
+    keeps doing so after an in-place update of every weight and bias, which
+    purify on the live denoiser does see."""
+    den = _random_denoiser(5, k_steps, hidden, seed=k_steps)
+    states = np.random.default_rng(13).standard_normal((6, 5)) * np.logspace(-2, 2, 6)[:, None]
+    chain = ReverseChain(den)
+    frozen = [_old_purify(x, den) for x in states]
+    for x, ref in zip(states, frozen):
+        assert np.array_equal(purify(x, chain), ref)
+        assert np.array_equal(purify(x, den), ref)
+    for p in den.net.parameters().values():
+        p += 0.05
+    for x, ref in zip(states, frozen):
+        assert np.array_equal(purify(x, chain), ref)
+        live = purify(x, den)
+        assert np.array_equal(live, _old_purify(x, den))
+        assert not np.array_equal(live, ref)
+
+
 def test_purify_result_is_a_fresh_array():
     """The PPO record keeps each purified state, so a later call must not
     write into an earlier result, and the input must not be touched."""
@@ -349,8 +406,8 @@ def test_purify_result_is_a_fresh_array():
 
 
 def test_purify_uses_current_weights():
-    """The conditioning table is rebuilt per call, so an in-place weight
-    update (as Adam makes in stage I) shows up in the next purify."""
+    """purify on a live denoiser builds its chain per call, so an in-place
+    weight update (as Adam makes in stage I) shows up in the next purify."""
     den = _random_denoiser(4, 5, (8,), seed=3, betas=(0.01, 0.1))
     sched = make_schedule(5, 0.01, 0.1)
     x = np.arange(4.0)

@@ -108,3 +108,21 @@ def test_adam_converges_on_quadratic():
         g = 2.0 * (params["w"] - target)
         opt.step(params, {"w": g})
     assert np.allclose(params["w"], target, atol=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("batch", [1, 2, 7, 64])
+def test_forward_rows_equals_single_vector_forward(seed, batch):
+    """Every row of forward_rows is the single-vector forward's output for
+    that row, bit for bit: random widths 1-128, 1-3 hidden layers, non-zero
+    biases, inputs scaled from 1e-3 to 1e3."""
+    rng = np.random.default_rng([seed, batch])
+    sizes = [int(n) for n in rng.integers(1, 129, rng.integers(3, 6))]
+    mlp = Mlp(sizes, rng=rng)
+    for b in mlp.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = rng.standard_normal((batch, sizes[0])) * np.logspace(-3, 3, batch)[:, None]
+    rows = mlp.forward_rows(x)
+    assert rows.shape == (batch, sizes[-1])
+    for xi, yi in zip(x, rows):
+        assert np.array_equal(mlp.forward(xi)[0], yi)
