@@ -249,19 +249,16 @@ class Agent:
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)
             r_t = float(item_rewards.sum()) / len(item_rewards)
-            ids = slate.tolist()
             if train:
-                episode_gini.serve(ids)
+                episode_gini.serve(slate.tolist())
                 states.append(state)
                 means.append(mean)
                 us.append(u)
                 shaped.append(shaped_reward(r_t, episode_gini.value(), self.cfg.lambda_fair))
             rewards_log.append(r_t)
-            slates_log.append(ids)
+            slates_log.append(slate)
             step += 1
-        outcome = SessionOutcome(length=step, rewards=rewards_log,
-                                 exposure_log=slates_log,
-                                 terminated_by_abandonment=env.abandoned)
+        outcome = SessionOutcome(np.array(rewards_log), np.array(slates_log), env.abandoned)
         if not train:
             return outcome, None
         states, us = np.array(states), np.array(us)

@@ -15,10 +15,6 @@ from .env import random_rollout
 from .nn import Adam, Mlp
 
 
-class ScheduleError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """beta/alpha/alpha_bar/sigma sequences, 1-indexed by diffusion step k
@@ -39,12 +35,8 @@ class DiffusionSchedule:
 
 
 def make_schedule(k_steps: int, beta_min: float, beta_max: float) -> DiffusionSchedule:
-    if k_steps < 1:
-        raise ScheduleError(f"k_steps must be >= 1, got {k_steps}")
-    if not 0 < beta_min <= beta_max < 1:
-        raise ScheduleError(
-            f"require 0 < beta_min <= beta_max < 1, got [{beta_min}, {beta_max}]"
-        )
+    """The linear beta schedule; DsrmConfig.validate() holds the rule on
+    k_steps and the betas."""
     beta = np.linspace(beta_min, beta_max, k_steps)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
@@ -85,6 +77,7 @@ class Denoiser:
     is trained and run on."""
 
     def __init__(self, cfg: DsrmConfig, d: int, rng=None):
+        cfg.validate()
         self.d = d
         self.time_dim = cfg.time_dim
         self.net = Mlp([2 * d + cfg.time_dim, *cfg.hidden, d], rng=rng)
@@ -145,14 +138,13 @@ class ReverseChain:
                       for w, b in zip(weights[1:], biases[1:])]
 
 
-def purify(observed_vec: np.ndarray, denoiser: ReverseChain | Denoiser) -> np.ndarray:
-    """Run the full reverse chain of a ReverseChain, or of a Denoiser's
-    current weights, conditioned on the observation. It starts from the
-    observation diffused to step K with start noise hashed from it, and adds
-    no noise on the way back (z=0), so repeated calls are bit-identical. Each
-    step is reverse_step as ~11 NumPy calls writing into buffers, in the op
-    order of s = inv_sqrt_alpha * (s - eps_coef * net(s))."""
-    chain = denoiser if isinstance(denoiser, ReverseChain) else ReverseChain(denoiser)
+def purify(observed_vec: np.ndarray, chain: ReverseChain) -> np.ndarray:
+    """Run the full reverse chain of a frozen denoiser, conditioned on the
+    observation. It starts from the observation diffused to step K with start
+    noise hashed from it, and adds no noise on the way back (z=0), so repeated
+    calls are bit-identical. Each step is reverse_step as ~11 NumPy calls
+    writing into buffers, in the op order of
+    s = inv_sqrt_alpha * (s - eps_coef * net(s))."""
     vec = np.asarray(observed_vec, dtype=np.float64)
     eps = _state_hash_rng(vec).standard_normal(vec.shape)
     s = chain.sqrt_ab * vec + chain.sqrt_1m_ab * eps  # a fresh array, updated in place

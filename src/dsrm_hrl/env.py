@@ -34,9 +34,10 @@ class InvalidActionError(EnvError):
 class ItemCatalog:
     """Items with unit-norm embeddings, cumulative exposure counts, a
     heavy-tailed initial popularity, and a popular/long-tail split (top 20%
-    by initial popularity, ties broken by ascending item id). serve() alone
-    writes exposure, and keeps exposure_total, exposure_max, log1p_exposure
-    and log1p_max equal to those of the whole vector."""
+    by initial popularity, ties broken by ascending item id; group_sizes
+    counts each group's items, indexed by group id). serve() alone writes
+    exposure, and keeps exposure_total, exposure_max, log1p_exposure and
+    log1p_max equal to those of the whole vector."""
 
     n_items: int
     embeddings: np.ndarray          # (n_items, d), rows unit-norm
@@ -78,6 +79,7 @@ class ItemCatalog:
         self.exposure_max = int(self.exposure.max())
         self.log1p_exposure = np.log1p(self.exposure)
         self.log1p_max = np.log1p(self.exposure_max)
+        self.group_sizes = np.bincount(self.group, minlength=2)
 
     def serve(self, slate: np.ndarray):
         """One impression of each item of a slate of distinct ids."""
@@ -89,12 +91,6 @@ class ItemCatalog:
         if top > self.exposure_max:
             self.exposure_max, self.log1p_max = top, np.log1p(top)
 
-    def popular_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.group == GROUP_POPULAR)
-
-    def longtail_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.group == GROUP_LONGTAIL)
-
 
 @dataclass
 class UserProfile:
@@ -105,10 +101,20 @@ class UserProfile:
 
 @dataclass
 class SessionOutcome:
-    length: int
-    rewards: list
-    exposure_log: list                      # one slate (list of item ids) per step
-    terminated_by_abandonment: bool
+    """One session's record, one row per step."""
+    rewards: np.ndarray  # (T,) mean observed reward of each served slate
+    slates: np.ndarray   # (T, slate_k) int64 served item ids
+    abandoned: bool
+
+    @property
+    def length(self) -> int:
+        return len(self.rewards)
+
+    def __eq__(self, other):
+        """Equal abandonment and equal arrays, element for element."""
+        return (isinstance(other, SessionOutcome) and self.abandoned == other.abandoned
+                and np.array_equal(self.rewards, other.rewards)
+                and np.array_equal(self.slates, other.slates))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -73,26 +73,22 @@ class EpisodeGini:
         return self.num / (self.n * self.total) if self.total else 0.0
 
 
-def group_coverage(exposure_log, catalog: ItemCatalog):
-    """Per-episode group coverage (f_pop, f_tail): the fraction of each
-    group's items that appeared at least once in the episode's
-    recommendation lists."""
-    if not exposure_log:
-        raise ValueError("empty exposure log")
-    shown = np.concatenate([np.asarray(s, dtype=np.int64) for s in exposure_log])
-    pop_ids = catalog.popular_ids()
-    tail_ids = catalog.longtail_ids()
-    if len(pop_ids) == 0 or len(tail_ids) == 0:
+def group_coverage(slates, catalog: ItemCatalog):
+    """Per-episode group coverage (f_pop, f_tail) of the episode's served
+    slates (T, k): the fraction of each group's items that appeared at
+    least once."""
+    if len(slates) == 0:
+        raise ValueError("empty episode")
+    if catalog.group_sizes.min() == 0:
         raise ValueError("catalog must contain both popular and long-tail items")
-    groups = catalog.group[np.unique(shown)]
-    f_pop = np.sum(groups == GROUP_POPULAR) / len(pop_ids)
-    f_tail = np.sum(groups == GROUP_LONGTAIL) / len(tail_ids)
-    return float(f_pop), float(f_tail)
+    hits = np.bincount(catalog.group[np.unique(slates)], minlength=2)
+    cover = hits / catalog.group_sizes
+    return float(cover[GROUP_POPULAR]), float(cover[GROUP_LONGTAIL])
 
 
-def absolute_difference(exposure_log, catalog: ItemCatalog) -> float:
+def absolute_difference(slates, catalog: ItemCatalog) -> float:
     """|f(popular) - f(long-tail)| for one episode."""
-    f_pop, f_tail = group_coverage(exposure_log, catalog)
+    f_pop, f_tail = group_coverage(slates, catalog)
     return abs(f_pop - f_tail)
 
 
@@ -101,7 +97,7 @@ def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
                   max_len: int = 0) -> MetricsReport:
     """Aggregate episode outcomes. Stds are population standard deviations.
     Zero-length episodes count toward Len (as 0) but are excluded from the
-    per-step reward average."""
+    per-step reward average and the coverage means."""
     if not outcomes:
         raise ValueError("no outcomes to aggregate")
     lens = np.array([o.length for o in outcomes], dtype=np.float64)
@@ -109,20 +105,17 @@ def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
     nonzero = [o for o in outcomes if o.length > 0]
     r_each = np.array([float(np.mean(o.rewards)) for o in nonzero]) \
         if nonzero else np.array([0.0])
-    ads, fpops, ftails = [], [], []
-    for o in nonzero:
-        f_pop, f_tail = group_coverage(o.exposure_log, catalog)
-        fpops.append(f_pop)
-        ftails.append(f_tail)
-        ads.append(abs(f_pop - f_tail))
-    ads = np.array(ads) if ads else np.array([0.0])
-    f_pop_mean = float(np.mean(fpops)) if fpops else 0.0
-    f_tail_mean = float(np.mean(ftails)) if ftails else 0.0
+    # One (f_pop, f_tail) row per episode; with no episode to cover, one row
+    # of zeros.
+    f_pop, f_tail = np.array([group_coverage(o.slates, catalog) for o in nonzero]
+                             or [(0.0, 0.0)]).T
+    ads = np.abs(f_pop - f_tail)
     return MetricsReport(
         variant=variant, seed=seed, max_len=max_len,
         len_mean=float(lens.mean()), len_std=float(lens.std()),
         r_each_mean=float(r_each.mean()), r_each_std=float(r_each.std()),
         r_cum_mean=float(r_cum.mean()), r_cum_std=float(r_cum.std()),
         ad_mean=float(ads.mean()), ad_std=float(ads.std()),
-        f_pop=f_pop_mean, f_tail=f_tail_mean, n_episodes=len(outcomes),
+        f_pop=float(f_pop.mean()), f_tail=float(f_tail.mean()),
+        n_episodes=len(outcomes),
     )

@@ -5,6 +5,7 @@ tensors on disk and 64-bit in memory."""
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -96,7 +97,7 @@ def load_checkpoint(path):
         name = text(name_len, "tensor name")
         ndim, = struct.unpack("<I", take(4, "tensor rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)  # exact, where np.prod's int64 would wrap
         raw = take(4 * count, f"tensor data for {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     if off != len(data):

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import struct
+
 import numpy as np
 
 from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog
@@ -40,6 +42,19 @@ def non_utf8_copy(path, field):
     cfg_len = int.from_bytes(data[cfg_at - 4:cfg_at], "little")
     data[cfg_at if field == "config snapshot" else cfg_at + cfg_len + 8] = 0xFF
     return bytes(data)
+
+
+# Tensor shapes whose element count is 2**64, which int64 arithmetic wraps to 0.
+OVERFLOWING_SHAPES = [(2**16,) * 4, (2**31, 2**31, 4)]
+
+
+def checkpoint_declaring(shape):
+    """Checkpoint bytes with one tensor that declares the given shape and
+    carries no data."""
+    name = b"denoiser.W0"
+    return b"".join([b"DSRM1", struct.pack("<II", 1, 0), struct.pack("<I", 1),
+                     struct.pack("<I", len(name)), name,
+                     struct.pack(f"<I{len(shape)}I", len(shape), *shape)])
 
 
 def tiny_catalog():

@@ -12,8 +12,8 @@ import pytest
 from dsrm_hrl.agent import ManagerPolicy, ValueNet
 from dsrm_hrl.cli import EXIT_OK, main as cli_main
 from dsrm_hrl.config import RunConfig
-from dsrm_hrl.diffusion import (Denoiser, forward_diffuse, make_schedule,
-                                purify, reverse_step)
+from dsrm_hrl.diffusion import (Denoiser, ReverseChain, forward_diffuse,
+                                make_schedule, purify, reverse_step)
 from dsrm_hrl.env import RecEnv
 from dsrm_hrl.metrics import absolute_difference, gini
 from dsrm_hrl.nn import Mlp, gradient_check
@@ -168,7 +168,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
     for seed in SEEDS:
         cfg = RunConfig()
         cfg.env.seed = seed
-        denoiser, _ = load_denoiser(dsrm_ckpts[seed])
+        chain = ReverseChain(load_denoiser(dsrm_ckpts[seed])[0])
         env = RecEnv(cfg.env)
         noisy_cos, pure_cos = [], []
         for i in range(200):
@@ -179,7 +179,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
                 step += 1
             truth = env.ground_truth_state()
             noisy_cos.append(cos(obs, truth))
-            pure_cos.append(cos(purify(obs, denoiser), truth))
+            pure_cos.append(cos(purify(obs, chain), truth))
         gains[seed] = float(np.mean(pure_cos) - np.mean(noisy_cos))
     elapsed = time.monotonic() - t0
     ok = all(g >= 0.05 for g in gains.values()) and elapsed < 300

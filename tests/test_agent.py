@@ -1,6 +1,6 @@
 """Manager policy, worker scoring, GAE, PPO arithmetic, training loop."""
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -360,7 +360,7 @@ def reference_episode(agent, env, session_seed, rng, train):
         rewards_log.append(r_t)
         slates_log.append(slate.tolist())
         step += 1
-    return SessionOutcome(step, rewards_log, slates_log, env.abandoned), traj
+    return SessionOutcome(np.array(rewards_log), np.array(slates_log), env.abandoned), traj
 
 
 @pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
@@ -380,7 +380,7 @@ def test_run_episode_matches_full_bookkeeping_loop(variant, mode):
             outcome, record = agent.run_episode(env, 500 + i, rng, train=train)
             ref_outcome, ref_traj = reference_episode(agent, ref_env, 500 + i,
                                                       ref_rng, train)
-            assert astuple(outcome) == astuple(ref_outcome)
+            assert outcome == ref_outcome
             if train:
                 for name, array in zip(RECORD_FIELDS, record):
                     assert np.array_equal(array, getattr(ref_traj, name)), name
@@ -415,7 +415,7 @@ def test_greedy_episode_reads_no_rng(variant):
         outcome, _ = agent.run_episode(env, 40 + i, None, train=False)
         ref_outcome, _ = agent.run_episode(ref_env, 40 + i,
                                            np.random.default_rng(i), train=False)
-        assert astuple(outcome) == astuple(ref_outcome)
+        assert outcome == ref_outcome
     assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
 
 

@@ -11,7 +11,7 @@ import pytest
 from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from dsrm_hrl.persistence import load_checkpoint, save_checkpoint
 
-from conftest import FAST_CFG, non_utf8_copy
+from conftest import FAST_CFG, OVERFLOWING_SHAPES, checkpoint_declaring, non_utf8_copy
 
 
 @pytest.fixture
@@ -87,6 +87,15 @@ def test_corrupt_checkpoint_runtime_error(cfg_file, tmp_path):
     rc = main(["eval", "--config", cfg_file, "--out", str(tmp_path),
                "--ckpt", str(bad)])
     assert rc == EXIT_RUNTIME
+
+
+def test_overflowing_shape_checkpoint_runtime_error(tmp_path, capsys):
+    """A tensor shape whose element count overflows int64 is a corrupt
+    checkpoint (exit 2), not a bad argument (exit 1)."""
+    bad = tmp_path / "overflow.ckpt"
+    bad.write_bytes(checkpoint_declaring(OVERFLOWING_SHAPES[0]))
+    assert main(["eval", "--out", str(tmp_path), "--ckpt", str(bad)]) == EXIT_RUNTIME
+    assert "runtime fault: truncated checkpoint" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["config snapshot", "tensor name"])

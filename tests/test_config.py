@@ -164,7 +164,7 @@ def test_every_config_key_is_read():
 
 # Library functions that no code in src/ or scripts/ calls, kept on purpose.
 KEPT_FOR_CHECKS = {
-    "diffusion.reverse_step",       # criterion 2; perfbench SPANS
+    "diffusion.reverse_step",       # criterion 2 and test_diffusion's oracle-denoiser checks
     "diffusion.Denoiser.predict",   # reverse_step's network call; perfbench SPANS
     "agent.ManagerPolicy.log_prob",  # single-state reference in test_agent; perfbench SPANS
     "nn.gradient_check",            # the finite-difference oracle (criterion 1)

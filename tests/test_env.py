@@ -30,14 +30,14 @@ def test_catalog_invariants():
     assert np.sum(cat.group == GROUP_LONGTAIL) == cfg.n_items - n_pop
     # popular group = top items by initial popularity
     top = set(np.argsort(-cat.initial_popularity)[:n_pop])
-    assert set(cat.popular_ids()) == top
+    assert set(np.flatnonzero(cat.group == GROUP_POPULAR)) == top
     assert cat.exposure.max() == cfg.init_exposure
 
 
 def test_catalog_popular_items_share_direction():
     cat = ItemCatalog.build(small_cfg(n_items=200), np.random.default_rng(1))
-    pop_mean = cat.embeddings[cat.popular_ids()].mean(axis=0)
-    tail_mean = cat.embeddings[cat.longtail_ids()].mean(axis=0)
+    pop_mean = cat.embeddings[cat.group == GROUP_POPULAR].mean(axis=0)
+    tail_mean = cat.embeddings[cat.group == GROUP_LONGTAIL].mean(axis=0)
     assert np.linalg.norm(pop_mean) > 2 * np.linalg.norm(tail_mean)
 
 
@@ -187,7 +187,7 @@ def test_reset_clears_abandoned_flag():
     env = RecEnv(small_cfg(max_len=50, window_a=2, threshold_a=0.4, decay_a=0.5))
     assert not env.abandoned
     env.reset(0)
-    popular = env.catalog.popular_ids()[:3]
+    popular = np.flatnonzero(env.catalog.group == GROUP_POPULAR)[:3]
     done = False
     while not done:
         _, _, done = env.step(popular)

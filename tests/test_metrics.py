@@ -1,14 +1,19 @@
 """Fairness metrics: Gini, group coverage, absolute difference, aggregation."""
 
+import tempfile
+from dataclasses import astuple, dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_catalog
-from dsrm_hrl.env import SessionOutcome
-from dsrm_hrl.metrics import (absolute_difference, gini, group_coverage,
-                              session_stats)
+from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, SessionOutcome
+from dsrm_hrl.metrics import (MetricsReport, absolute_difference, gini,
+                              group_coverage, session_stats)
+from dsrm_hrl.persistence import write_results
 
 
 def gini_brute_force(x):
@@ -72,13 +77,10 @@ def test_gini_bounded(xs):
     assert 0.0 <= g <= 1.0
 
 
-
-
-
 def test_group_coverage_modes():
     cat = tiny_catalog()
-    log = [[0, 2], [0, 3]]
-    f_pop, f_tail = group_coverage(log, cat)
+    slates = np.array([[0, 2], [0, 3]])
+    f_pop, f_tail = group_coverage(slates, cat)
     assert f_pop == pytest.approx(0.5)    # item 0 of {0,1}
     assert f_tail == pytest.approx(1.0)   # items 2,3 of {2,3}
 
@@ -86,22 +88,23 @@ def test_group_coverage_modes():
 def test_group_coverage_errors():
     cat = tiny_catalog()
     with pytest.raises(ValueError):
-        group_coverage([], cat)
+        group_coverage(np.empty((0, 2), dtype=np.int64), cat)
 
 
 def test_absolute_difference_hand_cases():
     cat = tiny_catalog()
-    assert absolute_difference([[0, 2], [0, 3]], cat) == pytest.approx(0.5)
-    assert absolute_difference([[0, 1]], cat) == pytest.approx(1.0)
-    assert absolute_difference([[0, 2]], cat) == pytest.approx(0.0)
+    assert absolute_difference(np.array([[0, 2], [0, 3]]), cat) == pytest.approx(0.5)
+    assert absolute_difference(np.array([[0, 1]]), cat) == pytest.approx(1.0)
+    assert absolute_difference(np.array([[0, 2]]), cat) == pytest.approx(0.0)
 
 
 def test_session_stats_aggregation():
     cat = tiny_catalog()
     outcomes = [
-        SessionOutcome(2, [1.0, 0.5], [[0, 2], [1, 3]], False),
-        SessionOutcome(1, [0.25], [[2, 3]], True),
-        SessionOutcome(0, [], [], True),  # zero-length: Len yes, R_each no
+        SessionOutcome(np.array([1.0, 0.5]), np.array([[0, 2], [1, 3]]), False),
+        SessionOutcome(np.array([0.25]), np.array([[2, 3]]), True),
+        # zero-length: Len yes, R_each no
+        SessionOutcome(np.zeros(0), np.empty((0, 2), dtype=np.int64), True),
     ]
     rep = session_stats(outcomes, cat, variant="X", seed=7, max_len=5)
     assert rep.n_episodes == 3
@@ -117,3 +120,92 @@ def test_session_stats_aggregation():
 def test_session_stats_empty_rejected():
     with pytest.raises(ValueError):
         session_stats([], tiny_catalog())
+
+
+# -- the list-based record, as the array record's oracle -------------------
+# Verbatim copies of group_coverage and session_stats from before the
+# per-episode record became arrays, but for ItemCatalog.popular_ids and
+# longtail_ids (since deleted), inlined as the flatnonzero they returned.
+
+@dataclass
+class ListOutcome:
+    length: int
+    rewards: list
+    exposure_log: list                      # one slate (list of item ids) per step
+    terminated_by_abandonment: bool
+
+
+def list_group_coverage(exposure_log, catalog):
+    if not exposure_log:
+        raise ValueError("empty exposure log")
+    shown = np.concatenate([np.asarray(s, dtype=np.int64) for s in exposure_log])
+    pop_ids = np.flatnonzero(catalog.group == GROUP_POPULAR)
+    tail_ids = np.flatnonzero(catalog.group == GROUP_LONGTAIL)
+    if len(pop_ids) == 0 or len(tail_ids) == 0:
+        raise ValueError("catalog must contain both popular and long-tail items")
+    groups = catalog.group[np.unique(shown)]
+    f_pop = np.sum(groups == GROUP_POPULAR) / len(pop_ids)
+    f_tail = np.sum(groups == GROUP_LONGTAIL) / len(tail_ids)
+    return float(f_pop), float(f_tail)
+
+
+def list_session_stats(outcomes, catalog, variant="", seed=0, max_len=0):
+    if not outcomes:
+        raise ValueError("no outcomes to aggregate")
+    lens = np.array([o.length for o in outcomes], dtype=np.float64)
+    r_cum = np.array([float(np.sum(o.rewards)) for o in outcomes])
+    nonzero = [o for o in outcomes if o.length > 0]
+    r_each = np.array([float(np.mean(o.rewards)) for o in nonzero]) \
+        if nonzero else np.array([0.0])
+    ads, fpops, ftails = [], [], []
+    for o in nonzero:
+        f_pop, f_tail = list_group_coverage(o.exposure_log, catalog)
+        fpops.append(f_pop)
+        ftails.append(f_tail)
+        ads.append(abs(f_pop - f_tail))
+    ads = np.array(ads) if ads else np.array([0.0])
+    f_pop_mean = float(np.mean(fpops)) if fpops else 0.0
+    f_tail_mean = float(np.mean(ftails)) if ftails else 0.0
+    return MetricsReport(
+        variant=variant, seed=seed, max_len=max_len,
+        len_mean=float(lens.mean()), len_std=float(lens.std()),
+        r_each_mean=float(r_each.mean()), r_each_std=float(r_each.std()),
+        r_cum_mean=float(r_cum.mean()), r_cum_std=float(r_cum.std()),
+        ad_mean=float(ads.mean()), ad_std=float(ads.std()),
+        f_pop=f_pop_mean, f_tail=f_tail_mean, n_episodes=len(outcomes),
+    )
+
+
+# Sessions on tiny_catalog's 4 items: each step a slate of k distinct ids
+# (k fixed per draw) and a reward in [0, 1]; 0-length sessions included.
+_sessions = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(st.lists(st.tuples(st.floats(0.0, 1.0),
+                                 st.permutations(range(4)).map(lambda p: p[:k])),
+                       max_size=30),
+              st.booleans()),
+    min_size=1, max_size=40).map(lambda sessions: (k, sessions)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sessions)
+def test_array_record_matches_list_record(draw):
+    """session_stats on the array record equals the list-based original on
+    the same sessions, every field with ==, and so do results.csv's bytes."""
+    k, sessions = draw
+    cat = tiny_catalog()
+    arrays, lists = [], []
+    for steps, abandoned in sessions:
+        rewards = [r for r, _ in steps]
+        slates = [list(s) for _, s in steps]
+        arrays.append(SessionOutcome(np.array(rewards, dtype=np.float64),
+                                     np.array(slates, dtype=np.int64).reshape(-1, k),
+                                     abandoned))
+        lists.append(ListOutcome(len(steps), rewards, slates, abandoned))
+    got = session_stats(arrays, cat, variant="X", seed=3, max_len=30)
+    want = list_session_stats(lists, cat, variant="X", seed=3, max_len=30)
+    assert astuple(got) == astuple(want)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_results(paths[0], [got])
+        write_results(paths[1], [want])
+        assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -7,7 +7,12 @@ harness runs. Loading it here turns a rename in src/ into a failing test."""
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
+
+from dsrm_hrl.agent import Agent
+from dsrm_hrl.config import EnvConfig, HrlConfig
+from dsrm_hrl.env import RecEnv
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +42,30 @@ def test_probe_hooks_resolve_and_are_removed(tracing):
     assert sorted(wrapped) == ["dsrm_hrl.agent.Adam", "dsrm_hrl.agent.Agent.run_episode",
                                "dsrm_hrl.agent.ppo_update", "dsrm_hrl.diffusion.Adam"]
     assert tracing.leftover_wrappers() == []
+
+
+def test_probe_counts_the_env_steps_of_each_episode(tracing):
+    """The untraced run's stage-II and eval step counts come from each
+    episode's outcome.length: one training and one eval episode must add
+    exactly the env steps they took, and length is a Python int that agrees
+    with the record's arrays."""
+    env = RecEnv(EnvConfig(d=8, n_items=60, slate_k=4, max_len=7, init_exposure=100))
+    agent = Agent(HrlConfig(variant="HRL-RAW", hidden=(8,)), 8)
+    taken = []
+    step = env.step
+    env.step = lambda slate: (taken.append(1), step(slate))[1]
+    probe = tracing.Probe(time_episodes=False)
+    probe.install()
+    try:
+        for stage, train in (("train", True), ("eval", False)):
+            probe.stage = stage
+            taken.clear()
+            outcome, _ = agent.run_episode(env, 5, np.random.default_rng(0), train=train)
+            assert probe.steps[stage] == len(taken) > 0
+            assert type(outcome.length) is int
+            assert outcome.length == len(outcome.rewards) == outcome.slates.shape[0]
+            assert outcome.slates.shape == (outcome.length, env.config.slate_k)
+            assert outcome.slates.dtype == np.int64
+    finally:
+        probe.uninstall()
+    assert probe.steps["stage1"] == 0

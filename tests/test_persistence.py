@@ -10,7 +10,7 @@ from dsrm_hrl.persistence import (CheckpointError, checkpoint_param_hash,
                                   load_checkpoint, save_checkpoint, write_csv,
                                   write_embedding_dump, write_results)
 
-from conftest import non_utf8_copy
+from conftest import OVERFLOWING_SHAPES, checkpoint_declaring, non_utf8_copy
 
 
 def sample_tensors():
@@ -50,6 +50,16 @@ def test_checkpoint_truncation_detected(tmp_path):
         bad.write_bytes(data[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("shape", OVERFLOWING_SHAPES, ids=str)
+def test_checkpoint_overflowing_shape_is_truncation(tmp_path, shape):
+    """A shape whose element count wraps to 0 in int64 is sized exactly, so
+    the missing data reads as truncation, not as an empty tensor."""
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint_declaring(shape))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_trailing_garbage_detected(tmp_path):

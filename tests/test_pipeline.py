@@ -7,7 +7,7 @@ import pytest
 
 from dsrm_hrl import pipeline
 from dsrm_hrl.config import ConfigError, parse_config
-from dsrm_hrl.diffusion import collect_pairs, purify
+from dsrm_hrl.diffusion import ReverseChain, collect_pairs, purify
 from dsrm_hrl.env import RecEnv
 from dsrm_hrl.persistence import (CheckpointError, load_checkpoint,
                                   save_checkpoint)
@@ -68,6 +68,7 @@ def old_regression(cfg, n_steps, seed):
 
 def old_dump_states(cfg, denoiser, n_states, seed):
     env = RecEnv(cfg.env)
+    chain = ReverseChain(denoiser)
     rng = np.random.default_rng([cfg.env.seed, seed, 30])
     raw, pur = [], []
     while len(raw) < n_states:
@@ -76,7 +77,7 @@ def old_dump_states(cfg, denoiser, n_states, seed):
         while not done and len(raw) < n_states:
             _, obs, done = env.step(env.random_slate())
             raw.append(obs.copy())
-            pur.append(purify(obs, denoiser))
+            pur.append(purify(obs, chain))
     return np.array(raw), np.array(pur), env.catalog.exposure
 
 
