@@ -194,11 +194,8 @@ def collect_pairs(env, n_pairs: int, rng: np.random.Generator):
     """Paired training data from uniform-random-policy rollouts: clean
     encodings (zero observation noise on the same history) and the
     corrupted observations actually emitted by the environment."""
-    clean, noisy = [], []
-    for _, _, obs in random_rollout(env, rng, n_pairs):
-        clean.append(env.clean_state())
-        noisy.append(obs)
-    return np.array(clean), np.array(noisy)
+    rollout = random_rollout(env, rng, n_pairs)
+    return rollout.clean, rollout.observed
 
 
 def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,

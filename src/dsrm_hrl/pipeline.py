@@ -191,16 +191,15 @@ def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):
     reward against log(1+exposure). Returns (r_squared, per-item rows)."""
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 20])
+    rollout = random_rollout(env, rng, n_steps)
+    # Sums in step order. The exposure is the one at serve time, the bias
+    # the impression actually saw.
     reward_sum = np.zeros(cfg.env.n_items)
     logexp_sum = np.zeros(cfg.env.n_items)
     reward_cnt = np.zeros(cfg.env.n_items)
-    for slate, rewards, _ in random_rollout(env, rng, n_steps):
-        # Exposure at serve time, the bias the impression actually saw:
-        # env.step has just added exactly 1 to each (distinct) served item.
-        logexp_sum[slate] += np.log1p(
-            (env.catalog.exposure[slate] - 1).astype(np.float64))
-        reward_sum[slate] += rewards
-        reward_cnt[slate] += 1
+    np.add.at(logexp_sum, rollout.slates, np.log1p(rollout.exposure.astype(np.float64)))
+    np.add.at(reward_sum, rollout.slates, rollout.rewards)
+    np.add.at(reward_cnt, rollout.slates, 1)
     seen = reward_cnt > 0
     mean_r = reward_sum[seen] / reward_cnt[seen]
     log_exp = logexp_sum[seen] / reward_cnt[seen]
@@ -241,7 +240,7 @@ def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500):
     chain = ReverseChain(load_denoiser(dsrm_ckpt)[0])
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 30])
-    raw_states = np.array([obs for _, _, obs in random_rollout(env, rng, n_states)])
+    raw_states = random_rollout(env, rng, n_states).observed
     pur_states = np.array([purify(v, chain) for v in raw_states])
     # Label each state by its nearest catalog item.
     pop_rank = np.argsort(np.argsort(-env.catalog.initial_popularity))

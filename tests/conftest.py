@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 
-from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog
+from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, encode_observed
 
 FAST_CFG = """\
 [env]
@@ -67,3 +67,16 @@ def tiny_catalog():
     prior = emb.mean(axis=0)
     return ItemCatalog(4, emb, np.zeros(4, dtype=np.int64),
                        np.ones(4), group, prior / np.linalg.norm(prior))
+
+
+def random_slate(env):
+    """The uniform-random policy's next slate for env's session, drawn from
+    the session's generator as the package's random rollouts draw it."""
+    return env._rng.choice(env.catalog.n_items, size=env.config.slate_k,
+                           replace=False)
+
+
+def clean_state(env):
+    """The noise-free encoding of the history of env's session, the clean
+    state that its last observation corrupts."""
+    return encode_observed(env._user.history, env.catalog, 0.0, None)

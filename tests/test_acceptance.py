@@ -21,6 +21,8 @@ from dsrm_hrl.pipeline import (load_denoiser, popularity_reward_regression,
                                purification_gain, run_eval, run_sweep_steps,
                                run_train_dsrm, run_train_policy)
 
+from conftest import random_slate
+
 SEEDS = (11, 15, 19)
 
 
@@ -175,7 +177,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
             obs = env.reset(50_000 + i)  # held out from training sessions
             done, step = False, 0
             while not done and step < 10:
-                _, obs, done = env.step(env.random_slate())
+                _, obs, done = env.step(random_slate(env))
                 step += 1
             truth = env.ground_truth_state()
             noisy_cos.append(cos(obs, truth))

@@ -1,14 +1,17 @@
 """Diffusion schedule identities, forward/reverse kernels, purification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dsrm_hrl.config import ConfigError, DsrmConfig
+from dsrm_hrl.config import ConfigError, DsrmConfig, EnvConfig
 from dsrm_hrl.diffusion import (Denoiser, ReverseChain, collect_pairs,
                                 dsrm_input, dsrm_loss, forward_diffuse,
                                 make_schedule, purify, reverse_step,
                                 time_embedding, train_dsrm)
 from dsrm_hrl.diffusion import _state_hash_rng
+from dsrm_hrl.env import RecEnv
 from dsrm_hrl.nn import gradient_check
 
 
@@ -224,6 +227,26 @@ def test_collect_pairs_shapes():
     assert clean.shape == (50, 8) and noisy.shape == (50, 8)
     assert np.all(np.isfinite(clean)) and np.all(np.isfinite(noisy))
     assert not np.allclose(clean, noisy)
+
+
+@pytest.mark.parametrize("n_items", [500, 5000])
+def test_collect_pairs_memory_stays_bounded(n_items):
+    """Stage I's temporaries grow with neither the catalog nor the pair
+    count: 1000 pairs peak at 1.5 MiB at most, and 1800 more pairs raise
+    the peak by their output bytes plus at most 256 KiB."""
+    def peak(n_pairs):
+        env = RecEnv(EnvConfig(n_items=n_items))
+        collect_pairs(env, 1, np.random.default_rng(1))  # lazy imports
+        tracemalloc.start()
+        try:
+            clean, noisy = collect_pairs(env, n_pairs, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1], clean.nbytes + noisy.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1000)[0] <= 1.5 * 2**20
+    (small, small_out), (large, large_out) = peak(200), peak(2000)
+    assert large - small <= large_out - small_out + 256 * 2**10
 
 
 # -- reference implementations ------------------------------------------

@@ -10,6 +10,8 @@ from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, EnvError, InvalidAction
                           ItemCatalog, RecEnv, _sigmoid,
                           encode_observed, update_abandonment)
 
+from conftest import random_slate
+
 
 def small_cfg(**kw):
     base = dict(d=8, n_items=40, slate_k=3, max_len=10, history_window=4,
@@ -90,23 +92,18 @@ def test_step_exposure_conservation():
     env = RecEnv(small_cfg())
     env.reset(1)
     before = env.catalog.exposure.sum()
-    slate = env.random_slate()
+    slate = random_slate(env)
     env.step(slate)
     after = env.catalog.exposure.sum()
     assert after - before == env.config.slate_k
     assert np.all(np.diff(np.sort(env.catalog.exposure)) >= 0)
 
 
-def test_random_slate_needs_a_session():
-    with pytest.raises(EnvError, match="no active session"):
-        RecEnv(small_cfg()).random_slate()
-
-
 def test_step_consumes_argmax_item():
     cfg = small_cfg(obs_noise=0.0, noise_scale=0.0)
     env = RecEnv(cfg)
     env.reset(2)
-    slate = env.random_slate()
+    slate = random_slate(env)
     rewards, _, _ = env.step(slate)
     item, r = env._user.history[-1]
     assert item == slate[int(np.argmax(rewards))]
@@ -124,12 +121,27 @@ def test_invalid_slates_rejected():
         env.step([0, 1])               # wrong size
 
 
+@pytest.mark.parametrize("slate,message", [
+    ([0.9, 1.2, 2.7], "must be integers"),    # would truncate to items 0, 1, 2
+    ([True, False, 2], "must be integers"),   # would serve items 1, 0, 2
+    ([], "exactly 3 items"),
+])
+def test_non_integer_and_empty_slates_rejected(slate, message):
+    env = RecEnv(small_cfg())
+    env.reset(0)
+    exposure = env.catalog.exposure.copy()
+    with pytest.raises(InvalidActionError, match=message):
+        env.step(slate)
+    assert np.array_equal(env.catalog.exposure, exposure)
+    assert env._step == 0 and env._user.history == []
+
+
 @pytest.mark.parametrize("slate", [[0, 0, 1], [0, 1, 40], [0, 1, 999],
                                    [-1, 0, 1], [0, 1], [0, 1, 2, 3]])
 def test_rejected_slate_changes_nothing(slate):
     env = RecEnv(small_cfg())
     env.reset(0)
-    _, _, done = env.step(env.random_slate())
+    _, _, done = env.step(random_slate(env))
     assert not done
     exposure = env.catalog.exposure.copy()
     history = list(env._user.history)
@@ -164,7 +176,7 @@ def test_history_window_cap():
     env = RecEnv(cfg)
     env.reset(3)
     for _ in range(6):
-        _, _, done = env.step(env.random_slate())
+        _, _, done = env.step(random_slate(env))
         if done:
             break
     assert len(env._user.history) <= 4
@@ -176,7 +188,7 @@ def test_episode_terminates_at_max_len():
     env.reset(0)
     steps, done = 0, False
     while not done:
-        _, _, done = env.step(env.random_slate())
+        _, _, done = env.step(random_slate(env))
         steps += 1
     assert steps == 5
     assert not env.abandoned
@@ -194,20 +206,20 @@ def test_reset_clears_abandoned_flag():
     assert env.abandoned
     env.reset(1)
     assert not env.abandoned
-    _, _, done = env.step(env.random_slate())  # a finished session would raise
+    _, _, done = env.step(random_slate(env))  # a finished session would raise
     assert not done and not env.abandoned
 
 
 def test_encode_cold_start_is_prior():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
-    _, obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
+    obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
     assert np.allclose(obs, cat.prior)
 
 
 def test_encode_noise_free_weighted_mean():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     history = [(3, 1.0), (7, 0.0)]
-    _, obs = encode_observed(history, cat, 0.0, np.random.default_rng(0))
+    obs = encode_observed(history, cat, 0.0, np.random.default_rng(0))
     expected = (2.0 * cat.embeddings[3] + 1.0 * cat.embeddings[7]) / 3.0
     assert np.allclose(obs, expected, atol=1e-12)
 
@@ -254,7 +266,7 @@ def test_full_episode_determinism():
         env.reset(17)
         rs, done = [], False
         while not done:
-            r, obs, done = env.step(env.random_slate())
+            r, obs, done = env.step(random_slate(env))
             rs.append((r.copy(), obs.copy()))
         results.append(rs)
     assert len(results[0]) == len(results[1])
@@ -267,5 +279,5 @@ def test_full_episode_determinism():
 def test_rewards_bounded(session_seed):
     env = RecEnv(small_cfg())
     env.reset(session_seed)
-    rewards, _, _ = env.step(env.random_slate())
+    rewards, _, _ = env.step(random_slate(env))
     assert np.all((rewards >= 0.0) & (rewards <= 1.0))

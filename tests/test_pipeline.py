@@ -15,7 +15,7 @@ from dsrm_hrl.pipeline import (load_agent, load_denoiser,
                                popularity_reward_regression, run_eval,
                                run_train_dsrm, run_train_policy, state_dumps)
 
-from conftest import FAST_CFG
+from conftest import FAST_CFG, clean_state, random_slate
 
 CONFIGS = {"fast": FAST_CFG, "default": ""}
 
@@ -28,8 +28,8 @@ def old_collect_pairs(env, n_pairs, rng):
         env.reset(int(rng.integers(0, 2**31 - 1)))
         done = False
         while not done and len(clean) < n_pairs:
-            _, nxt, done = env.step(env.random_slate())
-            clean.append(env.clean_state())
+            _, nxt, done = env.step(random_slate(env))
+            clean.append(clean_state(env))
             noisy.append(nxt.copy())
     return np.array(clean), np.array(noisy)
 
@@ -45,7 +45,7 @@ def old_regression(cfg, n_steps, seed):
         env.reset(int(rng.integers(0, 2**31 - 1)))
         done = False
         while not done and steps < n_steps:
-            slate = env.random_slate()
+            slate = random_slate(env)
             logexp_sum[slate] += np.log1p(
                 env.catalog.exposure[slate].astype(np.float64))
             rewards, _, done = env.step(slate)
@@ -75,7 +75,7 @@ def old_dump_states(cfg, denoiser, n_states, seed):
         env.reset(int(rng.integers(0, 2**31 - 1)))
         done = False
         while not done and len(raw) < n_states:
-            _, obs, done = env.step(env.random_slate())
+            _, obs, done = env.step(random_slate(env))
             raw.append(obs.copy())
             pur.append(purify(obs, chain))
     return np.array(raw), np.array(pur), env.catalog.exposure

@@ -7,7 +7,10 @@ side with the package's and require every reward, observation, clean state,
 score and exposure count to match bit for bit, and the catalog's cached
 statistics to equal the same functions of the whole exposure vector after
 every step. The k-entry log1p must equal the whole-catalog log1p element
-for element; nothing in NumPy promises that, so these tests pin it."""
+for element; nothing in NumPy promises that, so these tests pin it.
+
+The chunked random rollout runs against RecEnv's own reset and step, one
+step at a time, and must match them bit for bit too."""
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.diffusion import Denoiser
 from dsrm_hrl.env import (GROUP_POPULAR, POP_DRIFT_RATIO, EnvError,
                           InvalidActionError, RecEnv, UserProfile,
-                          update_abandonment)
+                          _rollout_chunk, random_rollout, update_abandonment)
+
+from conftest import clean_state, random_slate
 
 
 # -- the earlier step path, verbatim ----------------------------------------
@@ -148,6 +153,11 @@ def assert_caches_fresh(cat):
     assert cat.log1p_max == np.log1p(cat.exposure.max())
 
 
+def session_clean_state(env):
+    """The old clean state for an OldEnv, the package's for a RecEnv."""
+    return env.clean_state() if isinstance(env, OldEnv) else clean_state(env)
+
+
 def record_steps(env, log, check_caches):
     """Log (rewards, observation, clean state, exposure) after each step."""
     step = env.step
@@ -156,7 +166,7 @@ def record_steps(env, log, check_caches):
         rewards, obs, done = step(slate)
         if check_caches:
             assert_caches_fresh(env.catalog)
-        log.append((rewards.copy(), obs.copy(), env.clean_state(),
+        log.append((rewards.copy(), obs.copy(), session_clean_state(env),
                     env.catalog.exposure.copy()))
         return rewards, obs, done
 
@@ -192,11 +202,11 @@ def test_random_rollout_matches_old_step(catalog):
     while len(log) < 2000:
         seed = int(rng.integers(0, 2**31 - 1))
         assert np.array_equal(env.reset(seed), ref.reset(seed))
-        assert np.array_equal(env.clean_state(), ref.clean_state())
+        assert np.array_equal(clean_state(env), ref.clean_state())
         done = False
         while not done:
-            slate = env.random_slate()
-            assert np.array_equal(slate, ref.random_slate())
+            slate = random_slate(env)
+            assert np.array_equal(slate, random_slate(ref))
             done = env.step(slate)[2]
             assert ref.step(slate)[2] == done
     assert_logs_equal(log, ref_log)
@@ -239,3 +249,83 @@ def test_agent_episodes_match_old_step(variant, n_items, monkeypatch):
     assert len(scores) == len(ref_scores)
     assert all(np.array_equal(a, b) for a, b in zip(scores, ref_scores))
     assert outcomes == ref_outcomes
+
+
+# -- the chunked random rollout against the per-step env --------------------
+
+def stepped_rollout(env, rng, n_steps):
+    """random_rollout one step at a time through RecEnv.reset and step: the
+    per-step arrays, each session's first step, and how each finished
+    session ended, as (abandoned, satisfaction)."""
+    steps, starts, ends, done = [], [], [], True
+    for t in range(n_steps):
+        if done:
+            env.reset(int(rng.integers(0, 2**31 - 1)))
+            starts.append(t)
+        slate = random_slate(env)
+        seen = env.catalog.exposure[slate]
+        rewards, obs, done = env.step(slate)
+        steps.append((slate, rewards, seen, clean_state(env), obs))
+        if done:
+            ends.append((env.abandoned, env._user.satisfaction))
+    return [np.array(column) for column in zip(*steps)], starts, ends
+
+
+def assert_catalogs_equal(cat, ref):
+    assert np.array_equal(cat.exposure, ref.exposure)
+    assert cat.exposure_total == ref.exposure_total
+    assert cat.exposure_max == ref.exposure_max
+    assert np.array_equal(cat.log1p_exposure, ref.log1p_exposure)
+    assert cat.log1p_max == ref.log1p_max
+
+
+# A cold catalog has no bias at its first step and no drift draw at its
+# first reset. Abandoning sessions end early both at zero satisfaction and
+# by the stochastic exit. A one-item history window, and one longer than
+# max_len (histories of every length up to 30), exercise the grouping by
+# window length of the encoding's sums.
+ROLLOUT_ENVS = {
+    "default": dict(),
+    "cold": dict(init_exposure=0),
+    "noise-free": dict(noise_scale=0.0, obs_noise=0.0),
+    "abandoning": dict(abandon_prob=0.5, threshold_a=0.1),
+    "window-1": dict(history_window=1),
+    "window-40": dict(history_window=40),
+}
+
+
+@pytest.mark.parametrize("env_kind", sorted(ROLLOUT_ENVS))
+@pytest.mark.parametrize("n_items", [500, 5000])
+def test_chunked_rollout_matches_stepped_env(n_items, env_kind):
+    cfg = EnvConfig(n_items=n_items, **ROLLOUT_ENVS[env_kind])
+    chunk = _rollout_chunk(n_items)
+    several = chunk * (1 + 150 // chunk) + 3  # several chunks and sessions
+    for n_steps in (1, chunk - 1, chunk, chunk + 1, several):
+        env, ref = RecEnv(cfg), RecEnv(cfg)
+        got = random_rollout(env, np.random.default_rng(n_steps), n_steps)
+        want, starts, ends = stepped_rollout(ref, np.random.default_rng(n_steps),
+                                             n_steps)
+        for name, column in zip(("slates", "rewards", "exposure", "clean",
+                                 "observed"), want):
+            assert np.array_equal(getattr(got, name), column), name
+        assert_catalogs_equal(env.catalog, ref.catalog)
+        assert_caches_fresh(env.catalog)
+    # The longest rollout has a session that straddles a chunk edge, and
+    # the abandoning env ends sessions both ways.
+    bounds = [*starts, several]
+    assert any(a // chunk < (b - 1) // chunk for a, b in zip(bounds, bounds[1:]))
+    if env_kind == "abandoning":
+        assert {satisfaction > 0 for abandoned, satisfaction in ends if abandoned} \
+            == {False, True}
+
+
+def test_rollouts_continue_the_catalog():
+    """Two rollouts on one env serve one catalog in turn, as two stepped
+    rollouts on one env do."""
+    cfg = EnvConfig(n_items=500)
+    env, ref = RecEnv(cfg), RecEnv(cfg)
+    for seed in (1, 2):
+        got = random_rollout(env, np.random.default_rng(seed), 100)
+        want, _, _ = stepped_rollout(ref, np.random.default_rng(seed), 100)
+        assert np.array_equal(got.observed, want[4])
+        assert_catalogs_equal(env.catalog, ref.catalog)
