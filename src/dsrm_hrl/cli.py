@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train-dsrm, train, eval, sweep-steps, motivate.
+Subcommands: train-dsrm, train, eval, sweep-steps, motivate, ablation.
 Exit codes: 0 success, 1 validation error, 2 runtime fault.
 Progress goes to stderr; data artifacts only to files.
 """
@@ -12,8 +12,9 @@ import os
 import sys
 
 from .config import VARIANTS, ConfigError, RunConfig, load_config
-from .pipeline import (log, log_config, run_eval, run_motivate, run_sweep_steps,
-                       run_train_dsrm, run_train_policy)
+from .pipeline import (log, log_config, policy_paths, run_ablation, run_eval,
+                       run_motivate, run_sweep_steps, run_train_dsrm,
+                       run_train_policy)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,12 +33,21 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """A comma-separated flag value: at least one integer."""
+    values = [int(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise ConfigError(f"{flag} must list at least one integer, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run-config file path")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", help="run-config file path")
+    base.add_argument("--out", default=".", help="output directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--seed", type=int, default=None,
                         help="override env.seed from the config")
-    common.add_argument("--out", default=".", help="output directory")
     parser = argparse.ArgumentParser(
         prog="dsrm-hrl",
         description="Two-stage fairness-aware recommendation lab: diffusion "
@@ -66,49 +76,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motivate", parents=[common], help="popularity-bias analyses and state dumps")
     p.add_argument("--dsrm-ckpt", default=None,
                    help="denoiser checkpoint for the purification analyses")
+
+    p = sub.add_parser("ablation", parents=[base],
+                       help="train and evaluate every variant across seeds")
+    p.add_argument("--seeds", default="11,15,19", help="comma-separated env seeds")
     return parser
 
 
-def run(args) -> int:
-    # eval runs on, and logs, the config snapshot in its checkpoint instead.
-    cfg = None if args.command == "eval" else _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    if args.command == "train-dsrm":
-        run_train_dsrm(cfg,
-                       os.path.join(args.out, "dsrm.ckpt"),
-                       os.path.join(args.out, "dsrm_loss.csv"))
-    elif args.command == "train":
-        tag = f"{cfg.hrl.variant.lower().replace('-', '_')}_s{cfg.env.seed}"
-        run_train_policy(cfg, args.dsrm_ckpt,
-                         os.path.join(args.out, f"policy_{tag}.ckpt"),
-                         os.path.join(args.out, f"train_{tag}.csv"))
-    elif args.command == "eval":
-        run_eval(args.ckpt, episodes=args.episodes,
-                 results_path=os.path.join(args.out, "results.csv"))
-    elif args.command == "sweep-steps":
-        steps = [int(s) for s in args.steps.split(",") if s.strip()]
-        if not steps or any(s < 1 for s in steps):
-            raise ConfigError(f"--steps must be positive integers, got {args.steps!r}")
-        run_sweep_steps(cfg, steps, args.out)
-    elif args.command == "motivate":
-        run_motivate(cfg, args.out, dsrm_ckpt=args.dsrm_ckpt)
-    return EXIT_OK
-
-
-def exit_code(fn, *args) -> int:
-    """fn(*args); a fault is logged and returned as its exit code."""
+def main(argv=None) -> int:
+    """Runs one subcommand; a fault is logged and returned as its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return fn(*args)
+        # eval runs on, and logs, the config snapshot in its checkpoint instead.
+        cfg = None if args.command == "eval" else _load(args)
+        os.makedirs(args.out, exist_ok=True)
+        if args.command == "train-dsrm":
+            run_train_dsrm(cfg,
+                           os.path.join(args.out, "dsrm.ckpt"),
+                           os.path.join(args.out, "dsrm_loss.csv"))
+        elif args.command == "train":
+            run_train_policy(cfg, args.dsrm_ckpt, *policy_paths(cfg, args.out))
+        elif args.command == "eval":
+            run_eval(args.ckpt, episodes=args.episodes,
+                     results_path=os.path.join(args.out, "results.csv"))
+        elif args.command == "sweep-steps":
+            run_sweep_steps(cfg, _int_list("--steps", args.steps), args.out)
+        elif args.command == "motivate":
+            run_motivate(cfg, args.out, dsrm_ckpt=args.dsrm_ckpt)
+        elif args.command == "ablation":
+            run_ablation(cfg, _int_list("--seeds", args.seeds), args.out)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         log(f"error: {exc}")
         return EXIT_VALIDATION
     except Exception as exc:  # runtime fault
         log(f"runtime fault: {exc}")
         return EXIT_RUNTIME
-
-
-def main(argv=None) -> int:
-    return exit_code(run, build_parser().parse_args(argv))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -81,7 +81,8 @@ def group_coverage(slates, catalog: ItemCatalog):
         raise ValueError("empty episode")
     if catalog.group_sizes.min() == 0:
         raise ValueError("catalog must contain both popular and long-tail items")
-    hits = np.bincount(catalog.group[np.unique(slates)], minlength=2)
+    served = np.bincount(np.ravel(slates), minlength=catalog.n_items) > 0
+    hits = np.bincount(catalog.group[served], minlength=2)
     cover = hits / catalog.group_sizes
     return float(cover[GROUP_POPULAR]), float(cover[GROUP_LONGTAIL])
 

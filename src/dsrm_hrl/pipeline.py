@@ -1,7 +1,7 @@
 """Experiment orchestration: the two-stage training paradigm (denoiser
 pre-training, then policy learning with the denoiser frozen), evaluation
-on a held-out session-seed range, the diffusion-step sweep, and the
-motivation analyses. The CLI is a thin wrapper over these functions."""
+on a held-out session-seed range, the diffusion-step sweep, the variant
+ablation and the motivation analyses. The CLI is a thin wrapper over them."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .agent import Agent, evaluate, train
-from .config import EVAL_SEED_OFFSET, RunConfig, render_config
+from .config import EVAL_SEED_OFFSET, VARIANTS, RunConfig, render_config
 from .diffusion import Denoiser, ReverseChain, collect_pairs, purify, train_dsrm
 from .env import RecEnv, random_rollout
 from .metrics import MetricsReport, session_stats
@@ -124,6 +124,13 @@ def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
                     r["mean_omega_acc"], r["mean_omega_fair"]] for r in rows])
 
 
+def policy_paths(cfg: RunConfig, out_dir):
+    """cfg's policy checkpoint and training-curve paths, tagged <variant>_s<seed>."""
+    tag = f"{cfg.hrl.variant.lower().replace('-', '_')}_s{cfg.env.seed}"
+    return (os.path.join(out_dir, f"policy_{tag}.ckpt"),
+            os.path.join(out_dir, f"train_{tag}.csv"))
+
+
 def load_agent(ckpt_path):
     """Rebuild an agent (policy, value net, optional denoiser) from a
     policy checkpoint."""
@@ -158,14 +165,23 @@ def run_eval(ckpt_path, episodes: int | None = None,
 
 # -- sweeps and analyses ------------------------------------------------------
 
+def _copies(cfg: RunConfig, section: str, key: str, values) -> list[RunConfig]:
+    """One copy of cfg per value of section.key, each validated before any
+    is returned, so a bad value fails before anything trains."""
+    copies = []
+    for value in values:
+        c = copy.deepcopy(cfg)
+        setattr(getattr(c, section), key, value)
+        copies.append(c.validate())
+    return copies
+
+
 def run_sweep_steps(cfg: RunConfig, steps: list[int], out_dir):
     """Retrain the denoiser per diffusion-step count, run the full pipeline,
     and report one eval row per K plus a middle-vs-endpoints summary."""
     reports = []
-    for k in steps:
-        kcfg = copy.deepcopy(cfg)
-        kcfg.dsrm.k_steps = k
-        kcfg.validate()
+    for kcfg in _copies(cfg, "dsrm", "k_steps", steps):
+        k = kcfg.dsrm.k_steps
         dsrm_ckpt = os.path.join(out_dir, f"dsrm_k{k}.ckpt")
         pol_ckpt = os.path.join(out_dir, f"policy_k{k}.ckpt")
         run_train_dsrm(kcfg, dsrm_ckpt)
@@ -184,6 +200,21 @@ def run_sweep_steps(cfg: RunConfig, steps: list[int], out_dir):
         log(f"sweep: middle K={reports[mid][0]} "
             f"{'wins' if summary else 'does not win'} on Len")
     return reports, summary
+
+
+def run_ablation(cfg: RunConfig, seeds: list[int], out_dir):
+    """Per seed, stage I once, then each of VARIANTS trained against that
+    denoiser (HRL-RAW loads none) and evaluated: one results.csv row each."""
+    results_path = os.path.join(out_dir, "results.csv")
+    for scfg in _copies(cfg, "env", "seed", seeds):
+        seed = scfg.env.seed
+        dsrm_ckpt = os.path.join(out_dir, f"dsrm_s{seed}.ckpt")
+        run_train_dsrm(scfg, dsrm_ckpt, os.path.join(out_dir, f"dsrm_loss_s{seed}.csv"))
+        for vcfg in _copies(scfg, "hrl", "variant", VARIANTS):
+            policy_ckpt, train_csv = policy_paths(vcfg, out_dir)
+            run_train_policy(vcfg, dsrm_ckpt, policy_ckpt, train_csv)
+            run_eval(policy_ckpt, results_path=results_path)
+    log(f"ablation complete: {results_path}")
 
 
 def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):

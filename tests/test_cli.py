@@ -1,16 +1,17 @@
-"""CLI subcommands, exit codes, and output determinism; the ablation script."""
+"""CLI subcommands (train-dsrm, train, eval, sweep-steps, motivate,
+ablation), exit codes, and output determinism."""
 
-import os
-import pathlib
-import subprocess
-import sys
+import csv
 
-import numpy as np
 import pytest
 
-from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
+from dsrm_hrl.config import VARIANTS, ConfigError, load_config
 from dsrm_hrl.persistence import load_checkpoint, save_checkpoint
+from dsrm_hrl.pipeline import (run_eval, run_sweep_steps, run_train_dsrm,
+                               run_train_policy)
 
+from artifact_manifest import build
 from conftest import FAST_CFG, OVERFLOWING_SHAPES, checkpoint_declaring, non_utf8_copy
 
 
@@ -47,6 +48,14 @@ def test_full_pipeline_and_determinism(cfg_file, tmp_path):
     for fname in ("dsrm.ckpt", "dsrm_loss.csv", "policy_flat_s3.ckpt",
                   "train_flat_s3.csv", "results.csv"):
         assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+
+def test_artifact_set_is_byte_identical_across_builds(cfg_file, tmp_path):
+    """Every subcommand's artifacts, 30 files from six commands, keep their
+    names and bytes across two builds."""
+    manifest = build(cfg_file, 7, tmp_path / "a")
+    assert len(manifest) == 30
+    assert build(cfg_file, 7, tmp_path / "b") == manifest
 
 
 def test_epochs_zero_allowed(cfg_file, tmp_path):
@@ -149,6 +158,14 @@ def test_sweep_steps_flag_validation(cfg_file, tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+def test_sweep_validates_every_k_before_training(cfg_file, tmp_path):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    with pytest.raises(ConfigError, match="dsrm.k_steps"):
+        run_sweep_steps(load_config(cfg_file), [2, 0], str(out))
+    assert list(out.iterdir()) == []
+
+
 def test_motivate_runs_without_denoiser(cfg_file, tmp_path):
     out = tmp_path / "mot"
     rc = main(["motivate", "--config", cfg_file, "--seed", "1",
@@ -242,39 +259,65 @@ def test_eval_runs_and_logs_the_checkpoint_config(cfg_file, tmp_path, capsys):
                  "--ckpt", ckpt]) == EXIT_OK
 
 
-def run_ablation(cfg_file, out, *flags):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    return subprocess.run([sys.executable, str(root / "scripts" / "run_ablation.py"),
-                           "--config", cfg_file, "--out", str(out), *flags],
-                          env=env, capture_output=True, text=True, timeout=300)
+def ablation(cfg_file, out, *flags):
+    return main(["ablation", "--config", cfg_file, "--out", str(out), *flags])
 
 
-def test_ablation_validates_every_seed_before_training(cfg_file, tmp_path):
+def test_ablation_validates_every_seed_before_training(cfg_file, tmp_path, capsys):
     out = tmp_path / "abl"
-    proc = run_ablation(cfg_file, out, "--seeds", "3,-1")
-    assert proc.returncode != 0
-    assert "env.seed" in proc.stderr
+    assert ablation(cfg_file, out, "--seeds", "3,-1") == EXIT_VALIDATION
+    assert "env.seed" in capsys.readouterr().err
     assert not (out / "dsrm_s3.ckpt").exists()
 
 
-def test_ablation_exits_like_the_cli(cfg_file, tmp_path):
-    """Invalid input ends in `error: ...` and exit 1, as for dsrm-hrl, not a
-    traceback."""
-    proc = run_ablation(cfg_file, tmp_path / "abl", "--seeds", "3,-1")
-    assert proc.returncode == EXIT_VALIDATION
-    assert "error: " in proc.stderr and "env.seed" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    proc = run_ablation(str(tmp_path / "missing.cfg"), tmp_path / "abl")
-    assert proc.returncode == EXIT_VALIDATION
-    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+def test_ablation_exits_like_the_cli(cfg_file, tmp_path, capsys):
+    """Invalid input ends in `error: ...` and exit 1, as for every
+    subcommand: a bad seed, an empty or unparsable --seeds, a missing
+    config file."""
+    out = tmp_path / "abl"
+    for seeds in ("3,-1", "", " , ", "3,x"):
+        assert ablation(cfg_file, out, "--seeds", seeds) == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+    assert ablation(str(tmp_path / "missing.cfg"), out) == EXIT_VALIDATION
+    assert "error: " in capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
+
+
+def test_ablation_takes_no_seed_or_episodes_flag():
+    """Seeds come from --seeds and episodes from eval.episodes, so neither
+    --seed nor --episodes is parsed."""
+    args = build_parser().parse_args(["ablation"])
+    assert sorted(vars(args)) == ["command", "config", "out", "seeds"]
 
 
 def test_ablation_writes_one_row_per_variant(cfg_file, tmp_path):
+    """One results.csv row per variant, each on FAST_CFG's eval.episodes."""
     out = tmp_path / "abl"
-    proc = run_ablation(cfg_file, out, "--seeds", "3", "--episodes", "5")
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = (out / "results.csv").read_text().splitlines()
-    assert header.startswith("variant,seed,")
-    assert sorted(row.split(",")[:2] for row in rows) == [
-        ["DSRM-HRL", "3"], ["FLAT", "3"], ["HRL-RAW", "3"]]
+    assert ablation(cfg_file, out, "--seeds", "3") == EXIT_OK
+    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert sorted((r["variant"], r["seed"], r["n_episodes"]) for r in rows) == [
+        ("DSRM-HRL", "3", "5"), ("FLAT", "3", "5"), ("HRL-RAW", "3", "5")]
+
+
+def test_ablation_matches_the_reference_loop(cfg_file, tmp_path):
+    """The subcommand writes the files, byte for byte, of the loop it
+    replaced, with the episodes taken from the config."""
+    out = tmp_path / "ref"
+    out.mkdir()
+    for seed in (3, 4):
+        cfg = load_config(cfg_file)
+        cfg.env.seed = seed
+        dsrm_ckpt = str(out / f"dsrm_s{seed}.ckpt")
+        run_train_dsrm(cfg, dsrm_ckpt, str(out / f"dsrm_loss_s{seed}.csv"))
+        for variant in VARIANTS:
+            cfg.hrl.variant = variant
+            tag = variant.lower().replace("-", "_")
+            ckpt = str(out / f"policy_{tag}_s{seed}.ckpt")
+            run_train_policy(cfg, dsrm_ckpt, ckpt, str(out / f"train_{tag}_s{seed}.csv"))
+            run_eval(ckpt, episodes=cfg.eval.episodes, results_path=str(out / "results.csv"))
+    assert ablation(cfg_file, tmp_path / "abl", "--seeds", "3,4") == EXIT_OK
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 1 + 2 * (2 + 2 * len(VARIANTS))
+    assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "abl" / name).read_bytes() == (out / name).read_bytes(), name

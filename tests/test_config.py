@@ -162,7 +162,7 @@ def test_every_config_key_is_read():
     assert unread == []
 
 
-# Library functions that no code in src/ or scripts/ calls, kept on purpose.
+# Library functions that no code in src/ calls, kept on purpose.
 KEPT_FOR_CHECKS = {
     "diffusion.reverse_step",       # criterion 2 and test_diffusion's oracle-denoiser checks
     "diffusion.Denoiser.predict",   # reverse_step's network call; perfbench SPANS
@@ -176,14 +176,13 @@ KEPT_FOR_CHECKS = {
 
 def test_every_library_function_is_referenced():
     """Each top-level function and method in the package is referenced
-    somewhere in src/ or scripts/ (dunder methods excepted): a method by an
-    attribute access (x.name), a function by loading its name or importing
-    it. A local variable of the same name does not count. One that only
-    tests reach is dead library code unless it is listed above."""
+    somewhere in src/ (dunder methods excepted): a method by an attribute
+    access (x.name), a function by loading its name or importing it. A
+    local variable of the same name does not count. One that only tests
+    reach is dead library code unless it is listed above."""
     pkg = pathlib.Path(dsrm_hrl.__file__).parent
-    paths = [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]
     names, attrs, defined = set(), set(), {}
-    for path in paths:
+    for path in pkg.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -192,8 +191,6 @@ def test_every_library_function_is_referenced():
                 attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
-        if path.parent != pkg:
-            continue
         for node in tree.body:
             is_class = isinstance(node, ast.ClassDef)
             members = node.body if is_class else [node]
@@ -208,9 +205,20 @@ def test_every_library_function_is_referenced():
     assert unreferenced == []
 
 
+def _numpy_ufunc(func):
+    """The NumPy ufunc a call's func names as np.<name>, else None."""
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")):
+        ufunc = getattr(np, func.attr, None)
+        return ufunc if isinstance(ufunc, np.ufunc) else None
+    return None
+
+
 def _exposure_writes(tree):
-    """Assignments in tree whose target is x.exposure or an element or slice
-    of it, as (inside ItemCatalog, line)."""
+    """Writes in tree to x.exposure or to an element or slice of it, as
+    (inside ItemCatalog, line): assignment targets; the first argument of a
+    ufunc.at call (np.add.at(x.exposure, ...)); an out= keyword; and the
+    positional outputs of an np.<ufunc> call, the arguments past its nin."""
     def targets(node):
         if isinstance(node, (ast.Tuple, ast.List)):
             for elt in node.elts:
@@ -228,6 +236,13 @@ def _exposure_writes(tree):
             tops = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             tops = [node.target]
+        elif isinstance(node, ast.Call):
+            tops = [k.value for k in node.keywords if k.arg == "out"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "at":
+                tops += node.args[:1]
+            ufunc = _numpy_ufunc(node.func)
+            if ufunc is not None:
+                tops += node.args[ufunc.nin:]
         else:
             continue
         for target in (t for top in tops for t in targets(top)):
@@ -237,13 +252,36 @@ def _exposure_writes(tree):
                 yield id(node) in catalog, node.lineno
 
 
+def test_exposure_writes_seen_through_numpy_calls():
+    """The write finder sees NumPy calls that write to .exposure, and not
+    those that only read it."""
+    writes = """
+np.add.at(env.catalog.exposure, ids, 1)
+np.multiply.at(cat.exposure[:5], 0, 2)
+np.add(a, b, out=cat.exposure)
+np.add(a, b, out=(cat.exposure,))
+np.negative(a, cat.exposure[ids])
+np.add(a, b, cat.exposure)
+cat.exposure[ids] += 1
+"""
+    reads = """
+np.add.at(counts, ids, cat.exposure[ids])
+np.log1p(cat.exposure, out=logs)
+np.add(cat.exposure, b, logs)
+np.negative(cat.exposure)
+total = cat.exposure.sum()
+"""
+    assert sorted(line for _, line in _exposure_writes(ast.parse(writes))) == list(range(2, 9))
+    assert list(_exposure_writes(ast.parse(reads))) == []
+
+
 def test_only_the_catalog_writes_exposure():
     """ItemCatalog.serve keeps the catalog's exposure statistics in step
-    with exposure, so no code in src/ or scripts/ outside ItemCatalog may
-    assign to .exposure or to its elements."""
+    with exposure, so no code in src/ outside ItemCatalog may write to
+    .exposure or to its elements, by assignment or through a NumPy call."""
     pkg = pathlib.Path(dsrm_hrl.__file__).parent
     inside, outside = 0, []
-    for path in [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]:
+    for path in pkg.glob("*.py"):
         for in_catalog, line in _exposure_writes(ast.parse(path.read_text())):
             inside += in_catalog
             if not in_catalog:
@@ -252,7 +290,7 @@ def test_only_the_catalog_writes_exposure():
     assert outside == []
 
 
-# Defaulted parameters that no call in src/ or scripts/ sets, or that every
+# Defaulted parameters that no call in src/ sets, or that every
 # call fills with the same literal, kept on purpose.
 KEPT_DEFAULTS = {
     "cli.main:argv",             # tests and perfbench drive the CLI in-process
@@ -275,14 +313,13 @@ def _literal(node, otherwise=_UNKNOWN):
 def test_every_defaulted_parameter_is_set():
     """Each parameter with a default, of a package function, method or
     constructor, is filled with more than one value by the calls in src/
-    and scripts/ to a callable of that name: the argument passed by
-    position or keyword, else the default. One that every call fills with
+    to a callable of that name: the argument passed by position or keyword,
+    else the default. One that every call fills with
     the same literal, or with its default, or that no call reaches, is an
     option no run can set, unless it is listed above."""
     pkg = pathlib.Path(dsrm_hrl.__file__).parent
-    paths = [*pkg.glob("*.py"), *(pkg.parents[1] / "scripts").glob("*.py")]
     calls, defaulted = [], {}
-    for path in paths:
+    for path in pkg.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -292,8 +329,6 @@ def test_every_defaulted_parameter_is_set():
                           or any(k.arg is None for k in node.keywords))
                 calls.append((name, opaque, node.args,
                               {k.arg: k.value for k in node.keywords}))
-        if path.parent != pkg:
-            continue
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             for fn in members:

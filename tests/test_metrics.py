@@ -1,5 +1,8 @@
 """Fairness metrics: Gini, group coverage, absolute difference, aggregation."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -10,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_catalog
-from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, SessionOutcome
+from dsrm_hrl.config import EnvConfig
+from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, SessionOutcome
 from dsrm_hrl.metrics import (MetricsReport, absolute_difference, gini,
                               group_coverage, session_stats)
 from dsrm_hrl.persistence import write_results
@@ -89,6 +93,43 @@ def test_group_coverage_errors():
     cat = tiny_catalog()
     with pytest.raises(ValueError):
         group_coverage(np.empty((0, 2), dtype=np.int64), cat)
+
+
+def test_group_coverage_matches_unique_oracle():
+    """The distinct items served, counted with bincount, give np.unique's
+    coverage exactly, on slates that repeat items across steps."""
+    rng = np.random.default_rng(5)
+    cat = ItemCatalog.build(EnvConfig(n_items=60), rng)
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        pool = rng.choice(cat.n_items, size=int(rng.integers(k, cat.n_items + 1)),
+                          replace=False)
+        slates = np.array([rng.choice(pool, size=k, replace=False)
+                           for _ in range(rng.integers(1, 40))])
+        groups = cat.group[np.unique(slates)]
+        want = (np.sum(groups == GROUP_POPULAR) / cat.group_sizes[GROUP_POPULAR],
+                np.sum(groups == GROUP_LONGTAIL) / cat.group_sizes[GROUP_LONGTAIL])
+        assert group_coverage(slates, cat) == want
+
+
+def test_session_stats_leaves_numpy_ma_unimported():
+    """np.unique imports numpy.ma, a one-off cost in every process that
+    evaluates; the coverage count needs no such import."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from conftest import tiny_catalog\n"
+            "from dsrm_hrl.env import SessionOutcome\n"
+            "from dsrm_hrl.metrics import session_stats\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "session_stats([SessionOutcome(np.ones(2), np.array([[0, 2], [1, 3]]), False)],\n"
+            "              tiny_catalog())\n"
+            "print('numpy.ma' in sys.modules)\n")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_absolute_difference_hand_cases():
