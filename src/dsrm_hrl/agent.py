@@ -13,7 +13,7 @@ from .config import EVAL_SEED_OFFSET, HrlConfig
 from .diffusion import Denoiser, ReverseChain, purify
 from .env import RecEnv, SessionOutcome
 from .metrics import EpisodeGini, gini  # noqa: F401 (gini: patched by name in perfbench and tests)
-from .nn import Adam, Mlp
+from .nn import Adam, Flat, Mlp, layer_shapes
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -29,13 +29,27 @@ class ManagerPolicy:
     is state-independent and clamped to [-5, 2]."""
 
     def __init__(self, d: int, hidden=(64, 64), rng=None):
-        self.net = Mlp([d, *hidden, 2], rng=rng)
-        self.log_std = np.zeros(2)
+        sizes = [d, *hidden, 2]
+        self._shapes = {**{f"net.{k}": s for k, s in layer_shapes(sizes).items()},
+                        "log_std": (2,)}
+        self._params = Flat.over(self._shapes)
+        self.net = Mlp(sizes, rng=rng, vector=self._params.vector[:-2])
+        self.log_std = self._params["log_std"]
 
-    def parameters(self):
-        params = {f"net.{k}": v for k, v in self.net.parameters().items()}
-        params["log_std"] = self.log_std
-        return params
+    def parameters(self) -> Flat:
+        """The net's parameters ("net."-prefixed), then log_std: one vector."""
+        return Flat(self._params, self._params.vector)
+
+    def set_parameters(self, params: dict[str, np.ndarray]):
+        self._params.assign(params)
+
+    def gradients(self, cache, dmean, dlog_std) -> Flat:
+        """Gradients laid out as parameters(), given dL/dmean of the forward
+        that made cache and dL/dlog_std."""
+        grads = Flat.over(self._shapes, np.empty(self._params.vector.size))
+        self.net.backward(cache, dmean, out=grads.vector[:-2])
+        grads["log_std"][...] = dlog_std
+        return grads
 
     def _clamped_log_std(self):
         return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
@@ -193,9 +207,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         # Zero gradient where the clamp is saturated.
         dlogstd *= ((policy.log_std > LOG_STD_MIN) & (policy.log_std < LOG_STD_MAX))
 
-        net_grads = policy.net.backward(cache, -dmean)  # minimize -objective
-        grads = {f"net.{k}": v for k, v in net_grads.items()}
-        grads["log_std"] = -dlogstd
+        grads = policy.gradients(cache, -dmean, -dlogstd)  # minimize -objective
         opt_policy.step(policy.parameters(), grads)
 
         vloss = value_step(value_net, opt_value, states, ret)

@@ -158,7 +158,9 @@ def _encode_histories(items, rewards, embeddings: np.ndarray) -> np.ndarray:
     items, or of rows of windows of one length: NumPy groups the terms of
     a sum by its length, so a padded window could round differently."""
     w = 1.0 + rewards
-    return (w[..., None] * embeddings[items]).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
+    terms = embeddings[items]  # a copy, weighted in place
+    terms *= w[..., None]
+    return terms.sum(axis=-2) / w.sum(axis=-1, keepdims=True)
 
 
 # Ratio of the popularity-aligned drift to noise_scale; the drift is the
@@ -335,9 +337,15 @@ class Rollout:
     observed: np.ndarray  # (T, d) the observed state the step emitted
 
 
+# Steps per block of random_rollout's second pass. Its buffers, and the
+# temporaries of a block's history encodings, scale with it.
+ROLLOUT_BLOCK = 128
+
+
 def _rollout_chunk(n_items: int) -> int:
-    """Steps per chunk of random_rollout: (steps, n_items) is <= 2**15 cells."""
-    return max(1, 2**15 // n_items)
+    """Steps per chunk of random_rollout's first pass: (steps, n_items) is
+    <= 2**15 cells, and a chunk lies within one block."""
+    return min(ROLLOUT_BLOCK, max(1, 2**15 // n_items))
 
 
 def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollout:
@@ -348,61 +356,89 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
     RecEnv.reset and RecEnv.step give; env's own session is not touched.
 
     No draw of this policy depends on catalog state: slates, observation
-    noise and abandonment read only earlier slates and the config. So each
-    chunk of steps first makes its draws in the order a session makes
-    them, then does the state-dependent math (exposure, rewards, histories,
-    drift, observations) as array math over the chunk, and serves the
-    chunk's slates. Stacked matrix-vector products do one product per row,
-    so each row's sums group as the single-step ones do."""
+    noise and abandonment read only earlier slates and the config. So it
+    runs in blocks of ROLLOUT_BLOCK steps, each in two passes. The first
+    goes by chunks of _rollout_chunk steps: each step's draws, in the order
+    a session makes them, then the chunk's work that spans the catalog,
+    its exposure rows and drift directions. The second does the rest of
+    the math (rewards, histories, observations) over the whole block as
+    arrays, and serves the block's slates. Stacked matrix-vector products
+    do one product per row, so each row's sums group as the single-step
+    ones do."""
     cfg, cat, emb = env.config, env.catalog, env.catalog.embeddings
     n, k, d = cfg.n_items, cfg.slate_k, cfg.d
     out = Rollout(np.empty((n_steps, k), np.int64), np.empty((n_steps, k)),
                   np.empty((n_steps, k), np.int64), np.empty((n_steps, d)),
                   np.empty((n_steps, d)))
-    chunk = _rollout_chunk(n)
-    prefs = np.empty((chunk, d))
-    noise = np.empty((chunk, k))
-    # Per step, encode_observed's draws: the drift magnitude, one normal per
-    # item for the drift direction, then the isotropic part.
+    block, chunk = min(ROLLOUT_BLOCK, n_steps), _rollout_chunk(n)
+    # Per chunk: row 0 holds the exposure before the chunk and row t + 1 that
+    # after its step t's serve, exact in float64. Per step of the chunk,
+    # encode_observed's draws: the drift magnitude, one normal per item for
+    # the drift direction, then the isotropic part.
+    after = np.empty((chunk + 1, n))
+    after[0] = cat.exposure
     z = np.empty((chunk, 1 + n + d))
-    after = np.empty((chunk, n))  # exposure after each step's serve, exact in float64
-    lo = np.empty(chunk, np.int64)  # the first step of each step's history window
-    # The consumed (item, reward) of each step of the chunk, after those of
+    # Per step of the block, what the second pass reads.
+    prefs = np.empty((block, d))
+    noise = np.empty((block, k))
+    peak = np.empty(block)  # the largest count of the step's slate after its serve
+    magnitude, direction, isotropic = (np.empty((block, w)) for w in (1, d, d))
+    lo = np.empty(block, np.int64)  # the first step of each step's history window
+    # The consumed (item, reward) of each step of the block, after those of
     # the last history_window - 1 steps before it.
     past = cfg.history_window - 1
-    hist_items = np.zeros(past + chunk, np.int64)
-    hist_rewards = np.zeros(past + chunk)
+    hist_items = np.zeros(past + block, np.int64)
+    hist_rewards = np.zeros(past + block)
     done = True
-    for start in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - start)
-        slates = out.slates[start:start + m]
-        for t in range(m):
-            if done:
-                srng, pref = _start_session(cfg, int(rng.integers(0, 2**31 - 1)))
-                if cfg.noise_scale > 0:  # the reset encoding's draws
-                    warm = cat.exposure_total + t * k > 0
-                    srng.standard_normal(1 + (n if warm else 0) + d)
-                satisfaction, popular, steps, first = 1.0, deque(maxlen=cfg.window_a), 0, t
-            prefs[t] = pref
-            slates[t] = srng.choice(n, size=k, replace=False)
-            after[t] = after[t - 1] if t else cat.exposure
-            after[t, slates[t]] += 1.0
-            if cfg.obs_noise > 0:
-                srng.standard_normal(out=noise[t])
-            popular.append(cat.group[slates[t]].tolist().count(GROUP_POPULAR))
-            satisfaction, abandoned = update_abandonment(satisfaction, popular, cfg, srng)
-            steps += 1
-            done = abandoned or steps >= cfg.max_len
+    for start in range(0, n_steps, block):
+        m = min(block, n_steps - start)
+        slates, seen = out.slates[start:start + m], out.exposure[start:start + m]
+        total = cat.exposure_total
+        for c in range(0, m, chunk):
+            end = min(c + chunk, m)
+            for r in range(c, end):
+                if done:
+                    srng, pref = _start_session(cfg, int(rng.integers(0, 2**31 - 1)))
+                    if cfg.noise_scale > 0:  # the reset encoding's draws
+                        srng.standard_normal(1 + (n if total + r * k > 0 else 0) + d)
+                    satisfaction, popular, steps, first = 1.0, deque(maxlen=cfg.window_a), 0, r
+                prefs[r] = pref
+                slates[r] = srng.choice(n, size=k, replace=False)
+                if cfg.obs_noise > 0:
+                    srng.standard_normal(out=noise[r])
+                popular.append(cat.group[slates[r]].tolist().count(GROUP_POPULAR))
+                satisfaction, abandoned = update_abandonment(satisfaction, popular, cfg, srng)
+                steps += 1
+                done = abandoned or steps >= cfg.max_len
+                if cfg.noise_scale > 0:
+                    srng.standard_normal(out=z[r - c])
+                lo[r] = max(first, r - past)
+
+            # Each step's exposure row: the row before it plus its slate.
+            rows = np.arange(end - c)
+            counts = after[1:end - c + 1]
+            counts[...] = 0.0
+            counts[rows[:, None], slates[c:end]] = 1.0
+            for t in rows.tolist():
+                after[t + 1] += after[t]
+            served = counts[rows[:, None], slates[c:end]]
+            seen[c:end] = served - 1.0
+            peak[c:end] = served.max(axis=1)
+            after[0] = counts[-1]
             if cfg.noise_scale > 0:
-                srng.standard_normal(out=z[t])
-            lo[t] = max(first, t - past)
+                # popularity_drift_direction of each step's post-serve catalog.
+                draws = z[:end - c]
+                share = np.divide(counts, (total + k * (rows + c + 1))[:, None], out=counts)
+                share *= np.abs(draws[:, 1:1 + n], out=draws[:, 1:1 + n])
+                v = np.matmul(share[:, None, :], emb)[:, 0, :]
+                norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
+                direction[c:end] = np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
+                magnitude[c:end] = draws[:, :1]
+                isotropic[c:end] = draws[:, 1 + n:]
         first -= m
 
         rows = np.arange(m)
-        served = after[rows[:, None], slates]
-        seen = out.exposure[start:start + m]
-        seen[:] = served - 1.0
-        top = np.maximum.accumulate(np.append(cat.exposure_max, served.max(axis=1)))
+        top = np.maximum.accumulate(np.append(cat.exposure_max, peak[:m]))
         # A cold catalog's first step has every count 0: weight 0, and
         # adding 0.0 to a reward leaves it as skipping the bias does.
         weight = np.log1p(seen) / np.log1p(np.maximum(top[:-1], 1.0))[:, None]
@@ -424,15 +460,8 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
         hist_rewards[:past] = hist_rewards[m:m + past]
 
         if cfg.noise_scale > 0:
-            # popularity_drift_direction of each step's post-serve catalog.
-            share = np.divide(after[:m], (cat.exposure_total + k * (rows + 1))[:, None],
-                              out=after[:m])
-            share *= np.abs(z[:m, 1:1 + n], out=z[:m, 1:1 + n])
-            v = np.matmul(share[:, None, :], emb)[:, 0, :]
-            norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
-            direction = np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
-            out.observed[start:start + m] = _corrupt(clean, z[:m, :1], direction,
-                                                     z[:m, 1 + n:], cfg.noise_scale)
+            out.observed[start:start + m] = _corrupt(clean, magnitude[:m], direction[:m],
+                                                     isotropic[:m], cfg.noise_scale)
         else:
             out.observed[start:start + m] = clean
         cat.serve(slates)

@@ -136,8 +136,7 @@ def load_agent(ckpt_path):
     policy checkpoint."""
     tensors, cfg, denoiser = _load(ckpt_path)
     agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser)
-    agent.policy.net.set_parameters(_unprefixed(tensors, "policy.net"))
-    agent.policy.log_std = tensors["policy.log_std"].copy()
+    agent.policy.set_parameters(_unprefixed(tensors, "policy"))
     agent.value_net.net.set_parameters(_unprefixed(tensors, "value"))
     return agent, cfg
 
@@ -167,7 +166,10 @@ def run_eval(ckpt_path, episodes: int | None = None,
 
 def _copies(cfg: RunConfig, section: str, key: str, values) -> list[RunConfig]:
     """One copy of cfg per value of section.key, each validated before any
-    is returned, so a bad value fails before anything trains."""
+    is returned, so a bad or repeated value fails before anything trains."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise config_mod.ConfigError(f"{section}.{key}: value {repeated[0]} is repeated")
     copies = []
     for value in values:
         c = copy.deepcopy(cfg)

@@ -166,6 +166,14 @@ def test_sweep_validates_every_k_before_training(cfg_file, tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_sweep_rejects_a_repeated_k_before_training(cfg_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep-steps", "--config", cfg_file, "--out", str(out), "--steps", "2,4,2"])
+    assert rc == EXIT_VALIDATION
+    assert "dsrm.k_steps: value 2 is repeated" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_motivate_runs_without_denoiser(cfg_file, tmp_path):
     out = tmp_path / "mot"
     rc = main(["motivate", "--config", cfg_file, "--seed", "1",
@@ -268,6 +276,15 @@ def test_ablation_validates_every_seed_before_training(cfg_file, tmp_path, capsy
     assert ablation(cfg_file, out, "--seeds", "3,-1") == EXIT_VALIDATION
     assert "env.seed" in capsys.readouterr().err
     assert not (out / "dsrm_s3.ckpt").exists()
+
+
+def test_ablation_rejects_a_repeated_seed_before_training(cfg_file, tmp_path, capsys):
+    """A repeated seed would train again over its own files and count its
+    rows twice in results.csv."""
+    out = tmp_path / "abl"
+    assert ablation(cfg_file, out, "--seeds", "3,3") == EXIT_VALIDATION
+    assert "env.seed: value 3 is repeated" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_ablation_exits_like_the_cli(cfg_file, tmp_path, capsys):

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from dsrm_hrl.nn import ADAM_EPS, Adam, Mlp, ShapeError, gradient_check
+from dsrm_hrl.agent import ManagerPolicy, ValueNet
+from dsrm_hrl.config import DsrmConfig
+from dsrm_hrl.diffusion import Denoiser
+from dsrm_hrl.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, Flat, Mlp, ShapeError,
+                         gradient_check)
 
 
 def quadratic_loss(target):
@@ -99,6 +103,27 @@ def test_adam_rejects_shape_mismatch():
         opt.step(params, {"w": np.zeros(2)})
 
 
+@pytest.mark.parametrize("fault", ["wrong shape", "missing"])
+def test_adam_checks_every_gradient_before_stepping(fault):
+    """A bad b1 gradient (the last but one tensor) is rejected before W0, b0
+    or W1 move: parameters, moments and step_count stay as they were."""
+    mlp = Mlp([4, 3, 2], rng=np.random.default_rng(0))
+    opt = Adam(mlp.parameters(), lr=0.1)
+    ones = {k: np.ones_like(v) for k, v in mlp.parameters().items()}
+    opt.step(mlp.parameters(), ones)
+    before = [{k: a.copy() for k, a in d.items()} for d in (mlp.parameters(), opt.m, opt.v)]
+    if fault == "missing":
+        del ones["b1"]
+    else:
+        ones["b1"] = np.ones(3)
+    with pytest.raises(ShapeError, match="b1"):
+        opt.step(mlp.parameters(), ones)
+    assert opt.step_count == 1
+    for d, ref in zip((mlp.parameters(), opt.m, opt.v), before):
+        for k in ref:
+            assert np.array_equal(d[k], ref[k]), k
+
+
 def test_adam_converges_on_quadratic():
     rng = np.random.default_rng(4)
     target = rng.standard_normal(6)
@@ -126,3 +151,117 @@ def test_forward_rows_equals_single_vector_forward(seed, batch):
     assert rows.shape == (batch, sizes[-1])
     for xi, yi in zip(x, rows):
         assert np.array_equal(mlp.forward(xi)[0], yi)
+
+
+# -- Adam over one vector against the per-tensor Adam it replaced -------------
+
+class PerTensorAdam:
+    """The earlier Adam, verbatim: the same operations, one tensor at a time."""
+
+    def __init__(self, params, lr=1e-3):
+        self.lr = lr
+        self.step_count = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._tmp = {k: np.empty_like(v) for k, v in params.items()}
+        self.skipped = 0
+
+    def step(self, params, grads):
+        self.step_count += 1
+        t = self.step_count
+        for key, p in params.items():
+            g = grads[key]
+            if g.shape != p.shape:
+                raise ShapeError(f"gradient shape mismatch for {key}")
+            if not np.isfinite(g).all():
+                self.skipped += 1
+                continue
+            # In place: ((1 - b2) * g) * g, (lr * m_hat) / (sqrt(v_hat) + eps).
+            m, v, tmp = self.m[key], self.v[key], self._tmp[key]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, tmp)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, tmp), g, tmp)
+            np.sqrt(np.divide(v, 1 - ADAM_BETA2 ** t, tmp), tmp)
+            tmp += ADAM_EPS
+            step = m / (1 - ADAM_BETA1 ** t)
+            step *= self.lr
+            p -= np.divide(step, tmp, step)
+
+
+MODELS = {
+    "denoiser": lambda rng: Denoiser(DsrmConfig(), 16, rng=rng).net,
+    "manager": lambda rng: ManagerPolicy(16, rng=rng),
+    "value": lambda rng: ValueNet(16, rng=rng).net,
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_flat_adam_matches_per_tensor_adam(model):
+    """50 steps on each model's own parameter vector, with gradients of
+    scales 1e-6 to 10 laid out as one vector too; at step 17 one tensor's
+    gradient (the fourth tensor's) holds a NaN. Parameters, moments and
+    skipped match bit for bit."""
+    net, ref = MODELS[model](np.random.default_rng(3)), MODELS[model](np.random.default_rng(3))
+    params = net.parameters()
+    assert isinstance(params, Flat) and params.tiles(tuple(params))
+    ref_params = {k: v.copy() for k, v in ref.parameters().items()}
+    shapes = {k: v.shape for k, v in params.items()}
+    opt, ref_opt = Adam(params, lr=3e-3), PerTensorAdam(ref_params, lr=3e-3)
+    rng = np.random.default_rng(4)
+    for step in range(50):
+        grads = Flat.over(shapes, rng.standard_normal(params.vector.size))
+        for g in grads.values():
+            g *= 10.0 ** rng.integers(-6, 2)
+        if step == 17:
+            grads[list(shapes)[3]][-1] = np.nan
+        ref_grads = {k: g.copy() for k, g in grads.items()}
+        opt.step(net.parameters(), grads)
+        ref_opt.step(ref_params, ref_grads)
+        assert opt.skipped == ref_opt.skipped == (step >= 17)
+        for k in shapes:
+            assert np.array_equal(net.parameters()[k], ref_params[k]), (step, k)
+            assert np.array_equal(opt.m[k], ref_opt.m[k]), (step, k)
+            assert np.array_equal(opt.v[k], ref_opt.v[k]), (step, k)
+
+
+@pytest.mark.parametrize("change", ["add", "replace", "drop", "reorder"])
+def test_a_changed_flat_no_longer_tiles_its_vector(change):
+    """Adam uses a Flat's vector only while the Flat holds its own views,
+    under its own names, in order; otherwise it gathers and scatters."""
+    mlp = Mlp([3, 4, 2], rng=np.random.default_rng(0))
+    params = mlp.parameters()
+    assert params.tiles(tuple(params))
+    if change == "add":
+        params["log_std"] = np.zeros(2)
+    elif change == "replace":
+        params["W0"] = params["W0"].copy()
+    elif change == "drop":
+        del params["b1"]
+    else:
+        params["W0"] = params.pop("W0")
+    assert not params.tiles(tuple(params))
+    before = {k: v.copy() for k, v in params.items()}
+    opt = Adam(params, lr=0.1)
+    opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+    for k, v in params.items():  # the first step moves each by lr / (1 + eps)
+        assert np.allclose(v, before[k] - 0.1 / (1.0 + ADAM_EPS), rtol=0, atol=1e-12), k
+
+
+def test_models_keep_parameters_and_gradients_in_one_vector():
+    """Each model's parameters() are views of its one vector, and its
+    gradients come laid out the same way, so Adam gathers nothing."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 16))
+    policy, value = ManagerPolicy(16, rng=rng), ValueNet(16, rng=rng)
+    _, cache = policy.net.forward(x)
+    pairs = [(policy.parameters(), policy.gradients(cache, np.ones((7, 2)), np.ones(2)))]
+    _, cache = value.net.forward(x)
+    pairs.append((value.net.parameters(), value.net.backward(cache, np.ones((7, 1)))))
+    for params, grads in pairs:
+        names = tuple(params)
+        assert params.tiles(names) and grads.tiles(names)
+        assert grads.vector.size == params.vector.size
+        assert all(np.shares_memory(a, params.vector) for a in params.values())
+    assert policy.parameters()["log_std"] is policy.log_std
+    assert list(policy.parameters())[-1] == "log_std"

@@ -9,8 +9,9 @@ statistics to equal the same functions of the whole exposure vector after
 every step. The k-entry log1p must equal the whole-catalog log1p element
 for element; nothing in NumPy promises that, so these tests pin it.
 
-The chunked random rollout runs against RecEnv's own reset and step, one
-step at a time, and must match them bit for bit too."""
+The random rollout, in blocks of steps made in chunks, runs against
+RecEnv's own reset and step, one step at a time, and must match them bit
+for bit too."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dsrm_hrl import agent as agent_mod
 from dsrm_hrl.agent import Agent
 from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.diffusion import Denoiser
-from dsrm_hrl.env import (GROUP_POPULAR, POP_DRIFT_RATIO, EnvError,
+from dsrm_hrl.env import (GROUP_POPULAR, POP_DRIFT_RATIO, ROLLOUT_BLOCK, EnvError,
                           InvalidActionError, RecEnv, UserProfile,
                           _rollout_chunk, random_rollout, update_abandonment)
 
@@ -294,13 +295,17 @@ ROLLOUT_ENVS = {
 }
 
 
+# 40 items make a chunk as long as a block; 500 and 5000 items make blocks
+# of several chunks, the last one short.
 @pytest.mark.parametrize("env_kind", sorted(ROLLOUT_ENVS))
-@pytest.mark.parametrize("n_items", [500, 5000])
+@pytest.mark.parametrize("n_items", [40, 500, 5000])
 def test_chunked_rollout_matches_stepped_env(n_items, env_kind):
     cfg = EnvConfig(n_items=n_items, **ROLLOUT_ENVS[env_kind])
-    chunk = _rollout_chunk(n_items)
-    several = chunk * (1 + 150 // chunk) + 3  # several chunks and sessions
-    for n_steps in (1, chunk - 1, chunk, chunk + 1, several):
+    chunk, block = _rollout_chunk(n_items), ROLLOUT_BLOCK
+    several = 2 * block + chunk + 3  # several blocks, chunks and sessions
+    edges = {1, chunk - 1, chunk, chunk + 1, block - 1, block, block + 1, several}
+    straddled = set()
+    for n_steps in sorted(edges - {0}):
         env, ref = RecEnv(cfg), RecEnv(cfg)
         got = random_rollout(env, np.random.default_rng(n_steps), n_steps)
         want, starts, ends = stepped_rollout(ref, np.random.default_rng(n_steps),
@@ -310,10 +315,12 @@ def test_chunked_rollout_matches_stepped_env(n_items, env_kind):
             assert np.array_equal(getattr(got, name), column), name
         assert_catalogs_equal(env.catalog, ref.catalog)
         assert_caches_fresh(env.catalog)
-    # The longest rollout has a session that straddles a chunk edge, and
-    # the abandoning env ends sessions both ways.
-    bounds = [*starts, several]
-    assert any(a // chunk < (b - 1) // chunk for a, b in zip(bounds, bounds[1:]))
+        bounds = [*starts, n_steps]
+        straddled |= {edge for edge in (chunk, block) for a, b in zip(bounds, bounds[1:])
+                      if a // edge < (b - 1) // edge}
+    # Some session straddles a chunk edge and one a block edge, and the
+    # abandoning env ends sessions both ways (in the longest rollout).
+    assert straddled == {chunk, block}
     if env_kind == "abandoning":
         assert {satisfaction > 0 for abandoned, satisfaction in ends if abandoned} \
             == {False, True}
