@@ -38,10 +38,7 @@ class ManagerPolicy:
 
     def parameters(self) -> Flat:
         """The net's parameters ("net."-prefixed), then log_std: one vector."""
-        return Flat(self._params, self._params.vector)
-
-    def set_parameters(self, params: dict[str, np.ndarray]):
-        self._params.assign(params)
+        return self._params
 
     def gradients(self, cache, dmean, dlog_std) -> Flat:
         """Gradients laid out as parameters(), given dL/dmean of the forward
@@ -163,7 +160,7 @@ def value_step(value_net: ValueNet, opt_value: Adam, states: np.ndarray,
     verr = vpred[:, 0] - returns
     vloss = float(np.mean(verr**2))
     vgrads = value_net.net.backward(vcache, (2.0 * verr / len(states))[:, None])
-    opt_value.step(value_net.net.parameters(), vgrads)
+    opt_value.step(vgrads)
     return vloss
 
 
@@ -208,7 +205,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         dlogstd *= ((policy.log_std > LOG_STD_MIN) & (policy.log_std < LOG_STD_MAX))
 
         grads = policy.gradients(cache, -dmean, -dlogstd)  # minimize -objective
-        opt_policy.step(policy.parameters(), grads)
+        opt_policy.step(grads)
 
         vloss = value_step(value_net, opt_value, states, ret)
         stats.append({"surrogate": surrogate, "value_loss": vloss,

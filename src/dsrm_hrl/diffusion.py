@@ -229,7 +229,7 @@ def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,
         epoch_loss = 0.0
         for x, eps in batches:
             loss, grads = dsrm_loss(denoiser, x, eps)
-            opt.step(denoiser.net.parameters(), grads)
+            opt.step(grads)
             epoch_loss += loss
         curve.append(epoch_loss / len(batches))
     return denoiser, curve

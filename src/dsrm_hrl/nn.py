@@ -8,9 +8,8 @@ finite-difference oracle rather than by a framework.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -22,17 +21,12 @@ class ShapeError(ValueError):
     pass
 
 
-class Flat(dict):
+class Flat(Mapping):
     """Named float64 arrays that are consecutive views, in key order, of one
-    vector: a model's parameters or their gradients. Adam updates all of a
-    Flat with one NumPy call per operation."""
-
-    def __init__(self, views: dict, vector: np.ndarray):
-        """views: arrays that are consecutive views of vector, in key order,
-        as Flat.over lays them out (or another Flat's)."""
-        super().__init__(views)
-        self.vector = vector
-        self._names, self._views = tuple(self), tuple(self.values())
+    vector: a model's parameters or their gradients. Only Flat.over makes
+    one, and as a mapping it is read-only: no name can be added, dropped or
+    replaced, so its views tile its vector for as long as it lives. layout
+    is its (name, shape) pairs in that order."""
 
     @classmethod
     def over(cls, shapes: dict, vector: np.ndarray | None = None) -> "Flat":
@@ -41,26 +35,44 @@ class Flat(dict):
         vector = np.zeros(sum(sizes)) if vector is None else vector
         if vector.shape != (sum(sizes),):
             raise ShapeError(f"a vector of shape {vector.shape} for {sum(sizes)} values")
-        views, end = {}, 0
+        flat = object.__new__(cls)
+        flat.vector, flat.layout, flat._views = vector, tuple(shapes.items()), {}
+        end = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             view = vector[end:end + size]
-            views[name] = view if len(shape) == 1 else view.reshape(shape)
+            flat._views[name] = view if len(shape) == 1 else view.reshape(shape)
             end += size
-        return cls(views, vector)
+        return flat
 
-    def tiles(self, names: tuple) -> bool:
-        """Whether this still holds its views under names, in order: no key
-        added, dropped, reordered or replaced."""
-        return (tuple(self) == names == self._names
-                and all(map(operator.is_, self.values(), self._views)))
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
 
-    def assign(self, values: dict):
-        """Copies values[name] into each array, after checking every shape."""
-        for name, a in self.items():
-            if np.shape(values[name]) != a.shape:
-                raise ShapeError(f"parameter shape mismatch at {name}")
-        for name, a in self.items():
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def assign(self, values: Mapping):
+        """Copies values[name] into each array, after checking that values
+        holds exactly these names and shapes."""
+        check_layout(self, values)
+        for name, a in self._views.items():
             a[...] = values[name]
+
+
+def check_layout(expected: Mapping, tensors: Mapping):
+    """Raises ShapeError naming the first of expected's names that tensors
+    lacks or holds in another shape, or else the first name of tensors that
+    expected lacks."""
+    for name, a in expected.items():
+        if name not in tensors:
+            raise ShapeError(f"missing tensor {name}")
+        if np.shape(tensors[name]) != a.shape:
+            raise ShapeError(f"tensor {name} has shape {np.shape(tensors[name])}, not {a.shape}")
+    for name in tensors:
+        if name not in expected:
+            raise ShapeError(f"unexpected tensor {name}")
 
 
 def layer_shapes(layer_sizes) -> dict[str, tuple]:
@@ -100,10 +112,7 @@ class Mlp:
         return len(self.weights)
 
     def parameters(self) -> Flat:
-        return Flat(self._params, self._params.vector)
-
-    def set_parameters(self, params: dict[str, np.ndarray]):
-        self._params.assign(params)
+        return self._params
 
     def forward(self, x):
         """Returns (y, cache); cache holds every layer's (B, n) activations
@@ -160,50 +169,35 @@ class Mlp:
 
 
 class Adam:
-    """Bias-corrected Adam over named parameters, updated in place. Each
-    operation is one NumPy call over all the parameters as one vector: a
-    Flat's own vector, or else a copy gathered from the arrays and scattered
-    back. A tensor whose gradient is not finite keeps its parameters and
-    moments, and counts once in skipped."""
+    """Bias-corrected Adam bound to one model's parameters, a Flat, updated
+    in place: each operation is one NumPy call over the Flat's whole vector.
+    A tensor whose gradient is not finite keeps its parameters and moments,
+    and counts once in skipped."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-3):
+    def __init__(self, params: Flat, lr=1e-3):
         self.lr = lr
         self.step_count = 0
         self.skipped = 0
-        shapes = {k: np.shape(v) for k, v in params.items()}
-        self._names = tuple(shapes)
-        self.m, self.v = Flat.over(shapes), Flat.over(shapes)
-        sizes = [v.size for v in self.m.values()]
-        self._slices = [slice(end - size, end)
-                        for size, end in zip(sizes, itertools.accumulate(sizes))]
-        self._tmp, self._step = np.empty(sum(sizes)), np.empty(sum(sizes))
+        self._params = params
+        self.m, self.v = Flat.over(dict(params.layout)), Flat.over(dict(params.layout))
+        self._tmp, self._step = np.empty(params.vector.size), np.empty(params.vector.size)
 
-    def _vector(self, tensors) -> np.ndarray:
-        if isinstance(tensors, Flat) and tensors.tiles(self._names):
-            return tensors.vector
-        return np.concatenate([np.ravel(tensors[k]) for k in self._names])
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        if tuple(params) != self._names:
-            raise ShapeError(f"parameters {tuple(params)} are not {self._names}")
-        for key, p in params.items():
-            g = grads.get(key)
-            if g is None:
-                raise ShapeError(f"no gradient for {key}")
-            if not g.shape == p.shape == self.m[key].shape:
-                raise ShapeError(f"gradient shape mismatch for {key}")
-        p, g = self._vector(params), self._vector(grads)
+    def step(self, grads: Flat):
+        """One update from gradients laid out as the parameters are."""
+        if grads.layout != self._params.layout:
+            check_layout(self._params, grads)
+            raise ShapeError("gradients in another order than the parameters")
+        p, g = self._params.vector, grads.vector
         self.step_count += 1
         t = self.step_count
         m, v, tmp, step = self.m.vector, self.v.vector, self._tmp, self._step
         kept = []
-        if not np.isfinite(g).all():
-            bad = [s for s in self._slices if not np.isfinite(g[s]).all()]
+        if not np.isfinite(g).all():  # a tensor with a bad gradient is put back
+            bad = [name for name, a in grads.items() if not np.isfinite(a).all()]
             self.skipped += len(bad)
-            g = g.copy()
-            for s in bad:
-                g[s] = 0.0
-                kept.append((s, p[s].copy(), m[s].copy(), v[s].copy()))
+            kept = [(x[name], x[name].copy())
+                    for name in bad for x in (self._params, self.m, self.v)]
+            g = np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
         # In place: ((1 - b2) * g) * g, (lr * m_hat) / (sqrt(v_hat) + eps).
         m *= ADAM_BETA1
         m += np.multiply(g, 1 - ADAM_BETA1, tmp)
@@ -214,11 +208,8 @@ class Adam:
         np.divide(m, 1 - ADAM_BETA1 ** t, step)
         step *= self.lr
         p -= np.divide(step, tmp, step)
-        for s, p_s, m_s, v_s in kept:
-            p[s], m[s], v[s] = p_s, m_s, v_s
-        if p is not getattr(params, "vector", None):  # gathered: scatter back
-            for key, s in zip(self._names, self._slices):
-                params[key][...] = p[s].reshape(self.m[key].shape)
+        for view, saved in kept:
+            view[...] = saved
 
 
 def gradient_check(mlp: Mlp, loss_fn, x, h=1e-5) -> float:

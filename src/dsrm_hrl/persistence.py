@@ -59,7 +59,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str = "")
 
 def load_checkpoint(path):
     """Returns (tensors as float64, config_text). Raises CheckpointError on
-    unknown magic, truncation or text that is not UTF-8."""
+    unknown magic, truncation, text that is not UTF-8 or a repeated name."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -95,6 +95,8 @@ def load_checkpoint(path):
     for _ in range(n_tensors):
         name_len, = struct.unpack("<I", take(4, "tensor name length"))
         name = text(name_len, "tensor name")
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} is repeated")
         ndim, = struct.unpack("<I", take(4, "tensor rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
         count = math.prod(shape)  # exact, where np.prod's int64 would wrap
@@ -125,7 +127,7 @@ def _fmt(val) -> str:
 def write_results(path, rows: list[MetricsReport]):
     """Append metric rows to a CSV, one column per MetricsReport field in
     declaration order; the header is written once when the file is created
-    (or is empty).
+    (or is empty). Under another header, ValueError and the file is kept.
     Floats use 6 significant digits; stds are population standard
     deviations."""
     columns = [f.name for f in fields(MetricsReport)]
@@ -134,7 +136,10 @@ def write_results(path, rows: list[MetricsReport]):
             existing = fh.read()
     except FileNotFoundError:
         existing = b""
-    lines = [] if existing else [",".join(columns)]
+    header = ",".join(columns)
+    if existing and existing.split(b"\n", 1)[0] != header.encode("utf-8"):
+        raise ValueError(f"{path}: header is not {header}")
+    lines = [] if existing else [header]
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, col)) for col in columns))
     # The old bytes plus the new rows, written whole: a failed write leaves

@@ -17,6 +17,7 @@ from .config import EVAL_SEED_OFFSET, VARIANTS, RunConfig, render_config
 from .diffusion import Denoiser, ReverseChain, collect_pairs, purify, train_dsrm
 from .env import RecEnv, random_rollout
 from .metrics import MetricsReport, session_stats
+from .nn import ShapeError, check_layout
 from .persistence import (CheckpointError, checkpoint_param_hash,
                           load_checkpoint, save_checkpoint, write_csv,
                           write_embedding_dump, write_results)
@@ -45,8 +46,7 @@ def run_train_dsrm(cfg: RunConfig, ckpt_path, loss_csv_path=None):
     pair_rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 10])
     clean, noisy = collect_pairs(env, cfg.dsrm.n_pairs, pair_rng)
     denoiser, curve = train_dsrm(clean, noisy, cfg.dsrm, seed=cfg.env.seed)
-    save_checkpoint(ckpt_path, _prefixed("denoiser", denoiser.net.parameters()),
-                    render_config(cfg))
+    save_checkpoint(ckpt_path, _tensors({"denoiser": denoiser.net}), render_config(cfg))
     if loss_csv_path is not None:
         write_csv(loss_csv_path, ["epoch", "loss"],
                   [[i + 1, l] for i, l in enumerate(curve)])
@@ -54,40 +54,45 @@ def run_train_dsrm(cfg: RunConfig, ckpt_path, loss_csv_path=None):
         log(f"stage I: {len(curve)} epochs, loss {curve[0]:.4f} -> {curve[-1]:.4f}")
 
 
-def _prefixed(prefix: str, params: dict) -> dict:
-    """Checkpoint names of a module's parameters: "<prefix>.<name>"."""
-    return {f"{prefix}.{k}": v for k, v in params.items()}
+def _tensors(modules: dict) -> dict:
+    """The parameters of modules ({prefix: module}) by checkpoint name, "<prefix>.<name>"."""
+    return {f"{prefix}.{k}": v for prefix, module in modules.items()
+            for k, v in module.parameters().items()}
 
 
-def _unprefixed(tensors: dict, prefix: str) -> dict:
-    """The tensors under "<prefix>.", with the prefix stripped."""
-    head = prefix + "."
-    return {k[len(head):]: v for k, v in tensors.items() if k.startswith(head)}
+def _fill(ckpt_path, tensors: dict, modules: dict):
+    """Copies a checkpoint's tensors into modules ({prefix: module}) if they
+    are exactly _tensors(modules) by name and shape, else raises
+    CheckpointError naming the first tensor missing, unexpected or mis-shaped."""
+    try:
+        check_layout(_tensors(modules), tensors)
+    except ShapeError as exc:
+        raise CheckpointError(f"{ckpt_path}: {exc}") from exc
+    for prefix, module in modules.items():
+        params = module.parameters()
+        params.assign({k: tensors[f"{prefix}.{k}"] for k in params})
 
 
-def _load(ckpt_path):
-    """A checkpoint's tensors and parsed config snapshot, plus the denoiser
-    rebuilt from it (None if it has no denoiser)."""
-    tensors, cfg_text = load_checkpoint(ckpt_path)
-    cfg = config_mod.parse_config(cfg_text)
-    params = _unprefixed(tensors, "denoiser")
+def _denoiser(ckpt_path, tensors: dict, cfg: RunConfig) -> Denoiser:
+    """The denoiser rebuilt from a checkpoint's "denoiser." tensors, which
+    it takes out of tensors."""
+    params = {k: tensors.pop(k) for k in list(tensors) if k.startswith("denoiser.")}
     if not params:
-        return tensors, cfg, None
+        raise CheckpointError(f"{ckpt_path}: no denoiser tensors")
     denoiser = Denoiser(cfg.dsrm, cfg.env.d)
-    denoiser.net.set_parameters(params)
-    return tensors, cfg, denoiser
+    _fill(ckpt_path, params, {"denoiser": denoiser.net})
+    return denoiser
 
 
 def load_denoiser(ckpt_path):
-    """Rebuild a denoiser from a checkpoint."""
-    _, cfg, denoiser = _load(ckpt_path)
-    if denoiser is None:
-        raise CheckpointError(f"{ckpt_path}: no denoiser tensors")
-    return denoiser, cfg
+    """Rebuild a denoiser from a checkpoint, reading only its "denoiser." tensors."""
+    tensors, cfg_text = load_checkpoint(ckpt_path)
+    cfg = config_mod.parse_config(cfg_text)
+    return _denoiser(ckpt_path, tensors, cfg), cfg
 
 
 def denoiser_hash(denoiser: Denoiser) -> str:
-    return checkpoint_param_hash(_prefixed("denoiser", denoiser.net.parameters()))
+    return checkpoint_param_hash(_tensors({"denoiser": denoiser.net}))
 
 
 # -- stage II ---------------------------------------------------------------
@@ -111,11 +116,10 @@ def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
         if hash_before != hash_after:
             raise RuntimeError("denoiser parameters changed during stage II")
         log(f"denoiser frozen: hash {hash_before[:16]} unchanged")
-    tensors = {**_prefixed("policy", agent.policy.parameters()),
-               **_prefixed("value", agent.value_net.net.parameters())}
+    modules = {"policy": agent.policy, "value": agent.value_net.net}
     if denoiser is not None:
-        tensors.update(_prefixed("denoiser", denoiser.net.parameters()))
-    save_checkpoint(ckpt_path, tensors, render_config(cfg))
+        modules["denoiser"] = denoiser.net
+    save_checkpoint(ckpt_path, _tensors(modules), render_config(cfg))
     if train_csv_path is not None:
         write_csv(train_csv_path,
                   ["update", "surrogate", "value_loss", "entropy",
@@ -132,12 +136,13 @@ def policy_paths(cfg: RunConfig, out_dir):
 
 
 def load_agent(ckpt_path):
-    """Rebuild an agent (policy, value net, optional denoiser) from a
-    policy checkpoint."""
-    tensors, cfg, denoiser = _load(ckpt_path)
+    """Rebuild an agent from a policy checkpoint, which holds exactly the
+    tensors of its policy, value net and, unless HRL-RAW, denoiser."""
+    tensors, cfg_text = load_checkpoint(ckpt_path)
+    cfg = config_mod.parse_config(cfg_text)
+    denoiser = None if cfg.hrl.variant == "HRL-RAW" else _denoiser(ckpt_path, tensors, cfg)
     agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser)
-    agent.policy.set_parameters(_unprefixed(tensors, "policy"))
-    agent.value_net.net.set_parameters(_unprefixed(tensors, "value"))
+    _fill(ckpt_path, tensors, {"policy": agent.policy, "value": agent.value_net.net})
     return agent, cfg
 
 

@@ -127,6 +127,32 @@ def test_non_utf8_checkpoint_runtime_error(cfg_file, tmp_path, capsys, field):
     assert err.count("runtime fault: ") == 2 and err.count(f"{field} is not UTF-8") == 2
 
 
+@pytest.mark.parametrize("changes,name", [
+    ({"policy.net.b0": [0.0, 0.0, 0.0]}, "policy.net.b0"),
+    ({"policy.log_std": None}, "policy.log_std"),
+    ({"policy.net.W9": [[0.0]], "valu.W0": [[0.0]]}, "policy.net.W9"),
+], ids=["wrong shape", "missing", "extra"])
+def test_checkpoint_with_other_tensors_runtime_error(cfg_file, tmp_path, capsys,
+                                                     changes, name):
+    """A policy checkpoint whose tensors are not the agent's own is corrupt:
+    eval exits 2 and names the file and the tensor."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    ckpt = str(out / "policy_hrl_raw_s3.ckpt")
+    tensors, text = load_checkpoint(ckpt)
+    for key, value in changes.items():
+        if value is None:
+            del tensors[key]
+        else:
+            tensors[key] = value
+    save_checkpoint(ckpt, tensors, text)
+    capsys.readouterr()
+    assert main(["eval", "--out", str(out), "--ckpt", ckpt]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"runtime fault: {ckpt}: " in err and name in err
+
+
 def test_k0_config_and_snapshot_validation_error(cfg_file, tmp_path, capsys):
     """dsrm.k_steps = 0 is rejected in a config file and in a checkpoint's
     config snapshot; a run without purification is HRL-RAW."""

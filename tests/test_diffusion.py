@@ -135,8 +135,8 @@ def test_dsrm_loss_zero_network_equals_noise_energy():
     the mean squared norm of the injected noise."""
     den = Denoiser(DsrmConfig(k_steps=5, beta_min=0.01, beta_max=0.1, hidden=(8,),
                               time_dim=4), 4, rng=np.random.default_rng(4))
-    den.net.set_parameters({k: np.zeros_like(v)
-                            for k, v in den.net.parameters().items()})
+    den.net.parameters().assign({k: np.zeros_like(v)
+                                 for k, v in den.net.parameters().items()})
     rng = np.random.default_rng(5)
     s0 = rng.standard_normal((6, 4))
     cond = rng.standard_normal((6, 4))

@@ -10,6 +10,13 @@ from dsrm_hrl.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, Flat, Mlp, Shap
                          gradient_check)
 
 
+def ones(shapes):
+    """Gradients of all ones laid out as shapes."""
+    grads = Flat.over(shapes)
+    grads.vector[...] = 1.0
+    return grads
+
+
 def quadratic_loss(target):
     def loss_fn(y):
         resid = y - target
@@ -30,17 +37,34 @@ def test_parameters_round_trip():
     mlp = Mlp([3, 5, 2], rng=np.random.default_rng(1))
     params = {k: v.copy() for k, v in mlp.parameters().items()}
     other = Mlp([3, 5, 2], rng=np.random.default_rng(99))
-    other.set_parameters(params)
+    other.parameters().assign(params)
     x = np.random.default_rng(2).standard_normal(3)
     assert np.array_equal(other.forward(x)[0], mlp.forward(x)[0])
 
 
 def test_set_parameters_rejects_bad_shape():
     mlp = Mlp([3, 5, 2], rng=np.random.default_rng(1))
-    params = mlp.parameters()
+    params = dict(mlp.parameters())
     params["W0"] = np.zeros((2, 2))
     with pytest.raises(ShapeError):
-        mlp.set_parameters(params)
+        mlp.parameters().assign(params)
+
+
+@pytest.mark.parametrize("fault,name", [("missing", "b0"), ("unexpected", "W9"),
+                                        ("wrong shape", "W1")])
+def test_assign_names_the_first_bad_tensor_and_changes_nothing(fault, name):
+    mlp = Mlp([3, 5, 2], rng=np.random.default_rng(1))
+    before = mlp.parameters().vector.copy()
+    values = {k: np.zeros_like(v) for k, v in mlp.parameters().items()}
+    if fault == "missing":
+        del values[name]
+    elif fault == "unexpected":
+        values[name] = np.zeros(2)
+    else:
+        values[name] = np.zeros((5, 2))
+    with pytest.raises(ShapeError, match=name):
+        mlp.parameters().assign(values)
+    assert np.array_equal(mlp.parameters().vector, before)
 
 
 def test_backward_rejects_bad_dy_shape():
@@ -80,44 +104,44 @@ def test_batch_gradient_matches_sum_of_singles():
 def test_adam_first_step_hand_case():
     # With g=1 everywhere, bias correction makes m_hat = v_hat = 1 at t=1,
     # so the first update is exactly lr / (1 + eps).
-    params = {"w": np.array([1.0, -2.0])}
+    params = Flat.over({"w": (2,)}, np.array([1.0, -2.0]))
     opt = Adam(params, lr=0.1)
-    opt.step(params, {"w": np.ones(2)})
+    opt.step(Flat.over({"w": (2,)}, np.ones(2)))
     expected = 1.0 - 0.1 / (1.0 + ADAM_EPS)
     assert np.allclose(params["w"], [expected, expected - 3.0], atol=1e-12)
 
 
 def test_adam_skips_nonfinite_gradients():
-    params = {"w": np.array([1.0]), "u": np.array([1.0])}
+    shapes = {"w": (1,), "u": (1,)}
+    params = Flat.over(shapes, np.array([1.0, 1.0]))
     opt = Adam(params, lr=0.1)
-    opt.step(params, {"w": np.array([np.nan]), "u": np.array([1.0])})
+    opt.step(Flat.over(shapes, np.array([np.nan, 1.0])))
     assert params["w"][0] == 1.0      # skipped
     assert params["u"][0] != 1.0      # updated
     assert opt.skipped == 1
 
 
 def test_adam_rejects_shape_mismatch():
-    params = {"w": np.zeros(3)}
-    opt = Adam(params)
+    opt = Adam(Flat.over({"w": (3,)}))
     with pytest.raises(ShapeError):
-        opt.step(params, {"w": np.zeros(2)})
+        opt.step(Flat.over({"w": (2,)}))
 
 
 @pytest.mark.parametrize("fault", ["wrong shape", "missing"])
 def test_adam_checks_every_gradient_before_stepping(fault):
-    """A bad b1 gradient (the last but one tensor) is rejected before W0, b0
-    or W1 move: parameters, moments and step_count stay as they were."""
+    """A bad b1 gradient (the last tensor) is rejected before W0, b0 or W1
+    move: parameters, moments and step_count stay as they were."""
     mlp = Mlp([4, 3, 2], rng=np.random.default_rng(0))
     opt = Adam(mlp.parameters(), lr=0.1)
-    ones = {k: np.ones_like(v) for k, v in mlp.parameters().items()}
-    opt.step(mlp.parameters(), ones)
+    shapes = dict(mlp.parameters().layout)
+    opt.step(ones(shapes))
     before = [{k: a.copy() for k, a in d.items()} for d in (mlp.parameters(), opt.m, opt.v)]
     if fault == "missing":
-        del ones["b1"]
+        del shapes["b1"]
     else:
-        ones["b1"] = np.ones(3)
+        shapes["b1"] = (3,)
     with pytest.raises(ShapeError, match="b1"):
-        opt.step(mlp.parameters(), ones)
+        opt.step(ones(shapes))
     assert opt.step_count == 1
     for d, ref in zip((mlp.parameters(), opt.m, opt.v), before):
         for k in ref:
@@ -127,11 +151,11 @@ def test_adam_checks_every_gradient_before_stepping(fault):
 def test_adam_converges_on_quadratic():
     rng = np.random.default_rng(4)
     target = rng.standard_normal(6)
-    params = {"w": np.zeros(6)}
+    params, grads = Flat.over({"w": (6,)}), Flat.over({"w": (6,)})
     opt = Adam(params, lr=0.05)
     for _ in range(500):
-        g = 2.0 * (params["w"] - target)
-        opt.step(params, {"w": g})
+        grads["w"][...] = 2.0 * (params["w"] - target)
+        opt.step(grads)
     assert np.allclose(params["w"], target, atol=1e-3)
 
 
@@ -204,7 +228,7 @@ def test_flat_adam_matches_per_tensor_adam(model):
     skipped match bit for bit."""
     net, ref = MODELS[model](np.random.default_rng(3)), MODELS[model](np.random.default_rng(3))
     params = net.parameters()
-    assert isinstance(params, Flat) and params.tiles(tuple(params))
+    assert isinstance(params, Flat) and params is net.parameters()
     ref_params = {k: v.copy() for k, v in ref.parameters().items()}
     shapes = {k: v.shape for k, v in params.items()}
     opt, ref_opt = Adam(params, lr=3e-3), PerTensorAdam(ref_params, lr=3e-3)
@@ -216,7 +240,7 @@ def test_flat_adam_matches_per_tensor_adam(model):
         if step == 17:
             grads[list(shapes)[3]][-1] = np.nan
         ref_grads = {k: g.copy() for k, g in grads.items()}
-        opt.step(net.parameters(), grads)
+        opt.step(grads)
         ref_opt.step(ref_params, ref_grads)
         assert opt.skipped == ref_opt.skipped == (step >= 17)
         for k in shapes:
@@ -226,31 +250,48 @@ def test_flat_adam_matches_per_tensor_adam(model):
 
 
 @pytest.mark.parametrize("change", ["add", "replace", "drop", "reorder"])
-def test_a_changed_flat_no_longer_tiles_its_vector(change):
-    """Adam uses a Flat's vector only while the Flat holds its own views,
-    under its own names, in order; otherwise it gathers and scatters."""
+def test_a_flat_keeps_its_layout(change):
+    """A Flat cannot be re-keyed: adding, replacing, dropping or reordering a
+    name fails and leaves its names and views as they were. Adam rejects
+    gradients laid out with that change, or for another model, before
+    anything moves."""
     mlp = Mlp([3, 4, 2], rng=np.random.default_rng(0))
     params = mlp.parameters()
-    assert params.tiles(tuple(params))
+    names, views = list(params), list(params.values())
+    shapes = dict(params.layout)
+    with pytest.raises((TypeError, AttributeError)):
+        if change == "add":
+            params["log_std"] = np.zeros(2)
+        elif change == "replace":
+            params["W0"] = params["W0"].copy()
+        elif change == "drop":
+            del params["b1"]
+        else:
+            params["W0"] = params.pop("W0")
+    assert list(params) == names
+    assert all(a is b for a, b in zip(params.values(), views))
     if change == "add":
-        params["log_std"] = np.zeros(2)
+        shapes["log_std"] = (2,)
     elif change == "replace":
-        params["W0"] = params["W0"].copy()
+        shapes["W0"] = (3, 4)
     elif change == "drop":
-        del params["b1"]
+        del shapes["b1"]
     else:
-        params["W0"] = params.pop("W0")
-    assert not params.tiles(tuple(params))
-    before = {k: v.copy() for k, v in params.items()}
+        shapes["W0"] = shapes.pop("W0")
     opt = Adam(params, lr=0.1)
-    opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
-    for k, v in params.items():  # the first step moves each by lr / (1 + eps)
-        assert np.allclose(v, before[k] - 0.1 / (1.0 + ADAM_EPS), rtol=0, atol=1e-12), k
+    before = params.vector.copy()
+    other = Mlp([3, 5, 2], rng=np.random.default_rng(1))
+    _, cache = other.forward(np.ones(3))
+    named = {"add": "log_std", "replace": "W0", "drop": "b1", "reorder": "order"}[change]
+    for grads, match in ((ones(shapes), named), (other.backward(cache, np.ones(2)), "W0")):
+        with pytest.raises(ShapeError, match=match):
+            opt.step(grads)
+    assert np.array_equal(params.vector, before) and opt.step_count == 0
 
 
 def test_models_keep_parameters_and_gradients_in_one_vector():
-    """Each model's parameters() are views of its one vector, and its
-    gradients come laid out the same way, so Adam gathers nothing."""
+    """Each model's parameters() are one Flat, views of its one vector, and
+    its gradients come laid out the same way, so Adam binds to that vector."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 16))
     policy, value = ManagerPolicy(16, rng=rng), ValueNet(16, rng=rng)
@@ -259,9 +300,9 @@ def test_models_keep_parameters_and_gradients_in_one_vector():
     _, cache = value.net.forward(x)
     pairs.append((value.net.parameters(), value.net.backward(cache, np.ones((7, 1)))))
     for params, grads in pairs:
-        names = tuple(params)
-        assert params.tiles(names) and grads.tiles(names)
+        assert isinstance(grads, Flat) and grads.layout == params.layout
         assert grads.vector.size == params.vector.size
         assert all(np.shares_memory(a, params.vector) for a in params.values())
+    assert policy.parameters() is policy.parameters()
     assert policy.parameters()["log_std"] is policy.log_std
     assert list(policy.parameters())[-1] == "log_std"

@@ -163,3 +163,32 @@ def test_embedding_dump_row_width(tmp_path):
     assert len(lines) == 4
     for row in lines:
         assert len(row.split("\t")) == 6 + 2
+
+
+def test_checkpoint_with_a_repeated_name_is_corrupt(tmp_path):
+    """save_checkpoint never writes one name twice; a file that does is
+    refused rather than read as its last tensor of that name."""
+    path = tmp_path / "model.ckpt"
+    tensors = sample_tensors()
+    tensors["policy.W1"] = tensors["policy.W0"] + 1.0  # same length and shape
+    save_checkpoint(path, tensors, "cfg")
+    data = path.read_bytes()
+    assert data.count(b"policy.W1") == 1
+    path.write_bytes(data.replace(b"policy.W1", b"policy.W0"))
+    with pytest.raises(CheckpointError, match="policy.W0 is repeated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"variant,seed\n", b"",
+                                    b"variant,seed,max_len,len_mean\n"])
+def test_write_results_refuses_another_header(tmp_path, header):
+    """Rows are appended only under MetricsReport's own header; a file that
+    starts with any other line is refused and left as it was."""
+    path = tmp_path / "results.csv"
+    write_results(path, [sample_report()])
+    good = path.read_bytes()
+    path.write_bytes(header + good.split(b"\n", 1)[1])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="header"):
+        write_results(path, [sample_report(seed=2)])
+    assert path.read_bytes() == before

@@ -196,3 +196,81 @@ def test_load_denoiser_needs_denoiser_tensors(fast_run):
     _, policies = fast_run
     with pytest.raises(CheckpointError, match="no denoiser tensors"):
         load_denoiser(policies["HRL-RAW"])
+
+
+def edited(path, out, changes):
+    """Copy of a checkpoint with each tensor named in changes set to its
+    value, or dropped where the value is None."""
+    tensors, text = load_checkpoint(path)
+    for name, value in changes.items():
+        if value is None:
+            del tensors[name]
+        else:
+            tensors[name] = value
+    save_checkpoint(out, tensors, text)
+    return str(out)
+
+
+# Tensor changes to a FAST_CFG policy checkpoint, each with the tensor that
+# the error must name.
+POLICY_FAULTS = {
+    "wrong shape": ({"policy.net.b0": np.zeros(3)}, "policy.net.b0"),
+    "missing": ({"policy.log_std": None}, "policy.log_std"),
+    "extra in the policy": ({"policy.net.W9": np.zeros((2, 2))}, "policy.net.W9"),
+    "outside every prefix": ({"valu.W0": np.zeros((2, 2))}, "valu.W0"),
+}
+
+
+@pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW"])
+@pytest.mark.parametrize("fault", sorted(POLICY_FAULTS))
+def test_load_agent_takes_exactly_the_agents_tensors(fast_run, variant, fault, tmp_path):
+    _, policies = fast_run
+    changes, name = POLICY_FAULTS[fault]
+    bad = edited(policies[variant], tmp_path / "bad.ckpt", changes)
+    with pytest.raises(CheckpointError, match=f"{bad}: .*{name}"):
+        load_agent(bad)
+
+
+@pytest.mark.parametrize("changes,name", [
+    ({"denoiser.b0": np.zeros(3)}, "denoiser.b0"),
+    ({"denoiser.b1": None}, "denoiser.b1"),
+    ({"denoiser.W9": np.zeros(2)}, "denoiser.W9"),
+], ids=["wrong shape", "missing", "extra"])
+def test_load_denoiser_takes_exactly_the_denoisers_tensors(fast_run, changes, name,
+                                                           tmp_path):
+    """The denoiser's own checkpoint and a policy checkpoint that holds the
+    denoiser alike."""
+    dsrm, policies = fast_run
+    for path, load in ((dsrm, load_denoiser), (policies["DSRM-HRL"], load_agent)):
+        bad = edited(path, tmp_path / "bad.ckpt", changes)
+        for loader in {load_denoiser, load}:
+            with pytest.raises(CheckpointError, match=f"{bad}: .*{name}"):
+                loader(bad)
+
+
+def test_load_denoiser_reads_only_denoiser_tensors(fast_run, tmp_path):
+    """A policy checkpoint holds the denoiser too; load_denoiser takes those
+    tensors and leaves the rest, even a stray one, to load_agent."""
+    dsrm, policies = fast_run
+    stray = edited(policies["DSRM-HRL"], tmp_path / "stray.ckpt",
+                   {"valu.W0": np.zeros((2, 2))})
+    denoiser, _ = load_denoiser(stray)
+    ref, _ = load_denoiser(dsrm)
+    assert np.array_equal(denoiser.net.parameters().vector, ref.net.parameters().vector)
+    with pytest.raises(CheckpointError, match="valu.W0"):
+        load_agent(stray)
+
+
+def test_load_agent_takes_the_denoiser_its_variant_has(fast_run, tmp_path):
+    """HRL-RAW runs on raw states and the other variants on purified ones,
+    so an HRL-RAW checkpoint with denoiser tensors, or another without
+    them, disagrees with its own config snapshot."""
+    dsrm, policies = fast_run
+    den, _ = load_checkpoint(dsrm)
+    raw = edited(policies["HRL-RAW"], tmp_path / "raw.ckpt", den)
+    with pytest.raises(CheckpointError, match=f"{raw}: unexpected tensor denoiser."):
+        load_agent(raw)
+    for variant in ("DSRM-HRL", "FLAT"):
+        bare = edited(policies[variant], tmp_path / "bare.ckpt", dict.fromkeys(den))
+        with pytest.raises(CheckpointError, match=f"{bare}: no denoiser tensors"):
+            load_agent(bare)

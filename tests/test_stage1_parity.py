@@ -70,7 +70,7 @@ def old_train_dsrm(clean, noisy, cfg, seed=0):
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             loss, grads = old_dsrm_loss(denoiser, clean[idx], noisy[idx], epoch_rng)
-            opt.step(denoiser.net.parameters(), grads)
+            opt.step(grads)
             epoch_loss += loss
             n_batches += 1
         curve.append(epoch_loss / n_batches)

@@ -17,7 +17,7 @@ from dsrm_hrl.agent import Agent
 from dsrm_hrl.config import EnvConfig, HrlConfig
 from dsrm_hrl.env import RecEnv
 from dsrm_hrl.metrics import EpisodeGini, gini
-from dsrm_hrl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, Mlp, ShapeError
+from dsrm_hrl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, Flat, Mlp, ShapeError
 
 
 # -- the earlier network math, verbatim --------------------------------------
@@ -227,9 +227,10 @@ def test_forward_leaves_input_unchanged():
 
 def test_adam_matches_old_over_steps_with_non_finite_gradients():
     mlp, ref = make_net([16, 64, 64, 2], 7), make_net([16, 64, 64, 2], 7)
-    params, ref_params = mlp.parameters(), ref.parameters()
-    ref_params["log_std"] = np.zeros(2)
-    params["log_std"] = np.zeros(2)
+    shapes = {**dict(mlp.parameters().layout), "log_std": (2,)}
+    params = Flat.over(shapes)
+    params.assign({**mlp.parameters(), "log_std": np.zeros(2)})
+    ref_params = {**ref.parameters(), "log_std": np.zeros(2)}
     opt, ref_opt = Adam(params, lr=3e-3), OldAdam(ref_params, lr=3e-3)
     rng = np.random.default_rng(8)
     for step in range(60):
@@ -241,7 +242,9 @@ def test_adam_matches_old_over_steps_with_non_finite_gradients():
             grads["b0"][0] = -np.inf
         if step == 40:
             grads["log_std"][1] = np.inf
-        opt.step(params, {k: g.copy() for k, g in grads.items()})
+        flat_grads = Flat.over(shapes)
+        flat_grads.assign(grads)
+        opt.step(flat_grads)
         ref_opt.step(ref_params, grads)
         assert opt.skipped == ref_opt.skipped
         for k in params:
