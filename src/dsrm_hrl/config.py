@@ -196,8 +196,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise  # as is; any other read fault (a directory, no permission) is a ConfigError
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def render_config(cfg: RunConfig) -> str:

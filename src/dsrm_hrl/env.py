@@ -36,8 +36,8 @@ class ItemCatalog:
     heavy-tailed initial popularity, and a popular/long-tail split (top 20%
     by initial popularity, ties broken by ascending item id; group_sizes
     counts each group's items, indexed by group id). serve() alone writes
-    exposure, and keeps exposure_total, exposure_max, log1p_exposure and
-    log1p_max equal to those of the whole vector."""
+    exposure, and keeps exposure_total, exposure_max and log1p_exposure
+    equal to those of the whole vector."""
 
     n_items: int
     embeddings: np.ndarray          # (n_items, d), rows unit-norm
@@ -78,7 +78,6 @@ class ItemCatalog:
         self.exposure_total = int(self.exposure.sum())
         self.exposure_max = int(self.exposure.max())
         self.log1p_exposure = np.log1p(self.exposure)
-        self.log1p_max = np.log1p(self.exposure_max)
         self.group_sizes = np.bincount(self.group, minlength=2)
 
     def serve(self, slates: np.ndarray):
@@ -91,16 +90,7 @@ class ItemCatalog:
         served = self.exposure[slates]
         self.log1p_exposure[slates] = np.log1p(served)
         self.exposure_total += served.size
-        top = int(served.max())
-        if top > self.exposure_max:
-            self.exposure_max, self.log1p_max = top, np.log1p(top)
-
-
-@dataclass
-class UserProfile:
-    latent_pref: np.ndarray                 # unit-norm ground truth, fixed per session
-    history: list = field(default_factory=list)  # [(item_id, reward)], capped at window
-    satisfaction: float = 1.0
+        self.exposure_max = max(self.exposure_max, int(served.max()))
 
 
 @dataclass
@@ -137,18 +127,22 @@ def _start_session(config: EnvConfig, seed: int):
     return rng, pref
 
 
+def _exposure_weight(log1p_seen, top):
+    """The exposure weight log1p(exposure) / log1p(top) of a slate's items
+    before their serve, or of rows of slates (top then a column), top being
+    the catalog's largest count then: 0 while nothing has been served."""
+    return log1p_seen / np.log1p(np.maximum(top, 1.0))
+
+
 def _reward_chain(align, weight, noise, config: EnvConfig) -> np.ndarray:
     """Observed per-item rewards of a slate, or of rows of slates, in the
     buffer of align (the items' alignments with the user): sigmoid(kappa *
-    align), plus bias_strength times the pre-serve exposure weight
-    log1p(exposure) / log1p(max exposure) (None while nothing has been
-    served), plus obs_noise times the normals noise, clipped to [0, 1]."""
+    align), plus bias_strength times the exposure weight, plus obs_noise
+    times the normals noise (zeros when obs_noise is 0), clipped to [0, 1]."""
     align *= config.kappa
     _sigmoid(align)
-    if weight is not None:
-        align += config.bias_strength * weight
-    if noise is not None:
-        align += config.obs_noise * noise
+    align += config.bias_strength * weight
+    align += config.obs_noise * noise
     np.maximum(align, 0.0, out=align)
     return np.minimum(align, 1.0, out=align)
 
@@ -169,56 +163,64 @@ def _encode_histories(items, rewards, embeddings: np.ndarray) -> np.ndarray:
 POP_DRIFT_RATIO = 2.0
 
 
-def popularity_drift_direction(catalog: ItemCatalog,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Unit vector drawn from the cone of heavily-exposed item directions:
-    a random non-negative combination of item embeddings with
-    exposure-share weights. Exposure follows a heavy tail, so the draw is
-    dominated by the handful of most-served items."""
+def _noise_width(n_items: int, d: int, exposed: bool) -> int:
+    """An observation's normals: drift magnitude, n_items for its direction if exposed, d."""
+    return 1 + (n_items if exposed else 0) + d
+
+
+def _drift_directions(share, draws, embeddings: np.ndarray) -> np.ndarray:
+    """Unit drift directions of rows of exposure shares, or of one row: the
+    embeddings weighted by share * abs(draws) (both overwritten) and
+    normalised, with zeros where the norm is below 1e-12."""
+    share *= np.abs(draws, out=draws)
+    v = np.matmul(share[..., None, :], embeddings)[..., 0, :]
+    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0])
+    return np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
+
+
+def popularity_drift_direction(catalog: ItemCatalog, draws: np.ndarray) -> np.ndarray:
+    """Unit vector from the cone of heavily-exposed item directions: a
+    random non-negative combination of item embeddings, exposure shares
+    times abs(draws), one normal per item. Exposure follows a heavy tail, so
+    the handful of most-served items dominate. Zeros while nothing is
+    exposed, and then an observation draws no such normals."""
     if catalog.exposure_total <= 0:
         return np.zeros(catalog.embeddings.shape[1])
-    share = catalog.exposure / catalog.exposure_total
-    z = rng.standard_normal(catalog.n_items)
-    share *= np.abs(z, out=z)
-    v = share @ catalog.embeddings
-    norm = math.sqrt(v.dot(v))
-    if norm < 1e-12:
-        return np.zeros(catalog.embeddings.shape[1])
-    return np.divide(v, norm, out=v)
+    return _drift_directions(catalog.exposure / catalog.exposure_total, draws,
+                             catalog.embeddings)
 
 
-def encode_observed(history, catalog: ItemCatalog, noise_scale: float,
-                    rng: np.random.Generator | None) -> np.ndarray:
-    """The observed state: the history's clean encoding, the
-    reward-weighted mean of the embeddings of recently consumed items (an
-    empty history encodes as the catalog's cold-start prior), corrupted by
-    a drift of half-normal magnitude along a random direction from the
-    exposure cone (popularity_drift_direction) plus a small isotropic
-    Gaussian whose expected norm is about noise_scale. With noise_scale 0
-    it is the clean encoding, and rng is not used."""
-    d = catalog.embeddings.shape[1]
-    if history:
-        ids = [i for i, _ in history]
+def encode_observed(items: np.ndarray, rewards: np.ndarray, catalog: ItemCatalog,
+                    noise_scale: float, rng: np.random.Generator | None) -> np.ndarray:
+    """The observed state: the clean encoding of a history of consumed items
+    and their rewards, their reward-weighted mean embedding (an empty
+    history encodes as the catalog's cold-start prior), corrupted by a
+    drift of half-normal magnitude along popularity_drift_direction plus a
+    small isotropic Gaussian whose expected norm is about noise_scale, from
+    one draw of _noise_width normals. With noise_scale 0 it is the clean
+    encoding, and rng is not used."""
+    ids = items.tolist()
+    if ids:
         if min(ids) < 0 or max(ids) >= catalog.n_items:
             raise EnvError("history references unknown item id")
-        clean = _encode_histories(ids, np.array([r for _, r in history]),
-                                  catalog.embeddings)
+        clean = _encode_histories(items, rewards, catalog.embeddings)
     else:
         clean = catalog.prior.copy()
     if noise_scale <= 0:
         return clean
-    magnitude = rng.standard_normal()
-    direction = popularity_drift_direction(catalog, rng)
-    return _corrupt(clean, magnitude, direction, rng.standard_normal(d), noise_scale)
+    d = len(clean)
+    z = rng.standard_normal(_noise_width(catalog.n_items, d, catalog.exposure_total > 0))
+    return _corrupt(clean, z, popularity_drift_direction(catalog, z[1:-d]), noise_scale)
 
 
-def _corrupt(clean, magnitude, direction, isotropic, noise_scale: float) -> np.ndarray:
-    """encode_observed's corruption of one clean state, or of rows of them
-    (magnitude then a column): the drift abs(magnitude) * direction scaled
-    by noise_scale * POP_DRIFT_RATIO, plus noise_scale / sqrt(d) times the
-    standard normals isotropic."""
-    observed = clean + noise_scale * POP_DRIFT_RATIO * (abs(magnitude) * direction)
-    observed += (noise_scale / math.sqrt(clean.shape[-1])) * isotropic
+def _corrupt(clean, z, direction, noise_scale: float) -> np.ndarray:
+    """encode_observed's corruption of one clean state by its noise z, or of
+    rows of them: the drift abs(magnitude) * direction scaled by noise_scale
+    * POP_DRIFT_RATIO, plus noise_scale / sqrt(d) times the d isotropic
+    normals, the magnitude and those normals being z's first and last."""
+    d = clean.shape[-1]
+    observed = clean + noise_scale * POP_DRIFT_RATIO * (abs(z[..., :1]) * direction)
+    observed += (noise_scale / math.sqrt(d)) * z[..., -d:]
     return observed
 
 
@@ -244,19 +246,26 @@ def update_abandonment(satisfaction: float, popular_counts, config: EnvConfig,
     return satisfaction, abandoned
 
 
+def _abandonment_after(satisfaction: float, popular: deque, slate, catalog: ItemCatalog,
+                       config: EnvConfig, rng: np.random.Generator):
+    """update_abandonment after a serve of slate, whose count of popular
+    items first joins the window popular (a deque of window_a counts)."""
+    popular.append(catalog.group[slate].tolist().count(GROUP_POPULAR))
+    return update_abandonment(satisfaction, popular, config, rng)
+
+
 class RecEnv:
-    """Single-threaded environment instance owning the catalog (with
-    cumulative exposure across sessions) and the current session state."""
+    """Single-threaded environment owning the catalog (with cumulative
+    exposure across sessions) and the current session: its generator, the
+    user's latent preference, the consumed items and their rewards (two
+    arrays, oldest first, capped at history_window) and satisfaction."""
 
     def __init__(self, config: EnvConfig):
         config.validate()
         self.config = config
         self.catalog = ItemCatalog.build(config, np.random.default_rng(config.seed))
-        self._user: UserProfile | None = None
-        self._rng: np.random.Generator | None = None
-        self._step = 0
-        self._done = True
-        self._abandoned = False
+        self._rng = self._pref = None
+        self._done, self._abandoned = True, False
         self._popular_counts = deque(maxlen=config.window_a)
 
     # -- session control ---------------------------------------------------
@@ -264,31 +273,30 @@ class RecEnv:
     def reset(self, seed: int) -> np.ndarray:
         """Start a fresh session with a new user; returns the observed
         state vector. Deterministic given (seed, config)."""
-        self._rng, pref = _start_session(self.config, seed)
-        self._user = UserProfile(latent_pref=pref)
-        self._step = 0
-        self._done = False
-        self._abandoned = False
+        self._rng, self._pref = _start_session(self.config, seed)
+        self._items, self._rewards = np.empty(0, np.int64), np.empty(0)
+        self._satisfaction, self._step = 1.0, 0
+        self._done = self._abandoned = False
         self._popular_counts.clear()
-        return encode_observed([], self.catalog, self.config.noise_scale, self._rng)
+        return encode_observed(self._items, self._rewards, self.catalog,
+                               self.config.noise_scale, self._rng)
 
     def ground_truth_state(self) -> np.ndarray:
         """Sim-only oracle: the session's true preference vector."""
-        if self._user is None:
+        if self._pref is None:
             raise EnvError("no active session")
-        return self._user.latent_pref
+        return self._pref
 
     # -- dynamics ----------------------------------------------------------
 
     def step(self, slate):
         """Serve a slate of distinct item ids; returns (per-item rewards,
         next observed state vector, done)."""
-        if self._done or self._user is None:
+        if self._done:
             raise EnvError("step() on a finished or unstarted session")
         given, slate = slate, np.asarray(slate)
         if slate.shape != (self.config.slate_k,):
-            raise InvalidActionError(
-                f"slate must have exactly {self.config.slate_k} items")
+            raise InvalidActionError(f"slate must have exactly {self.config.slate_k} items")
         # A list that mixes bools with ints converts to an int array.
         if slate.dtype.kind not in "iu" or (slate is not given and any(
                 isinstance(i, (bool, np.bool_)) for i in given)):
@@ -298,28 +306,22 @@ class RecEnv:
             raise InvalidActionError("slate contains duplicate item ids")
         if min(ids) < 0 or max(ids) >= self.catalog.n_items:
             raise InvalidActionError("slate contains unknown item ids")
-        cfg = self.config
-        cat = self.catalog
-
-        weight = (cat.log1p_exposure[slate] / cat.log1p_max
-                  if cat.exposure_max > 0 else None)
-        noise = self._rng.standard_normal(len(ids)) if cfg.obs_noise > 0 else None
-        rewards = _reward_chain(cat.embeddings[slate] @ self._user.latent_pref,
-                                weight, noise, cfg)
+        cfg, cat = self.config, self.catalog
+        weight = _exposure_weight(cat.log1p_exposure[slate], cat.exposure_max)
+        noise = self._rng.standard_normal(len(ids)) if cfg.obs_noise > 0 else np.zeros(len(ids))
+        rewards = _reward_chain(cat.embeddings[slate] @ self._pref, weight, noise, cfg)
         cat.serve(slate)
 
         consumed = int(np.argmax(rewards))  # ties -> lowest slate index
-        self._user.history.append((int(slate[consumed]), float(rewards[consumed])))
-        del self._user.history[:-cfg.history_window]
+        self._items = np.concatenate((self._items, (ids[consumed],)))[-cfg.history_window:]
+        self._rewards = np.concatenate((self._rewards, (rewards[consumed],)))[-cfg.history_window:]
 
-        self._popular_counts.append(cat.group[slate].tolist().count(GROUP_POPULAR))
-        self._user.satisfaction, abandoned = update_abandonment(
-            self._user.satisfaction, self._popular_counts, cfg, self._rng)
-
+        self._satisfaction, abandoned = _abandonment_after(
+            self._satisfaction, self._popular_counts, slate, cat, cfg, self._rng)
         self._step += 1
         self._done = abandoned or self._step >= cfg.max_len
         self._abandoned = abandoned
-        nxt = encode_observed(self._user.history, cat, cfg.noise_scale, self._rng)
+        nxt = encode_observed(self._items, self._rewards, cat, cfg.noise_scale, self._rng)
         return rewards, nxt, self._done
 
     @property
@@ -372,17 +374,15 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
                   np.empty((n_steps, d)))
     block, chunk = min(ROLLOUT_BLOCK, n_steps), _rollout_chunk(n)
     # Per chunk: row 0 holds the exposure before the chunk and row t + 1 that
-    # after its step t's serve, exact in float64. Per step of the chunk,
-    # encode_observed's draws: the drift magnitude, one normal per item for
-    # the drift direction, then the isotropic part.
+    # after its step t's serve, exact in float64; each step's observation noise.
     after = np.empty((chunk + 1, n))
     after[0] = cat.exposure
-    z = np.empty((chunk, 1 + n + d))
+    z = np.empty((chunk, _noise_width(n, d, True)))
+    keep = np.r_[0, 1 + n:1 + n + d]  # a step's noise without its drift normals
     # Per step of the block, what the second pass reads.
-    prefs = np.empty((block, d))
-    noise = np.empty((block, k))
+    prefs, noise = np.empty((block, d)), np.zeros((block, k))
     peak = np.empty(block)  # the largest count of the step's slate after its serve
-    magnitude, direction, isotropic = (np.empty((block, w)) for w in (1, d, d))
+    kept, direction = np.empty((block, 1 + d)), np.empty((block, d))
     lo = np.empty(block, np.int64)  # the first step of each step's history window
     # The consumed (item, reward) of each step of the block, after those of
     # the last history_window - 1 steps before it.
@@ -400,14 +400,14 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
                 if done:
                     srng, pref = _start_session(cfg, int(rng.integers(0, 2**31 - 1)))
                     if cfg.noise_scale > 0:  # the reset encoding's draws
-                        srng.standard_normal(1 + (n if total + r * k > 0 else 0) + d)
+                        srng.standard_normal(_noise_width(n, d, total + r * k > 0))
                     satisfaction, popular, steps, first = 1.0, deque(maxlen=cfg.window_a), 0, r
                 prefs[r] = pref
                 slates[r] = srng.choice(n, size=k, replace=False)
                 if cfg.obs_noise > 0:
                     srng.standard_normal(out=noise[r])
-                popular.append(cat.group[slates[r]].tolist().count(GROUP_POPULAR))
-                satisfaction, abandoned = update_abandonment(satisfaction, popular, cfg, srng)
+                satisfaction, abandoned = _abandonment_after(satisfaction, popular, slates[r],
+                                                             cat, cfg, srng)
                 steps += 1
                 done = abandoned or steps >= cfg.max_len
                 if cfg.noise_scale > 0:
@@ -429,23 +429,15 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
                 # popularity_drift_direction of each step's post-serve catalog.
                 draws = z[:end - c]
                 share = np.divide(counts, (total + k * (rows + c + 1))[:, None], out=counts)
-                share *= np.abs(draws[:, 1:1 + n], out=draws[:, 1:1 + n])
-                v = np.matmul(share[:, None, :], emb)[:, 0, :]
-                norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
-                direction[c:end] = np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
-                magnitude[c:end] = draws[:, :1]
-                isotropic[c:end] = draws[:, 1 + n:]
+                direction[c:end] = _drift_directions(share, draws[:, 1:-d], emb)
+                kept[c:end] = draws[:, keep]
         first -= m
 
         rows = np.arange(m)
         top = np.maximum.accumulate(np.append(cat.exposure_max, peak[:m]))
-        # A cold catalog's first step has every count 0: weight 0, and
-        # adding 0.0 to a reward leaves it as skipping the bias does.
-        weight = np.log1p(seen) / np.log1p(np.maximum(top[:-1], 1.0))[:, None]
+        weight = _exposure_weight(np.log1p(seen), top[:-1, None])
         align = np.matmul(emb[slates], prefs[:m, :, None])[:, :, 0]
-        rewards = out.rewards[start:start + m]
-        rewards[:] = _reward_chain(align, weight, noise[:m] if cfg.obs_noise > 0 else None,
-                                   cfg)
+        rewards = out.rewards[start:start + m] = _reward_chain(align, weight, noise[:m], cfg)
 
         best = rewards.argmax(axis=1)  # ties -> lowest slate index
         hist_items[past:past + m] = slates[rows, best]
@@ -459,10 +451,7 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
         hist_items[:past] = hist_items[m:m + past]
         hist_rewards[:past] = hist_rewards[m:m + past]
 
-        if cfg.noise_scale > 0:
-            out.observed[start:start + m] = _corrupt(clean, magnitude[:m], direction[:m],
-                                                     isotropic[:m], cfg.noise_scale)
-        else:
-            out.observed[start:start + m] = clean
+        out.observed[start:start + m] = clean if cfg.noise_scale <= 0 else _corrupt(
+            clean, kept[:m], direction[:m], cfg.noise_scale)
         cat.serve(slates)
     return out

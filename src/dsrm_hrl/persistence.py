@@ -136,6 +136,8 @@ def write_results(path, rows: list[MetricsReport]):
             existing = fh.read()
     except FileNotFoundError:
         existing = b""
+    if existing and not existing.endswith(b"\n"):
+        existing += b"\n"  # say, edited by hand: the rows must not join its last line
     header = ",".join(columns)
     if existing and existing.split(b"\n", 1)[0] != header.encode("utf-8"):
         raise ValueError(f"{path}: header is not {header}")

@@ -79,4 +79,4 @@ def random_slate(env):
 def clean_state(env):
     """The noise-free encoding of the history of env's session, the clean
     state that its last observation corrupts."""
-    return encode_observed(env._user.history, env.catalog, 0.0, None)
+    return encode_observed(env._items, env._rewards, env.catalog, 0.0, None)

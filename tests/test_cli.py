@@ -78,10 +78,13 @@ def test_bad_config_validation_error(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
-def test_missing_config_validation_error(tmp_path):
-    rc = main(["train-dsrm", "--config", "/nonexistent.cfg",
-               "--out", str(tmp_path)])
-    assert rc == EXIT_VALIDATION
+def test_missing_config_validation_error(tmp_path, capsys):
+    """A config path that is missing, or that names a directory, is a bad
+    argument (exit 1), and the error names the path."""
+    for path in ("/nonexistent.cfg", str(tmp_path)):
+        rc = main(["train-dsrm", "--config", path, "--out", str(tmp_path / "run")])
+        assert rc == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
 
 
 def test_missing_checkpoint_validation_error(cfg_file, tmp_path):

@@ -47,7 +47,7 @@ def test_reset_determinism():
     env1, env2 = RecEnv(small_cfg()), RecEnv(small_cfg())
     o1, o2 = env1.reset(42), env2.reset(42)
     assert np.array_equal(o1, o2)
-    assert np.array_equal(env1._user.latent_pref, env2._user.latent_pref)
+    assert np.array_equal(env1.ground_truth_state(), env2.ground_truth_state())
     o3 = env2.reset(43)
     assert not np.array_equal(o1, o3)
 
@@ -55,7 +55,7 @@ def test_reset_determinism():
 def test_latent_pref_unit_norm():
     env = RecEnv(small_cfg())
     env.reset(0)
-    assert np.linalg.norm(env._user.latent_pref) == pytest.approx(1.0)
+    assert np.linalg.norm(env.ground_truth_state()) == pytest.approx(1.0)
 
 
 def test_step_reward_formula_oracle():
@@ -65,7 +65,7 @@ def test_step_reward_formula_oracle():
     env.reset(5)
     slate = np.array([0, 7, 23])
     exp_before = env.catalog.exposure.copy()
-    u = env._user.latent_pref
+    u = env.ground_truth_state()
     rewards, _, _ = env.step(slate)
     w = np.log1p(exp_before[slate]) / np.log1p(exp_before.max())
     expected = np.clip(_sigmoid(cfg.kappa * env.catalog.embeddings[slate] @ u)
@@ -76,7 +76,7 @@ def test_step_reward_formula_oracle():
 def test_bias_monotone_in_exposure():
     cat = ItemCatalog(4, np.eye(4), np.array([0, 10, 100, 1000]), np.ones(4),
                       np.zeros(4, dtype=np.int64))
-    w = cat.log1p_exposure / cat.log1p_max
+    w = cat.log1p_exposure / np.log1p(cat.exposure_max)
     assert np.all(np.diff(w) > 0)
     # Nothing served yet: no bias.
     cfg = small_cfg(init_exposure=0, obs_noise=0.0)
@@ -84,7 +84,7 @@ def test_bias_monotone_in_exposure():
     env.reset(5)
     slate = np.array([0, 7, 23])
     rewards, _, _ = env.step(slate)
-    sig = _sigmoid(cfg.kappa * env.catalog.embeddings[slate] @ env._user.latent_pref)
+    sig = _sigmoid(cfg.kappa * env.catalog.embeddings[slate] @ env.ground_truth_state())
     assert np.array_equal(rewards, np.clip(sig, 0.0, 1.0))
 
 
@@ -105,7 +105,7 @@ def test_step_consumes_argmax_item():
     env.reset(2)
     slate = random_slate(env)
     rewards, _, _ = env.step(slate)
-    item, r = env._user.history[-1]
+    item, r = env._items[-1], env._rewards[-1]
     assert item == slate[int(np.argmax(rewards))]
     assert r == pytest.approx(np.max(rewards))
 
@@ -133,7 +133,7 @@ def test_non_integer_and_empty_slates_rejected(slate, message):
     with pytest.raises(InvalidActionError, match=message):
         env.step(slate)
     assert np.array_equal(env.catalog.exposure, exposure)
-    assert env._step == 0 and env._user.history == []
+    assert env._step == 0 and env._items.size == env._rewards.size == 0
 
 
 @pytest.mark.parametrize("slate", [[0, 0, 1], [0, 1, 40], [0, 1, 999],
@@ -144,13 +144,13 @@ def test_rejected_slate_changes_nothing(slate):
     _, _, done = env.step(random_slate(env))
     assert not done
     exposure = env.catalog.exposure.copy()
-    history = list(env._user.history)
-    step, satisfaction = env._step, env._user.satisfaction
+    items, rewards = env._items.copy(), env._rewards.copy()
+    step, satisfaction = env._step, env._satisfaction
     with pytest.raises(InvalidActionError):
         env.step(slate)
     assert np.array_equal(env.catalog.exposure, exposure)
-    assert env._user.history == history
-    assert (env._step, env._user.satisfaction, env._done) == (step, satisfaction, done)
+    assert np.array_equal(env._items, items) and np.array_equal(env._rewards, rewards)
+    assert (env._step, env._satisfaction, env._done) == (step, satisfaction, done)
 
 
 def test_abandonment_share_matches_mean_of_groups():
@@ -179,7 +179,7 @@ def test_history_window_cap():
         _, _, done = env.step(random_slate(env))
         if done:
             break
-    assert len(env._user.history) <= 4
+    assert len(env._items) == len(env._rewards) <= 4
 
 
 def test_episode_terminates_at_max_len():
@@ -212,14 +212,15 @@ def test_reset_clears_abandoned_flag():
 
 def test_encode_cold_start_is_prior():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
-    obs = encode_observed([], cat, 0.0, np.random.default_rng(0))
+    obs = encode_observed(np.empty(0, np.int64), np.empty(0), cat, 0.0,
+                          np.random.default_rng(0))
     assert np.allclose(obs, cat.prior)
 
 
 def test_encode_noise_free_weighted_mean():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
-    history = [(3, 1.0), (7, 0.0)]
-    obs = encode_observed(history, cat, 0.0, np.random.default_rng(0))
+    obs = encode_observed(np.array([3, 7]), np.array([1.0, 0.0]), cat, 0.0,
+                          np.random.default_rng(0))
     expected = (2.0 * cat.embeddings[3] + 1.0 * cat.embeddings[7]) / 3.0
     assert np.allclose(obs, expected, atol=1e-12)
 
@@ -228,7 +229,7 @@ def test_encode_rejects_unknown_items():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     for item in (999, cat.n_items, -1):
         with pytest.raises(EnvError):
-            encode_observed([(3, 1.0), (item, 1.0)], cat, 0.0,
+            encode_observed(np.array([3, item]), np.array([1.0, 1.0]), cat, 0.0,
                             np.random.default_rng(0))
 
 

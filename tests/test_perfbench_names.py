@@ -69,3 +69,38 @@ def test_probe_counts_the_env_steps_of_each_episode(tracing):
     finally:
         probe.uninstall()
     assert probe.steps["stage1"] == 0
+
+
+def test_stage2_and_eval_steps_pass_through_the_env_spans(tracing):
+    """One training and one eval episode call each env function the tracer
+    wraps at least once per env step, wrapped by module name as the tracer
+    wraps it. A refactor that routes stage II or eval around one of them
+    would leave its env.* span metrics empty."""
+    env = RecEnv(EnvConfig(d=8, n_items=60, slate_k=4, max_len=7, init_exposure=100))
+    agent = Agent(HrlConfig(variant="HRL-RAW", hidden=(8,)), 8)
+    spans = [(target, attr) for target, attr, name, *_ in tracing.SPANS
+             if name.startswith("env.")]
+    assert sorted(attr for _, attr in spans) == ["encode_observed",
+                                                 "popularity_drift_direction", "step"]
+    calls = dict.fromkeys((attr for _, attr in spans), 0)
+
+    def counting(attr):
+        def make(original):
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+            return counted
+        return make
+
+    patches = tracing.Patches()
+    try:
+        for target, attr in spans:
+            patches.replace(target, attr, counting(attr))
+        for train in (True, False):
+            calls.update(dict.fromkeys(calls, 0))
+            outcome, _ = agent.run_episode(env, 5, np.random.default_rng(0), train=train)
+            assert outcome.length > 0
+            assert min(calls.values()) >= outcome.length, calls
+    finally:
+        patches.restore()
+    assert tracing.leftover_wrappers() == []

@@ -131,6 +131,19 @@ def test_write_results_appends_with_single_header(tmp_path):
     assert "12.3457" in lines[1]
 
 
+def test_write_results_appends_after_a_missing_final_newline(tmp_path):
+    """A file whose last line lost its newline (say, edited by hand) gets
+    one before the new rows, so no two rows share a line."""
+    path = tmp_path / "results.csv"
+    write_results(path, [sample_report()])
+    one_row = path.read_bytes()
+    path.write_bytes(one_row[:-1])
+    write_results(path, [sample_report(seed=2)])
+    write_results(tmp_path / "whole.csv", [sample_report(), sample_report(seed=2)])
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert path.read_bytes().startswith(one_row)
+
+
 def test_write_results_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "results.csv"
     write_results(path, [sample_report()])

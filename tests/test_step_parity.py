@@ -13,6 +13,8 @@ The random rollout, in blocks of steps made in chunks, runs against
 RecEnv's own reset and step, one step at a time, and must match them bit
 for bit too."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,20 @@ from dsrm_hrl.agent import Agent
 from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.diffusion import Denoiser
 from dsrm_hrl.env import (GROUP_POPULAR, POP_DRIFT_RATIO, ROLLOUT_BLOCK, EnvError,
-                          InvalidActionError, RecEnv, UserProfile,
+                          InvalidActionError, RecEnv,
                           _rollout_chunk, random_rollout, update_abandonment)
 
 from conftest import clean_state, random_slate
 
 
 # -- the earlier step path, verbatim ----------------------------------------
+
+@dataclass
+class UserProfile:
+    latent_pref: np.ndarray                 # unit-norm ground truth, fixed per session
+    history: list = field(default_factory=list)  # [(item_id, reward)], capped at window
+    satisfaction: float = 1.0
+
 
 def old_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -151,7 +160,6 @@ def assert_caches_fresh(cat):
     assert cat.exposure_total == cat.exposure.sum()
     assert cat.exposure_max == cat.exposure.max()
     assert np.array_equal(cat.log1p_exposure, np.log1p(cat.exposure))
-    assert cat.log1p_max == np.log1p(cat.exposure.max())
 
 
 def session_clean_state(env):
@@ -222,12 +230,23 @@ def make_agent(variant, d):
     return Agent(cfg, d, denoiser=den, seed=0)
 
 
-@pytest.mark.parametrize("n_items", [500, 5000])
+# The two catalog sizes, and the envs where no bias is added (the cold
+# catalog's first step) and no drift is drawn (its first reset, and every
+# observation of the noise-free env).
+AGENT_ENVS = {
+    "500": dict(),
+    "5000": dict(n_items=5000),
+    "cold": dict(init_exposure=0),
+    "noise-free": dict(noise_scale=0.0, obs_noise=0.0),
+}
+
+
+@pytest.mark.parametrize("env_kind", list(AGENT_ENVS))
 @pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
-def test_agent_episodes_match_old_step(variant, n_items, monkeypatch):
+def test_agent_episodes_match_old_step(variant, env_kind, monkeypatch):
     """Training and greedy episodes on one shared catalog: every step's
     rewards, observation, clean state, item scores and exposure."""
-    cfg = EnvConfig(n_items=n_items, bias_strength=0.8)
+    cfg = EnvConfig(bias_strength=0.8, **AGENT_ENVS[env_kind])
     agent = make_agent(variant, cfg.d)
     runs = []
     for env, score in ((RecEnv(cfg), agent_mod.score_items),
@@ -268,7 +287,7 @@ def stepped_rollout(env, rng, n_steps):
         rewards, obs, done = env.step(slate)
         steps.append((slate, rewards, seen, clean_state(env), obs))
         if done:
-            ends.append((env.abandoned, env._user.satisfaction))
+            ends.append((env.abandoned, env._satisfaction))
     return [np.array(column) for column in zip(*steps)], starts, ends
 
 
@@ -277,7 +296,6 @@ def assert_catalogs_equal(cat, ref):
     assert cat.exposure_total == ref.exposure_total
     assert cat.exposure_max == ref.exposure_max
     assert np.array_equal(cat.log1p_exposure, ref.log1p_exposure)
-    assert cat.log1p_max == ref.log1p_max
 
 
 # A cold catalog has no bias at its first step and no drift draw at its
