@@ -277,9 +277,9 @@ class Agent:
 
 def train(env: RecEnv, agent: Agent) -> list[dict]:
     """Stage-two PPO training to the agent config's env-step budget: whole
-    episodes (session n seeded env seed * 100_000 + n) until a batch holds
-    batch_steps steps, then one update on it, with advantages normalised
-    over the batch. Returns one log row per update."""
+    episodes (session n seeded env seed * 100_000 + n, n < EVAL_SEED_OFFSET)
+    until a batch holds batch_steps steps, then one update on it, with
+    advantages normalised over the batch. Returns one log row per update."""
     cfg = agent.cfg
     seed = env.config.seed
     rng = np.random.default_rng([seed, 2])
@@ -292,6 +292,8 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
         batch_len = 0
         while batch_len < cfg.batch_steps and steps_done < cfg.total_steps:
             sessions += 1
+            if sessions >= EVAL_SEED_OFFSET:
+                raise ValueError(f"training session {sessions} would reuse eval session 0's seed")
             _, (states, us, lps, rewards, values) = agent.run_episode(
                 env, seed * 100_000 + sessions, rng, train=True)
             adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)

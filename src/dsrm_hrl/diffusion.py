@@ -5,7 +5,6 @@ the clean preference representation."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +104,12 @@ def reverse_step(s_k: np.ndarray, k: int, cond: np.ndarray, denoiser: Denoiser,
     return mean + schedule.sigma[k - 1] * z
 
 
-def _state_hash_rng(vec: np.ndarray) -> np.random.Generator:
-    digest = hashlib.blake2b(np.ascontiguousarray(vec, dtype=np.float64).tobytes(),
-                             digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
-
-
 class ReverseChain:
     """purify's constants for one frozen denoiser, from a copy of its weights,
     so an in-place update (stage I's Adam) can leave it neither half stale
-    nor changed. Step k's first pre-activation is W0_s @ s_k + time_part[K-k]
-    + (W0_c @ cond + b0). Coefficients are 0-d arrays, which ufuncs take
+    nor changed: the start scale sqrt(abar_K), and per step k the first
+    pre-activation W0_s @ s_k + time_part[K-k] + (W0_c @ cond + b0) and the
+    update's coefficients. Coefficients are 0-d arrays, which ufuncs take
     faster than Python floats."""
 
     def __init__(self, denoiser: Denoiser):
@@ -126,8 +120,7 @@ class ReverseChain:
         self.time_part = np.ascontiguousarray(
             (denoiser.temb_table @ w0[:, d:d + t].T)[:0:-1])
         self.w0_c, self.b0 = w0[:, d + t:], biases[0]
-        ab = schedule.alpha_bar[-1]
-        self.sqrt_ab, self.sqrt_1m_ab = np.array(np.sqrt(ab)), np.array(np.sqrt(1.0 - ab))
+        self.sqrt_ab = np.array(np.sqrt(schedule.alpha_bar[-1]))
         self.coefs = [(np.array(a), np.array(c)) for a, c in
                       zip(schedule.inv_sqrt_alpha[::-1], schedule.eps_coef[::-1])]
         # Bound ndarray.dot skips np.dot's Python-level dispatch. Its out must
@@ -140,14 +133,13 @@ class ReverseChain:
 
 def purify(observed_vec: np.ndarray, chain: ReverseChain) -> np.ndarray:
     """Run the full reverse chain of a frozen denoiser, conditioned on the
-    observation. It starts from the observation diffused to step K with start
-    noise hashed from it, and adds no noise on the way back (z=0), so repeated
-    calls are bit-identical. Each step is reverse_step as ~11 NumPy calls
-    writing into buffers, in the op order of
-    s = inv_sqrt_alpha * (s - eps_coef * net(s))."""
+    observation: a deterministic map of (observation, weights) that draws
+    nothing. It starts from the noise-free mean of the observation diffused
+    to step K, sqrt(abar_K) * obs (the DDIM start), and adds no noise on the
+    way back (z=0). Each step is reverse_step as ~11 NumPy calls writing into
+    buffers, in the op order of s = inv_sqrt_alpha * (s - eps_coef * net(s))."""
     vec = np.asarray(observed_vec, dtype=np.float64)
-    eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = chain.sqrt_ab * vec + chain.sqrt_1m_ab * eps  # a fresh array, updated in place
+    s = chain.sqrt_ab * vec  # a fresh array, updated in place
     table = chain.time_part + (chain.w0_c @ vec + chain.b0)
     h0, dot0, later = chain.h0, chain.dot0, chain.later
     # Looked up once: K steps make about 11 calls each.

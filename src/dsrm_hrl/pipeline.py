@@ -100,26 +100,31 @@ def denoiser_hash(denoiser: Denoiser) -> str:
 def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
     """PPO training for the configured variant. The denoiser is loaded from
     its checkpoint and never updated; its parameter hash is checked before
-    and after training. HRL-RAW gets no denoiser."""
+    and after training, and the policy checkpoint's snapshot takes its
+    [dsrm] section from the denoiser's. HRL-RAW gets no denoiser."""
     variant = cfg.hrl.variant
-    denoiser = None
+    denoiser, snapshot = None, cfg
     if variant in ("DSRM-HRL", "FLAT"):
         if dsrm_ckpt is None:
             raise ValueError(f"variant {variant} requires a denoiser checkpoint")
-        denoiser, _ = load_denoiser(dsrm_ckpt)
+        denoiser, dsrm_cfg = load_denoiser(dsrm_ckpt)
+        if dsrm_cfg.env.d != cfg.env.d:
+            raise ValueError(f"{dsrm_ckpt}: denoiser env.d {dsrm_cfg.env.d}, config's {cfg.env.d}")
+        snapshot = replace(cfg, dsrm=dsrm_cfg.dsrm)
+        differ = [k for k, v in vars(cfg.dsrm).items() if getattr(dsrm_cfg.dsrm, k) != v]
+        if differ:
+            log(f"policy snapshot: [dsrm] {', '.join(differ)} from {dsrm_ckpt}, not the config")
         hash_before = denoiser_hash(denoiser)
     env = RecEnv(cfg.env)
     agent = Agent(cfg.hrl, cfg.env.d, denoiser=denoiser, seed=cfg.env.seed)
     rows = train(env, agent)
-    if denoiser is not None:
-        hash_after = denoiser_hash(denoiser)
-        if hash_before != hash_after:
-            raise RuntimeError("denoiser parameters changed during stage II")
-        log(f"denoiser frozen: hash {hash_before[:16]} unchanged")
     modules = {"policy": agent.policy, "value": agent.value_net.net}
     if denoiser is not None:
+        if denoiser_hash(denoiser) != hash_before:
+            raise RuntimeError("denoiser parameters changed during stage II")
+        log(f"denoiser frozen: hash {hash_before[:16]} unchanged")
         modules["denoiser"] = denoiser.net
-    save_checkpoint(ckpt_path, _tensors(modules), render_config(cfg))
+    save_checkpoint(ckpt_path, _tensors(modules), render_config(snapshot))
     if train_csv_path is not None:
         write_csv(train_csv_path,
                   ["update", "surrogate", "value_loss", "entropy",

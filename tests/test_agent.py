@@ -491,6 +491,28 @@ def test_trainer_runs_and_logs():
         assert np.isfinite(r["surrogate"]) and np.isfinite(r["value_loss"])
 
 
+def test_training_runs_every_session_below_the_eval_offset(monkeypatch):
+    """The run's last session may be EVAL_SEED_OFFSET - 1; one more session
+    would take eval session 0's seed, so training fails before it starts."""
+    seeds = []
+    run_episode = Agent.run_episode
+
+    def counted(self, env, session_seed, rng, train):
+        seeds.append(session_seed)
+        return run_episode(self, env, session_seed, rng, train)
+
+    monkeypatch.setattr(Agent, "run_episode", counted)
+    rows = train(RecEnv(small_env_cfg()), make_agent("HRL-RAW")[1])
+    n = len(seeds)
+    monkeypatch.setattr(agent_mod, "EVAL_SEED_OFFSET", n + 1)
+    assert train(RecEnv(small_env_cfg()), make_agent("HRL-RAW")[1]) == rows
+    monkeypatch.setattr(agent_mod, "EVAL_SEED_OFFSET", n)
+    seeds.clear()
+    with pytest.raises(ValueError, match=f"training session {n} would reuse"):
+        train(RecEnv(small_env_cfg()), make_agent("HRL-RAW")[1])
+    assert len(seeds) == n - 1
+
+
 def test_flat_training_keeps_policy_frozen():
     env = RecEnv(small_env_cfg())
     cfg, agent = make_agent("FLAT")

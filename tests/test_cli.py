@@ -5,6 +5,7 @@ import csv
 
 import pytest
 
+from dsrm_hrl import agent as agent_mod
 from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from dsrm_hrl.config import VARIANTS, ConfigError, load_config
 from dsrm_hrl.persistence import load_checkpoint, save_checkpoint
@@ -235,6 +236,69 @@ def test_denoiser_from_checkpoint_without_one_runtime_error(cfg_file, tmp_path,
                "--variant", "FLAT", "--dsrm-ckpt", raw_ckpt])
     assert rc == EXIT_RUNTIME
     assert f"runtime fault: {raw_ckpt}: no denoiser tensors" in capsys.readouterr().err
+
+
+def test_policy_snapshot_records_the_denoiser_that_trained_it(cfg_file, tmp_path, capsys):
+    """Stage II under a config whose [dsrm] differs from the denoiser's runs
+    the denoiser's chain and records the denoiser's [dsrm], so its policy
+    checkpoint equals the one trained under the denoiser's own config."""
+    k2 = tmp_path / "k2.cfg"
+    k2.write_text(FAST_CFG.replace("k_steps = 4", "k_steps = 2"))
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    assert main(["train-dsrm", "--config", cfg_file, "--seed", "3",
+                 "--out", str(out)]) == EXIT_OK
+    dsrm_ckpt = str(out / "dsrm.ckpt")
+    for config, dest in ((cfg_file, ref), (str(k2), out)):
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--seed", "3", "--out", str(dest),
+                     "--variant", "FLAT", "--dsrm-ckpt", dsrm_ckpt]) == EXIT_OK
+    assert f"policy snapshot: [dsrm] k_steps from {dsrm_ckpt}" in capsys.readouterr().err
+    policy = out / "policy_flat_s3.ckpt"
+    assert "k_steps = 4" in load_checkpoint(policy)[1]
+    assert policy.read_bytes() == (ref / "policy_flat_s3.ckpt").read_bytes()
+    assert main(["eval", "--out", str(out), "--ckpt", str(policy)]) == EXIT_OK
+    assert "k_steps = 4" in capsys.readouterr().err
+
+
+def test_denoiser_of_another_d_validation_error(cfg_file, tmp_path, capsys):
+    d6 = tmp_path / "d6.cfg"
+    d6.write_text(FAST_CFG.replace("d = 8", "d = 6"))
+    out = tmp_path / "run"
+    assert main(["train-dsrm", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train", "--config", str(d6), "--out", str(out), "--variant", "FLAT",
+                 "--dsrm-ckpt", str(out / "dsrm.ckpt")]) == EXIT_VALIDATION
+    assert "denoiser env.d 8, config's 6" in capsys.readouterr().err
+    assert not (out / "policy_flat_s0.ckpt").exists()
+
+
+def test_training_stops_before_the_eval_sessions(cfg_file, tmp_path, monkeypatch, capsys):
+    """Training session n and eval session n - EVAL_SEED_OFFSET share a seed,
+    so a run that would reach session EVAL_SEED_OFFSET fails and writes no
+    checkpoint."""
+    monkeypatch.setattr(agent_mod, "EVAL_SEED_OFFSET", 4)  # FAST_CFG runs >= 20 sessions
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_file, "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_VALIDATION
+    assert "training session 4 would reuse eval session 0's seed" in capsys.readouterr().err
+    assert not (out / "policy_hrl_raw_s0.ckpt").exists()
+
+
+def test_hrl_raw_never_purifies(cfg_file, tmp_path, monkeypatch):
+    """HRL-RAW's train and eval call no denoiser, even when given one."""
+    out = tmp_path / "run"
+    assert main(["train-dsrm", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
+
+    def fail(*args, **kwargs):
+        raise AssertionError("HRL-RAW reached the denoiser")
+
+    monkeypatch.setattr(agent_mod, "purify", fail)
+    monkeypatch.setattr(agent_mod, "ReverseChain", fail)
+    assert main(["train", "--config", cfg_file, "--out", str(out), "--variant", "HRL-RAW",
+                 "--dsrm-ckpt", str(out / "dsrm.ckpt")]) == EXIT_OK
+    assert main(["eval", "--out", str(out),
+                 "--ckpt", str(out / "policy_hrl_raw_s0.ckpt")]) == EXIT_OK
 
 
 def test_retired_key_with_unused_value_validation_error(tmp_path):

@@ -10,7 +10,6 @@ from dsrm_hrl.diffusion import (Denoiser, ReverseChain, collect_pairs,
                                 dsrm_input, dsrm_loss, forward_diffuse,
                                 make_schedule, purify, reverse_step,
                                 time_embedding, train_dsrm)
-from dsrm_hrl.diffusion import _state_hash_rng
 from dsrm_hrl.env import RecEnv
 from dsrm_hrl.nn import gradient_check
 
@@ -128,6 +127,26 @@ def test_purify_deterministic_repeatable():
     b = purify(x, chain)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+@pytest.mark.parametrize("k_steps", [1, 5, 20, 200])
+def test_purify_draws_nothing_and_is_the_zero_noise_reverse_chain(k_steps, monkeypatch):
+    """purify builds no Generator, and equals reverse_step's chain with z = 0
+    started from the observation diffused to step K with zero noise."""
+    den = _random_denoiser(5, k_steps, (16, 12), seed=k_steps)
+    sched = den.schedule
+    chain = ReverseChain(den)
+    x = np.random.default_rng(7).standard_normal(5)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("purify built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    got = purify(x, chain)
+    s = forward_diffuse(x, k_steps, 0.0, sched)
+    for k in range(k_steps, 0, -1):
+        s = reverse_step(s, k, x, den, sched, np.zeros(5))
+    assert np.max(np.abs(got - s)) <= 1e-12
 
 
 def test_dsrm_loss_zero_network_equals_noise_energy():
@@ -266,8 +285,7 @@ def _ref_predict(den, s_k, k, cond):
 
 def _ref_purify(vec, den, sched):
     k_steps = sched.k_steps
-    eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = forward_diffuse(vec, k_steps, eps, sched)
+    s = np.sqrt(sched.alpha_bar[-1]) * vec
     for k in range(k_steps, 0, -1):
         a, ab = sched.alpha[k - 1], sched.alpha_bar[k - 1]
         eps_hat = _ref_predict(den, s, k, vec)
@@ -281,8 +299,7 @@ def _allocating_purify(vec, den, sched):
     update. Same ops in the same order as the buffered library chain, so
     the two must agree bit for bit."""
     k_steps = sched.k_steps
-    eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = forward_diffuse(vec, k_steps, eps, sched)
+    s = np.sqrt(sched.alpha_bar[-1]) * vec
     net = den.net
     w0, d, t = net.weights[0], den.d, den.time_dim
     bias0 = den.temb_table @ w0[:, d:d + t].T + (w0[:, d + t:] @ vec + net.biases[0])
@@ -351,11 +368,11 @@ def test_purify_bit_identical_to_allocating_chain(k_steps, hidden):
 
 def _old_purify(observed_vec, denoiser):
     """purify as it was before ReverseChain, verbatim but for its first-layer
-    table, which was the method Denoiser.first_layer_bias."""
+    table, which was the method Denoiser.first_layer_bias, and its start,
+    which added noise seeded by a hash of the observation."""
     vec = np.asarray(observed_vec, dtype=np.float64)
     schedule = denoiser.schedule
-    eps = _state_hash_rng(vec).standard_normal(vec.shape)
-    s = forward_diffuse(vec, schedule.k_steps, eps, schedule)
+    s = np.sqrt(schedule.alpha_bar[-1]) * vec
     net = denoiser.net
     w0, d, t = net.weights[0], denoiser.d, denoiser.time_dim
     bias0 = denoiser.temb_table @ w0[:, d:d + t].T + (w0[:, d + t:] @ vec + net.biases[0])
