@@ -40,11 +40,11 @@ class ManagerPolicy:
         """The net's parameters ("net."-prefixed), then log_std: one vector."""
         return self._params
 
-    def gradients(self, cache, dmean, dlog_std) -> Flat:
+    def gradients(self, acts, dmean, dlog_std) -> Flat:
         """Gradients laid out as parameters(), given dL/dmean of the forward
-        that made cache and dL/dlog_std."""
+        that made acts and dL/dlog_std."""
         grads = Flat.over(self._shapes, np.empty(self._params.vector.size))
-        self.net.backward(cache, dmean, out=grads.vector[:-2])
+        self.net.backward(acts, dmean, out=grads.vector[:-2])
         grads["log_std"][...] = dlog_std
         return grads
 
@@ -56,7 +56,7 @@ class ManagerPolicy:
         """Returns (omega, mean, u): the Gaussian mean, the pre-squash sample
         u (the mean when greedy) and the weights omega = softplus(u) =
         (accuracy, fairness); u's log-prob is _log_density(mean, u)."""
-        mean, _ = self.net.forward(state)
+        mean = self.net.forward(state[None])[0][0]
         if not np.isfinite(mean).all():
             raise FloatingPointError("manager policy produced non-finite output")
         if greedy:
@@ -68,22 +68,19 @@ class ManagerPolicy:
         return softplus(u), mean, u
 
     def _log_density(self, mean: np.ndarray, u: np.ndarray):
-        """log_prob given the Gaussian mean(s) instead of the state. Sums over
+        """log_prob given the Gaussian mean(s) instead of the states. Sums over
         the last axis, so it takes one action or a batch."""
         log_std = self._clamped_log_std()
         var = np.exp(2 * log_std)
         gauss = -0.5 * np.sum((u - mean) ** 2 / var + 2 * log_std + _LOG_2PI, axis=-1)
         return gauss + np.sum(softplus(-u), axis=-1)  # log d softplus/du = -softplus(-u)
 
-    def log_prob(self, state: np.ndarray, u: np.ndarray) -> float:
-        """Density of the squashed action evaluated at pre-squash point u:
-        Gaussian log-density minus the log-Jacobian of the softplus."""
-        return float(self._log_density(self.net.forward(state)[0], u))
-
-    def log_prob_batch(self, states: np.ndarray, us: np.ndarray):
-        """Batched log-probs plus the forward cache needed for backprop."""
-        means, cache = self.net.forward(states)
-        return self._log_density(means, us), means, cache
+    def log_prob(self, states: np.ndarray, us: np.ndarray):
+        """Densities of the squashed actions at pre-squash points us (B, 2),
+        Gaussian log-density minus the log-Jacobian of the softplus, with
+        the means and the forward's activations for backprop."""
+        means, acts = self.net.forward(states)
+        return self._log_density(means, us), means, acts
 
     def entropy(self) -> float:
         log_std = self._clamped_log_std()
@@ -95,7 +92,7 @@ class ValueNet:
         self.net = Mlp([d, *hidden, 1], rng=rng)
 
     def value(self, states: np.ndarray) -> np.ndarray:
-        """Values of states (B, d), each bit for bit its single-state forward's."""
+        """Values of states (B, d), each bit for bit its one-row forward's."""
         return self.net.forward_rows(states)[:, 0]
 
 
@@ -156,10 +153,10 @@ def value_step(value_net: ValueNet, opt_value: Adam, states: np.ndarray,
                returns: np.ndarray) -> float:
     """One Adam step of squared-error regression of the value net to the
     returns. Returns the loss before the step."""
-    vpred, vcache = value_net.net.forward(states)
+    vpred, vacts = value_net.net.forward(states)
     verr = vpred[:, 0] - returns
     vloss = float(np.mean(verr**2))
-    vgrads = value_net.net.backward(vcache, (2.0 * verr / len(states))[:, None])
+    vgrads = value_net.net.backward(vacts, (2.0 * verr / len(states))[:, None])
     opt_value.step(vgrads)
     return vloss
 
@@ -179,7 +176,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
     stats = []
     dropped = 0
     for _ in range(cfg.ppo_epochs):
-        lps, means, cache = policy.log_prob_batch(states, us)
+        lps, means, acts = policy.log_prob(states, us)
         ratio = np.exp(lps - old_lp)
         ok = np.isfinite(ratio)
         dropped += int(np.sum(~ok))
@@ -204,7 +201,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         # Zero gradient where the clamp is saturated.
         dlogstd *= ((policy.log_std > LOG_STD_MIN) & (policy.log_std < LOG_STD_MAX))
 
-        grads = policy.gradients(cache, -dmean, -dlogstd)  # minimize -objective
+        grads = policy.gradients(acts, -dmean, -dlogstd)  # minimize -objective
         opt_policy.step(grads)
 
         vloss = value_step(value_net, opt_value, states, ret)

@@ -86,11 +86,10 @@ class Denoiser:
                                          cfg.time_dim)
 
     def predict(self, s_k, k: int, cond):
-        """Predicted noise for one state at step k."""
+        """Predicted noise for one state at step k, a one-row forward."""
         x = np.concatenate([np.asarray(s_k, dtype=np.float64), self.temb_table[k],
                             np.asarray(cond, dtype=np.float64)])
-        y, _ = self.net.forward(x)
-        return y
+        return self.net.forward(x[None])[0][0]
 
 
 def reverse_step(s_k: np.ndarray, k: int, cond: np.ndarray, denoiser: Denoiser,
@@ -175,11 +174,11 @@ def dsrm_loss(denoiser: Denoiser, x: np.ndarray, eps: np.ndarray):
     dsrm_input rows, with gradients for the denoiser net: one forward and
     one backward pass."""
     b = eps.shape[0]
-    pred, cache = denoiser.net.forward(x)
+    pred, acts = denoiser.net.forward(x)
     resid = pred - eps
     loss = float(np.sum(resid * resid)) / b
     # d(mean over batch of ||resid||^2)/dpred = 2 resid / b
-    return loss, denoiser.net.backward(cache, 2.0 * resid / b)
+    return loss, denoiser.net.backward(acts, 2.0 * resid / b)
 
 
 def collect_pairs(env, n_pairs: int, rng: np.random.Generator):

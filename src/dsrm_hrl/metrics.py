@@ -106,11 +106,11 @@ def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
     nonzero = [o for o in outcomes if o.length > 0]
     r_each = np.array([float(np.mean(o.rewards)) for o in nonzero]) \
         if nonzero else np.array([0.0])
-    # One (f_pop, f_tail) row per episode; with no episode to cover, one row
-    # of zeros.
+    # One (f_pop, f_tail) row and one AD per episode; with no episode to
+    # cover, zeros.
     f_pop, f_tail = np.array([group_coverage(o.slates, catalog) for o in nonzero]
                              or [(0.0, 0.0)]).T
-    ads = np.abs(f_pop - f_tail)
+    ads = np.array([absolute_difference(o.slates, catalog) for o in nonzero] or [0.0])
     return MetricsReport(
         variant=variant, seed=seed, max_len=max_len,
         len_mean=float(lens.mean()), len_std=float(lens.std()),

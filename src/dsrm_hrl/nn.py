@@ -86,9 +86,9 @@ def layer_shapes(layer_sizes) -> dict[str, tuple]:
 class Mlp:
     """Fully-connected net, tanh hidden layers, identity output.
 
-    Weights W[l] have shape (n_out, n_in); forward accepts a single vector
-    (n_in,) or a batch (B, n_in). The weights and biases are views of one
-    vector in layer_shapes order: the net's own, or a given one.
+    Weights W[l] have shape (n_out, n_in); forward takes a batch (B, n_in),
+    one input being one row, run as W.dot(x). The weights and biases are
+    views of one vector in layer_shapes order: the net's own, or a given one.
     """
 
     def __init__(self, layer_sizes, rng=None, vector=None):
@@ -115,30 +115,25 @@ class Mlp:
         return self._params
 
     def forward(self, x):
-        """Returns (y, cache); cache holds every layer's (B, n) activations
-        for backward ((1, n) views for a single vector (n_in,))."""
+        """Returns (y, acts) for a batch x (B, n_in): acts is every layer's
+        (B, n) activations, x first and y last, for backward."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if x.shape[-1] != self.layer_sizes[0]:
-            raise ShapeError(
-                f"input width {x.shape[-1]} != first layer size {self.layer_sizes[0]}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ShapeError(f"input of shape {x.shape}, not (B, {self.layer_sizes[0]})")
         acts = [x]
         h = x
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = w.dot(h) if single else h @ w.T
+            h = h.dot(w.T)  # the same product as h @ w.T, with less dispatch
             h += b
             if i != last:
                 np.tanh(h, h)
             acts.append(h)
-        if single:
-            acts = [a[None, :] for a in acts]
-        return h, {"acts": acts, "single": single}
+        return h, acts
 
     def forward_rows(self, x):
-        """Outputs for a batch (B, n_in), each row bit for bit forward's for
-        that row: one matrix-vector product per row (x @ W.T sums otherwise)."""
+        """Outputs for a batch (B, n_in), each row bit for bit forward's on
+        that row alone: one matrix-vector product per row (x @ W.T sums otherwise)."""
         h = np.asarray(x, dtype=np.float64)[:, :, None]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = np.matmul(w, h)
@@ -147,12 +142,10 @@ class Mlp:
                 np.tanh(h, h)
         return h[:, :, 0]
 
-    def backward(self, cache, dy, out=None):
-        """Gradients of a scalar loss given dL/dy, as a Flat over out (a
-        vector of the parameters' size) or over a new vector."""
-        dy = np.asarray(dy, dtype=np.float64)
-        d = dy[None, :] if cache["single"] else dy
-        acts = cache["acts"]
+    def backward(self, acts, dy, out=None):
+        """Gradients of a scalar loss given dL/dy of the forward that made acts,
+        as a Flat over out (a vector of the parameters' size) or a new vector."""
+        d = np.asarray(dy, dtype=np.float64)
         if d.shape != acts[-1].shape:
             raise ShapeError("dy shape does not match forward output")
         grads = Flat.over(self._shapes, np.empty(self._params.vector.size)
@@ -214,10 +207,12 @@ class Adam:
 
 def gradient_check(mlp: Mlp, loss_fn, x, h=1e-5) -> float:
     """Worst relative error between analytic and central-difference
-    gradients over all parameters. loss_fn(y) -> (loss, dL/dy)."""
-    y, cache = mlp.forward(x)
-    _, dy = loss_fn(y)
-    grads = mlp.backward(cache, dy)
+    gradients over all parameters at one input vector x, run as one row.
+    loss_fn(y) -> (loss, dL/dy) for the output vector y."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    y, acts = mlp.forward(x)
+    _, dy = loss_fn(y[0])
+    grads = mlp.backward(acts, dy[None])
     params = mlp.parameters()
     worst = 0.0
     for key, p in params.items():
@@ -226,9 +221,9 @@ def gradient_check(mlp: Mlp, loss_fn, x, h=1e-5) -> float:
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = loss_fn(mlp.forward(x)[0])
+            lp, _ = loss_fn(mlp.forward(x)[0][0])
             flat[idx] = orig - h
-            lm, _ = loss_fn(mlp.forward(x)[0])
+            lm, _ = loss_fn(mlp.forward(x)[0][0])
             flat[idx] = orig
             numeric = (lp - lm) / (2 * h)
             analytic = gflat[idx]

@@ -84,11 +84,15 @@ def _denoiser(ckpt_path, tensors: dict, cfg: RunConfig) -> Denoiser:
     return denoiser
 
 
-def load_denoiser(ckpt_path):
-    """Rebuild a denoiser from a checkpoint, reading only its "denoiser." tensors."""
+def load_denoiser(ckpt_path, d: int):
+    """Rebuild a denoiser from a checkpoint, reading only its "denoiser."
+    tensors, and refuse it (ValueError) unless its snapshot's env.d is d."""
     tensors, cfg_text = load_checkpoint(ckpt_path)
     cfg = config_mod.parse_config(cfg_text)
-    return _denoiser(ckpt_path, tensors, cfg), cfg
+    denoiser = _denoiser(ckpt_path, tensors, cfg)
+    if cfg.env.d != d:
+        raise ValueError(f"{ckpt_path}: denoiser env.d {cfg.env.d}, config's {d}")
+    return denoiser, cfg
 
 
 def denoiser_hash(denoiser: Denoiser) -> str:
@@ -107,9 +111,7 @@ def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
     if variant in ("DSRM-HRL", "FLAT"):
         if dsrm_ckpt is None:
             raise ValueError(f"variant {variant} requires a denoiser checkpoint")
-        denoiser, dsrm_cfg = load_denoiser(dsrm_ckpt)
-        if dsrm_cfg.env.d != cfg.env.d:
-            raise ValueError(f"{dsrm_ckpt}: denoiser env.d {dsrm_cfg.env.d}, config's {cfg.env.d}")
+        denoiser, dsrm_cfg = load_denoiser(dsrm_ckpt, cfg.env.d)
         snapshot = replace(cfg, dsrm=dsrm_cfg.dsrm)
         differ = [k for k, v in vars(cfg.dsrm).items() if getattr(dsrm_cfg.dsrm, k) != v]
         if differ:
@@ -214,10 +216,12 @@ def run_sweep_steps(cfg: RunConfig, steps: list[int], out_dir):
     return reports, summary
 
 
-def run_ablation(cfg: RunConfig, seeds: list[int], out_dir):
+def run_ablation(cfg: RunConfig, seeds: list[int], out_dir) -> list[MetricsReport]:
     """Per seed, stage I once, then each of VARIANTS trained against that
-    denoiser (HRL-RAW loads none) and evaluated: one results.csv row each."""
+    denoiser (HRL-RAW loads none) and evaluated: one results.csv row and
+    one returned report each."""
     results_path = os.path.join(out_dir, "results.csv")
+    reports = []
     for scfg in _copies(cfg, "env", "seed", seeds):
         seed = scfg.env.seed
         dsrm_ckpt = os.path.join(out_dir, f"dsrm_s{seed}.ckpt")
@@ -225,8 +229,9 @@ def run_ablation(cfg: RunConfig, seeds: list[int], out_dir):
         for vcfg in _copies(scfg, "hrl", "variant", VARIANTS):
             policy_ckpt, train_csv = policy_paths(vcfg, out_dir)
             run_train_policy(vcfg, dsrm_ckpt, policy_ckpt, train_csv)
-            run_eval(policy_ckpt, results_path=results_path)
+            reports.append(run_eval(policy_ckpt, results_path=results_path))
     log(f"ablation complete: {results_path}")
+    return reports
 
 
 def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):
@@ -265,7 +270,7 @@ def purification_gain(cfg: RunConfig, dsrm_ckpt):
     """The state-purification comparison: the same FLAT scoring policy
     evaluated on raw states (no denoiser) and on purified states, over
     PURIFICATION_GAIN_EPISODES sessions each; returns the two reports."""
-    denoiser, _ = load_denoiser(dsrm_ckpt)
+    denoiser, _ = load_denoiser(dsrm_ckpt, cfg.env.d)
     flat = replace(cfg.hrl, variant="FLAT")
     reports = []
     for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)):
@@ -280,7 +285,7 @@ def purification_gain(cfg: RunConfig, dsrm_ckpt):
 def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500):
     """Raw and purified state embeddings with label columns (popularity
     decile and group of the nearest catalog item) for external plotting."""
-    chain = ReverseChain(load_denoiser(dsrm_ckpt)[0])
+    chain = ReverseChain(load_denoiser(dsrm_ckpt, cfg.env.d)[0])
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 30])
     raw_states = random_rollout(env, rng, n_states).observed
@@ -302,16 +307,18 @@ def run_motivate(cfg: RunConfig, out_dir, dsrm_ckpt=None):
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are
     skipped with a notice when none is given. Returns (r_squared, the
     raw and purified reports of (b), or None when skipped)."""
+    # (b) runs first: a denoiser that load_denoiser refuses writes nothing.
+    gain = None if dsrm_ckpt is None else purification_gain(cfg, dsrm_ckpt)
     r2, rows = popularity_reward_regression(cfg)
     write_csv(os.path.join(out_dir, "popularity_reward.csv"),
               ["item_id", "log1p_exposure", "mean_reward"], rows)
     write_csv(os.path.join(out_dir, "popularity_reward_r2.csv"),
               ["r_squared"], [[r2]])
     log(f"motivate(a): popularity-reward R^2 = {r2:.4f}")
-    if dsrm_ckpt is None:
+    if gain is None:
         log("motivate(b,c): skipped (no denoiser checkpoint given)")
         return r2, None
-    raw, pur = purification_gain(cfg, dsrm_ckpt)
+    raw, pur = gain
     write_results(os.path.join(out_dir, "purification_gain.csv"), [raw, pur])
     log(f"motivate(b): raw Len={raw.len_mean:.3f} AD={raw.ad_mean:.3f} | "
         f"purified Len={pur.len_mean:.3f} AD={pur.ad_mean:.3f}")

@@ -18,8 +18,8 @@ from dsrm_hrl.env import RecEnv
 from dsrm_hrl.metrics import absolute_difference, gini
 from dsrm_hrl.nn import Mlp, gradient_check
 from dsrm_hrl.pipeline import (load_denoiser, popularity_reward_regression,
-                               purification_gain, run_eval, run_sweep_steps,
-                               run_train_dsrm, run_train_policy)
+                               purification_gain, run_ablation, run_eval,
+                               run_sweep_steps, run_train_dsrm, run_train_policy)
 
 from conftest import random_slate
 
@@ -42,16 +42,17 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def dsrm_ckpts(workdir):
-    """Stage-one checkpoints per seed, default config."""
-    paths = {}
-    for seed in SEEDS:
-        cfg = RunConfig()
-        cfg.env.seed = seed
-        path = str(workdir / f"dsrm_s{seed}.ckpt")
-        run_train_dsrm(cfg, path)
-        paths[seed] = path
-    return paths
+def ablation_reports(workdir):
+    """The shipped ablation (dsrm-hrl ablation) over SEEDS, default config:
+    its eval reports by (variant, seed)."""
+    return {(r.variant, r.seed): r
+            for r in run_ablation(RunConfig(), list(SEEDS), str(workdir))}
+
+
+@pytest.fixture(scope="module")
+def dsrm_ckpts(workdir, ablation_reports):
+    """The ablation's stage-one checkpoints per seed."""
+    return {seed: str(workdir / f"dsrm_s{seed}.ckpt") for seed in SEEDS}
 
 
 def test_criterion_01_gradient_check(capsys):
@@ -170,7 +171,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
     for seed in SEEDS:
         cfg = RunConfig()
         cfg.env.seed = seed
-        chain = ReverseChain(load_denoiser(dsrm_ckpts[seed])[0])
+        chain = ReverseChain(load_denoiser(dsrm_ckpts[seed], cfg.env.d)[0])
         env = RecEnv(cfg.env)
         noisy_cos, pure_cos = [], []
         for i in range(200):
@@ -208,21 +209,6 @@ def test_criterion_06_purification_gain(capsys, dsrm_ckpts):
     report(capsys, 6, ok,
            f"fixed policy on raw vs purified states, {wins}/3 seeds improve "
            f"both Len and AD ({'; '.join(details)}), {elapsed:.0f}s (< 300s)")
-
-
-@pytest.fixture(scope="module")
-def ablation_reports(workdir, dsrm_ckpts):
-    reports = {}
-    for variant in ("DSRM-HRL", "HRL-RAW", "FLAT"):
-        for seed in SEEDS:
-            cfg = RunConfig()
-            cfg.env.seed = seed
-            cfg.hrl.variant = variant
-            ckpt = str(workdir / f"policy_{variant}_{seed}.ckpt")
-            dsrm = dsrm_ckpts[seed] if variant != "HRL-RAW" else None
-            run_train_policy(cfg, dsrm, ckpt)
-            reports[(variant, seed)] = run_eval(ckpt, episodes=200)
-    return reports
 
 
 def test_criterion_07_ablation_ordering(capsys, ablation_reports):

@@ -39,7 +39,7 @@ def test_softplus_hand_values():
 def test_greedy_action_is_squashed_mean():
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(0))
     state = np.random.default_rng(1).standard_normal(4)
-    mean, _ = policy.net.forward(state)
+    mean = policy.net.forward(state[None])[0][0]
     omega, act_mean, u = policy.act(state, greedy=True)
     assert np.array_equal(u, mean) and np.array_equal(act_mean, mean)
     assert omega[0] == pytest.approx(softplus(mean)[0])
@@ -59,13 +59,13 @@ def test_log_prob_density_integrates_to_one():
     policy = ManagerPolicy(3, hidden=(8,), rng=np.random.default_rng(2))
     policy.log_std[:] = [-0.3, 0.2]
     state = np.random.default_rng(3).standard_normal(3)
-    mean, _ = policy.net.forward(state)
+    mean = policy.net.forward(state[None])[0][0]
     grid = np.linspace(-9.0, 9.0, 301)
     du = grid[1] - grid[0]
     uu, vv = np.meshgrid(grid + mean[0], grid + mean[1])
     us = np.column_stack([uu.ravel(), vv.ravel()])
     states = np.tile(state, (len(us), 1))
-    lps, _, _ = policy.log_prob_batch(states, us)
+    lps, _, _ = policy.log_prob(states, us)
     # log_prob is the density of the squashed action omega = softplus(u),
     # expressed at u; transform back with the Jacobian to integrate over u.
     dens_u = np.exp(lps + np.sum(np.log(1.0 / (1.0 + np.exp(-us))), axis=1))
@@ -77,9 +77,10 @@ def test_log_prob_batch_matches_single():
     rng = np.random.default_rng(5)
     states = rng.standard_normal((6, 4))
     us = rng.standard_normal((6, 2))
-    lps, _, _ = policy.log_prob_batch(states, us)
+    lps, _, _ = policy.log_prob(states, us)
     for i in range(6):
-        assert lps[i] == pytest.approx(policy.log_prob(states[i], us[i]), abs=1e-12)
+        one, _, _ = policy.log_prob(states[i:i + 1], us[i:i + 1])
+        assert lps[i] == pytest.approx(one[0], abs=1e-12)
 
 
 def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
@@ -102,11 +103,11 @@ def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
         densities.clear()
         _, mean, u = policy.act(state, rng=rng, greedy=greedy)
         assert len(calls) == 1 and not densities
-        assert np.array_equal(mean, forward(state)[0])
+        assert np.array_equal(mean, forward(state[None])[0][0])
         if greedy:
             assert np.array_equal(u, mean)
         else:
-            assert log_density(mean, u) == policy.log_prob(state, u)
+            assert log_density(mean, u) == policy.log_prob(state[None], u[None])[0][0]
 
 
 @pytest.mark.parametrize("log_std", [(-0.4, 0.3), (-7.0, 3.0), (0.0, 0.0)])
@@ -122,7 +123,8 @@ def test_episode_log_density_matches_per_step_log_prob(log_std):
     us = means + rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-3, 1, (40, 1))
     lps = policy._log_density(means, us)
     assert lps.shape == (40,)
-    assert all(lps[i] == policy.log_prob(states[i], us[i]) for i in range(40))
+    assert all(lps[i] == policy.log_prob(states[i:i + 1], us[i:i + 1])[0][0]
+               for i in range(40))
 
 
 def test_log_std_clamped():
@@ -256,7 +258,7 @@ def test_ppo_surrogate_clip_arithmetic():
     cfg = small_hrl_cfg(clip_eps=0.2, ppo_epochs=1, entropy_coef=0.0)
     states = rng.standard_normal((6, 4))
     us = rng.standard_normal((6, 2))
-    lps, _, _ = policy.log_prob_batch(states, us)
+    lps, _, _ = policy.log_prob(states, us)
     shift = np.log(np.array([1.0, 1.0, 1.5, 1.5, 0.5, 0.5]))
     old_lp = lps - shift            # ratio = exp(shift)
     adv = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
@@ -279,7 +281,7 @@ def test_ppo_update_moves_parameters():
     cfg = small_hrl_cfg(ppo_epochs=3)
     states = rng.standard_normal((16, 4))
     us = rng.standard_normal((16, 2))
-    lps, _, _ = policy.log_prob_batch(states, us)
+    lps, _, _ = policy.log_prob(states, us)
     adv = rng.standard_normal(16)
     before = {k: v.copy() for k, v in policy.parameters().items()}
     opt_p = Adam(policy.parameters(), lr=1e-3)
@@ -331,7 +333,7 @@ def reference_episode(agent, env, session_seed, rng, train):
         if held is not None and step % agent.cfg.manager_interval != 0:
             return held[0], held[1], held[2], held
         action, _, u = agent.policy.act(state, rng=rng, greedy=not train)
-        lp = agent.policy.log_prob(state, u)
+        lp = float(agent.policy.log_prob(state[None], u[None])[0][0])
         return action, lp, u, (action, lp, u)
 
     obs = env.reset(session_seed)
@@ -355,7 +357,7 @@ def reference_episode(agent, env, session_seed, rng, train):
         traj.log_probs.append(lp)
         traj.shaped_rewards.append(
             shaped_reward(r_t, gini(episode_exposure), agent.cfg.lambda_fair))
-        traj.values.append(float(agent.value_net.net.forward(state)[0][0]))
+        traj.values.append(float(agent.value_net.net.forward(state[None])[0][0, 0]))
         traj.dones.append(done)
         rewards_log.append(r_t)
         slates_log.append(slate.tolist())

@@ -272,6 +272,19 @@ def test_denoiser_of_another_d_validation_error(cfg_file, tmp_path, capsys):
     assert not (out / "policy_flat_s0.ckpt").exists()
 
 
+def test_motivate_refuses_a_denoiser_of_another_d(cfg_file, tmp_path, capsys):
+    """The denoiser check runs before part (a), so nothing is written."""
+    d6 = tmp_path / "d6.cfg"
+    d6.write_text(FAST_CFG.replace("d = 8", "d = 6"))
+    run, out = tmp_path / "run", tmp_path / "mot"
+    assert main(["train-dsrm", "--config", cfg_file, "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["motivate", "--config", str(d6), "--out", str(out),
+                 "--dsrm-ckpt", str(run / "dsrm.ckpt")]) == EXIT_VALIDATION
+    assert "denoiser env.d 8, config's 6" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_training_stops_before_the_eval_sessions(cfg_file, tmp_path, monkeypatch, capsys):
     """Training session n and eval session n - EVAL_SEED_OFFSET share a seed,
     so a run that would reach session EVAL_SEED_OFFSET fails and writes no

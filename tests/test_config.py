@@ -166,9 +166,7 @@ def test_every_config_key_is_read():
 KEPT_FOR_CHECKS = {
     "diffusion.reverse_step",       # criterion 2 and test_diffusion's oracle-denoiser checks
     "diffusion.Denoiser.predict",   # reverse_step's network call; perfbench SPANS
-    "agent.ManagerPolicy.log_prob",  # single-state reference in test_agent; perfbench SPANS
     "nn.gradient_check",            # the finite-difference oracle (criterion 1)
-    "metrics.absolute_difference",  # criterion 3
     "metrics.gini",                 # criterion 3; oracle for metrics.EpisodeGini; perfbench SPANS
     "env.RecEnv.ground_truth_state",  # criterion 5
 }

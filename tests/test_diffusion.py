@@ -279,8 +279,8 @@ TOL = 1e-12
 
 def _ref_predict(den, s_k, k, cond):
     x = np.concatenate([s_k, time_embedding(k, den.schedule.k_steps, den.time_dim), cond])
-    y, _ = den.net.forward(x)
-    return y
+    y, _ = den.net.forward(x[None])
+    return y[0]
 
 
 def _ref_purify(vec, den, sched):

@@ -26,11 +26,58 @@ def quadratic_loss(target):
 
 def test_forward_shapes_single_and_batch():
     mlp = Mlp([4, 8, 3], rng=np.random.default_rng(0))
-    y, cache = mlp.forward(np.zeros(4))
-    assert y.shape == (3,) and cache["single"]
-    yb, cacheb = mlp.forward(np.zeros((7, 4)))
-    assert yb.shape == (7, 3) and not cacheb["single"]
-    assert np.allclose(yb[0], y)
+    y, acts = mlp.forward(np.zeros((1, 4)))
+    assert y.shape == (1, 3) and [a.shape for a in acts] == [(1, 4), (1, 8), (1, 3)]
+    yb, actsb = mlp.forward(np.zeros((7, 4)))
+    assert yb.shape == (7, 3) and [a.shape for a in actsb] == [(7, 4), (7, 8), (7, 3)]
+    assert np.allclose(yb[0], y[0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 1, 4), (3, 5)])
+def test_forward_takes_only_rows_of_the_input_width(shape):
+    with pytest.raises(ShapeError):
+        Mlp([4, 8, 3], rng=np.random.default_rng(0)).forward(np.zeros(shape))
+
+
+def _matrix_vector_reference(mlp, x, dy):
+    """The output, activations and gradients of one input vector x, layer by
+    layer as matrix-vector products W.dot(h) and outer products."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        h = w.dot(acts[-1]) + b
+        acts.append(h if i == mlp.n_layers - 1 else np.tanh(h))
+    grads, d = {}, dy
+    for i in reversed(range(mlp.n_layers)):
+        if i != mlp.n_layers - 1:
+            d = mlp.weights[i + 1].T.dot(d) * (1.0 - acts[i + 1] * acts[i + 1])
+        grads[f"W{i}"], grads[f"b{i}"] = np.outer(d, acts[i]), d
+    return acts, grads
+
+
+@pytest.mark.parametrize("net", ["manager", "value", "denoiser"])
+@pytest.mark.parametrize("cfg", ["default", "fast"])
+def test_one_row_forward_and_backward_equal_matrix_vector_products(net, cfg):
+    """A one-row batch runs the same arithmetic as W.dot on the vector, bit
+    for bit, on the shapes of the repo's three networks under the default
+    config and FAST_CFG, at inputs scaled from 1e-3 to 1e3."""
+    d, hidden = (16, (64, 64)) if cfg == "default" else (8, (16,))
+    rng = np.random.default_rng(["manager", "value", "denoiser"].index(net))
+    mlp = {"manager": lambda: ManagerPolicy(d, hidden=hidden, rng=rng).net,
+           "value": lambda: ValueNet(d, hidden=hidden, rng=rng).net,
+           "denoiser": lambda: Denoiser(
+               DsrmConfig() if cfg == "default" else DsrmConfig(hidden=hidden, time_dim=4),
+               d, rng=rng).net}[net]()
+    for b in mlp.biases:
+        b[:] = 0.3 * rng.standard_normal(b.shape)
+    for scale in np.logspace(-3, 3, 20):
+        x = scale * rng.standard_normal(mlp.layer_sizes[0])
+        dy = rng.standard_normal(mlp.layer_sizes[-1])
+        ref_acts, ref_grads = _matrix_vector_reference(mlp, x, dy)
+        y, acts = mlp.forward(x[None])
+        assert np.array_equal(y[0], ref_acts[-1])
+        assert all(np.array_equal(a[0], r) for a, r in zip(acts, ref_acts))
+        grads = mlp.backward(acts, dy[None])
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in ref_grads)
 
 
 def test_parameters_round_trip():
@@ -38,7 +85,7 @@ def test_parameters_round_trip():
     params = {k: v.copy() for k, v in mlp.parameters().items()}
     other = Mlp([3, 5, 2], rng=np.random.default_rng(99))
     other.parameters().assign(params)
-    x = np.random.default_rng(2).standard_normal(3)
+    x = np.random.default_rng(2).standard_normal((1, 3))
     assert np.array_equal(other.forward(x)[0], mlp.forward(x)[0])
 
 
@@ -69,9 +116,9 @@ def test_assign_names_the_first_bad_tensor_and_changes_nothing(fault, name):
 
 def test_backward_rejects_bad_dy_shape():
     mlp = Mlp([3, 5, 2], rng=np.random.default_rng(1))
-    _, cache = mlp.forward(np.zeros(3))
+    _, acts = mlp.forward(np.zeros((1, 3)))
     with pytest.raises(ShapeError):
-        mlp.backward(cache, np.zeros(5))
+        mlp.backward(acts, np.zeros((1, 5)))
 
 
 # "-tanh" in the ids names the hidden activation, the only one Mlp has.
@@ -93,8 +140,8 @@ def test_batch_gradient_matches_sum_of_singles():
     batch_grads = mlp.backward(cache, dys)
     summed = {k: np.zeros_like(v) for k, v in batch_grads.items()}
     for x, dy in zip(xs, dys):
-        _, c = mlp.forward(x)
-        g = mlp.backward(c, dy)
+        _, acts = mlp.forward(x[None])
+        g = mlp.backward(acts, dy[None])
         for k in summed:
             summed[k] += g[k]
     for k in summed:
@@ -162,8 +209,8 @@ def test_adam_converges_on_quadratic():
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("batch", [1, 2, 7, 64])
 def test_forward_rows_equals_single_vector_forward(seed, batch):
-    """Every row of forward_rows is the single-vector forward's output for
-    that row, bit for bit: random widths 1-128, 1-3 hidden layers, non-zero
+    """Every row of forward_rows is the one-row forward's output for that
+    row, bit for bit: random widths 1-128, 1-3 hidden layers, non-zero
     biases, inputs scaled from 1e-3 to 1e3."""
     rng = np.random.default_rng([seed, batch])
     sizes = [int(n) for n in rng.integers(1, 129, rng.integers(3, 6))]
@@ -174,7 +221,7 @@ def test_forward_rows_equals_single_vector_forward(seed, batch):
     rows = mlp.forward_rows(x)
     assert rows.shape == (batch, sizes[-1])
     for xi, yi in zip(x, rows):
-        assert np.array_equal(mlp.forward(xi)[0], yi)
+        assert np.array_equal(mlp.forward(xi[None])[0][0], yi)
 
 
 # -- Adam over one vector against the per-tensor Adam it replaced -------------
@@ -281,9 +328,9 @@ def test_a_flat_keeps_its_layout(change):
     opt = Adam(params, lr=0.1)
     before = params.vector.copy()
     other = Mlp([3, 5, 2], rng=np.random.default_rng(1))
-    _, cache = other.forward(np.ones(3))
+    _, acts = other.forward(np.ones((1, 3)))
     named = {"add": "log_std", "replace": "W0", "drop": "b1", "reorder": "order"}[change]
-    for grads, match in ((ones(shapes), named), (other.backward(cache, np.ones(2)), "W0")):
+    for grads, match in ((ones(shapes), named), (other.backward(acts, np.ones((1, 2))), "W0")):
         with pytest.raises(ShapeError, match=match):
             opt.step(grads)
     assert np.array_equal(params.vector, before) and opt.step_count == 0

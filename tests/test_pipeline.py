@@ -20,6 +20,11 @@ from conftest import FAST_CFG, clean_state, random_slate
 CONFIGS = {"fast": FAST_CFG, "default": ""}
 
 
+def load_fast_denoiser(path):
+    """load_denoiser for a FAST_CFG run's env.d."""
+    return load_denoiser(path, parse_config(FAST_CFG).env.d)
+
+
 # -- the per-analysis random-policy loops that random_rollout replaced ------
 
 def old_collect_pairs(env, n_pairs, rng):
@@ -141,7 +146,7 @@ def test_state_dumps_match_old_loop(fast_run, pipeline_envs):
     cfg = parse_config(FAST_CFG)
     cfg.env.seed = 5
     (raw, *_), (pur, *_) = state_dumps(cfg, dsrm, n_states=100)
-    denoiser, _ = load_denoiser(dsrm)
+    denoiser, _ = load_fast_denoiser(dsrm)
     ref_raw, ref_pur, ref_exposure = old_dump_states(cfg, denoiser, 100, seed=5)
     assert np.array_equal(raw, ref_raw)
     assert np.array_equal(pur, ref_pur)
@@ -176,8 +181,8 @@ def test_old_checkpoint_evaluates_the_same(fast_run, variant, tmp_path):
 def test_old_denoiser_checkpoint_loads(fast_run, tmp_path):
     dsrm, _ = fast_run
     old = with_retired_keys(dsrm, tmp_path / "old.ckpt")
-    denoiser, _ = load_denoiser(old)
-    ref, _ = load_denoiser(dsrm)
+    denoiser, _ = load_fast_denoiser(old)
+    ref, _ = load_fast_denoiser(dsrm)
     params, ref_params = denoiser.net.parameters(), ref.net.parameters()
     assert all(np.array_equal(params[k], ref_params[k]) for k in ref_params)
 
@@ -189,13 +194,13 @@ def test_old_checkpoint_with_unused_setting_rejected(fast_run, kw, tmp_path):
     with pytest.raises(ConfigError, match="never in effect"):
         load_agent(with_retired_keys(policies["FLAT"], tmp_path / "p.ckpt", **kw))
     with pytest.raises(ConfigError, match="never in effect"):
-        load_denoiser(with_retired_keys(dsrm, tmp_path / "d.ckpt", **kw))
+        load_fast_denoiser(with_retired_keys(dsrm, tmp_path / "d.ckpt", **kw))
 
 
 def test_load_denoiser_needs_denoiser_tensors(fast_run):
     _, policies = fast_run
     with pytest.raises(CheckpointError, match="no denoiser tensors"):
-        load_denoiser(policies["HRL-RAW"])
+        load_fast_denoiser(policies["HRL-RAW"])
 
 
 def edited(path, out, changes):
@@ -241,9 +246,9 @@ def test_load_denoiser_takes_exactly_the_denoisers_tensors(fast_run, changes, na
     """The denoiser's own checkpoint and a policy checkpoint that holds the
     denoiser alike."""
     dsrm, policies = fast_run
-    for path, load in ((dsrm, load_denoiser), (policies["DSRM-HRL"], load_agent)):
+    for path, load in ((dsrm, load_fast_denoiser), (policies["DSRM-HRL"], load_agent)):
         bad = edited(path, tmp_path / "bad.ckpt", changes)
-        for loader in {load_denoiser, load}:
+        for loader in {load_fast_denoiser, load}:
             with pytest.raises(CheckpointError, match=f"{bad}: .*{name}"):
                 loader(bad)
 
@@ -254,8 +259,8 @@ def test_load_denoiser_reads_only_denoiser_tensors(fast_run, tmp_path):
     dsrm, policies = fast_run
     stray = edited(policies["DSRM-HRL"], tmp_path / "stray.ckpt",
                    {"valu.W0": np.zeros((2, 2))})
-    denoiser, _ = load_denoiser(stray)
-    ref, _ = load_denoiser(dsrm)
+    denoiser, _ = load_fast_denoiser(stray)
+    ref, _ = load_fast_denoiser(dsrm)
     assert np.array_equal(denoiser.net.parameters().vector, ref.net.parameters().vector)
     with pytest.raises(CheckpointError, match="valu.W0"):
         load_agent(stray)

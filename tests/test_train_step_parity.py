@@ -168,10 +168,9 @@ def make_net(sizes, seed):
     return mlp
 
 
-def assert_caches_equal(cache, ref):
-    assert cache["single"] == ref["single"]
-    assert len(cache["acts"]) == len(ref["acts"])
-    for a, r in zip(cache["acts"], ref["acts"]):
+def assert_caches_equal(acts, ref):
+    assert len(acts) == len(ref["acts"])
+    for a, r in zip(acts, ref["acts"]):
         assert a.shape == r.shape
         assert np.array_equal(a, r)
 
@@ -183,12 +182,12 @@ def test_forward_and_backward_match_old_on_single_vectors(sizes):
     for scale in (0.1, 1.0, 5.0):
         for _ in range(100):
             x = scale * rng.standard_normal(sizes[0])
-            y, cache = mlp.forward(x)
+            y, acts = mlp.forward(x[None])
             ref_y, ref_cache = old_forward(mlp, x)
-            assert y.shape == ref_y.shape and np.array_equal(y, ref_y)
-            assert_caches_equal(cache, ref_cache)
+            assert y[0].shape == ref_y.shape and np.array_equal(y[0], ref_y)
+            assert_caches_equal(acts, ref_cache)
             dy = rng.standard_normal(sizes[-1])
-            grads = mlp.backward(cache, dy)
+            grads = mlp.backward(acts, dy[None])
             ref_grads, _ = old_backward(mlp, ref_cache, dy)
             assert grads.keys() == ref_grads.keys()
             for k in grads:
@@ -202,13 +201,13 @@ def test_forward_and_backward_match_old_on_batches(sizes, batch):
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.standard_normal((batch, sizes[0]))
-        y, cache = mlp.forward(x)
+        y, acts = mlp.forward(x)
         ref_y, ref_cache = old_forward(mlp, x)
         assert np.array_equal(y, ref_y)
-        assert_caches_equal(cache, ref_cache)
+        assert_caches_equal(acts, ref_cache)
         dy = rng.standard_normal((batch, sizes[-1]))
         dy_before = dy.copy()
-        grads = mlp.backward(cache, dy)
+        grads = mlp.backward(acts, dy)
         ref_grads, _ = old_backward(mlp, ref_cache, dy)
         assert grads.keys() == ref_grads.keys()
         for k in ref_grads:
@@ -218,7 +217,7 @@ def test_forward_and_backward_match_old_on_batches(sizes, batch):
 
 def test_forward_leaves_input_unchanged():
     mlp = make_net([5, 3], 5)
-    x = np.random.default_rng(6).standard_normal(5)
+    x = np.random.default_rng(6).standard_normal((1, 5))
     before = x.copy()
     y, _ = mlp.forward(x)
     assert np.array_equal(x, before)
