@@ -12,7 +12,7 @@ import numpy as np
 from .config import EVAL_SEED_OFFSET, HrlConfig
 from .diffusion import Denoiser, ReverseChain, purify
 from .env import RecEnv, SessionOutcome
-from .metrics import EpisodeGini, gini  # noqa: F401 (gini: patched by name in perfbench and tests)
+from .metrics import gini
 from .nn import Adam, Flat, Mlp, layer_shapes
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -49,7 +49,7 @@ class ManagerPolicy:
         return grads
 
     def _clamped_log_std(self):
-        return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        return np.minimum(np.maximum(self.log_std, LOG_STD_MIN), LOG_STD_MAX)
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None,
             greedy: bool = False):
@@ -234,7 +234,7 @@ class Agent:
         its action is held in between (FLAT always uses the fixed weights).
         Training samples actions and returns (outcome, record), where the
         PPO record is the arrays (states, pre-squash actions, log-probs,
-        shaped rewards, values), the last two computed after the episode;
+        shaped rewards, values), the last three computed after the episode;
         evaluation acts greedily, does inference only and returns (outcome, None)."""
         obs = env.reset(session_seed)
         flat = self.cfg.variant == "FLAT"
@@ -242,8 +242,7 @@ class Agent:
             omega = np.array([self.cfg.flat_omega_acc, self.cfg.flat_omega_fair])
             mean = u = np.zeros(2)
         if train:
-            episode_gini = EpisodeGini(env.catalog.n_items)
-            states, means, us, shaped = [], [], [], []
+            states, means, us = [], [], []
         rewards_log, slates_log = [], []
         done = False
         step = 0
@@ -256,17 +255,22 @@ class Agent:
             item_rewards, obs, done = env.step(slate)
             r_t = float(item_rewards.sum()) / len(item_rewards)
             if train:
-                episode_gini.serve(slate.tolist())
                 states.append(state)
                 means.append(mean)
                 us.append(u)
-                shaped.append(shaped_reward(r_t, episode_gini.value(), self.cfg.lambda_fair))
             rewards_log.append(r_t)
             slates_log.append(slate)
             step += 1
         outcome = SessionOutcome(np.array(rewards_log), np.array(slates_log), env.abandoned)
         if not train:
             return outcome, None
+        # The episode's exposure Gini after each step: prefix counts of the
+        # items it served, the only ones of the catalog that are nonzero.
+        items, cols = np.unique(outcome.slates, return_inverse=True)
+        served = np.zeros((step, len(items)))
+        served[np.arange(step)[:, None], cols.reshape(outcome.slates.shape)] = 1
+        ginis = gini(np.cumsum(served, axis=0), n_items=env.catalog.n_items)
+        shaped = [shaped_reward(r, g, self.cfg.lambda_fair) for r, g in zip(rewards_log, ginis)]
         states, us = np.array(states), np.array(us)
         lps = np.zeros(step) if flat else self.policy._log_density(np.array(means), us)
         return outcome, (states, us, lps, np.array(shaped), self.value_net.value(states))

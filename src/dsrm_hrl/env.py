@@ -93,7 +93,7 @@ class ItemCatalog:
         self.exposure_max = max(self.exposure_max, int(served.max()))
 
 
-@dataclass
+@dataclass(eq=False)
 class SessionOutcome:
     """One session's record, one row per step."""
     rewards: np.ndarray  # (T,) mean observed reward of each served slate
@@ -103,12 +103,6 @@ class SessionOutcome:
     @property
     def length(self) -> int:
         return len(self.rewards)
-
-    def __eq__(self, other):
-        """Equal abandonment and equal arrays, element for element."""
-        return (isinstance(other, SessionOutcome) and self.abandoned == other.abandoned
-                and np.array_equal(self.rewards, other.rewards)
-                and np.array_equal(self.slates, other.slates))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -29,48 +29,29 @@ class MetricsReport:
     n_episodes: int
 
 
-def gini(counts) -> float:
-    """Gini coefficient of a non-negative vector:
-    sum_ij |x_i - x_j| / (2 n sum x). All-zero input is defined as 0."""
+def gini(counts, n_items=None):
+    """Gini coefficient of a non-negative vector of n_items counts:
+    sum_ij |x_i - x_j| / (2 n sum x). All-zero input is defined as 0. Rows
+    (a 2-d input) give one value each. The columns are the only items of
+    n_items (default: all of them) that may be nonzero; the rest count as 0."""
     x = np.asarray(counts, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("gini expects a non-empty 1-d vector")
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ValueError("gini expects a non-empty 1-d vector or 2-d rows")
+    m = x.shape[-1]
+    n = m if n_items is None else n_items
+    if n < m:
+        raise ValueError(f"gini: n_items {n} is below the {m} columns given")
     if np.any(x < 0):
         raise ValueError("gini expects non-negative values")
-    total = x.sum()
-    if total == 0:
-        return 0.0
-    n = x.size
-    xs = np.sort(x)
-    # sum_ij |xi - xj| = 2 * sum_i (2i - n + 1) x_(i)  (0-based i)
-    coef = 2.0 * np.arange(n) - n + 1.0
+    total = x.sum(axis=-1)
+    # sum_ij |xi - xj| = 2 * sum_i (2i - n + 1) x_(i)  (0-based i), where the
+    # n - m uncounted zeros sort first.
+    coef = 2.0 * np.arange(n - m, n) - n + 1.0
+    g = np.divide(np.sort(x, axis=-1) @ coef, n * total,
+                  out=np.zeros_like(total), where=total != 0)
     # Rounding can take a (near-)uniform vector a few ulps below 0.
-    return max(0.0, float((coef @ xs) / (n * total)))
-
-
-class EpisodeGini:
-    """gini() of one episode's integer exposure counts, O(k) per slate: an
-    item served at count c adds 2 le[c] - n - 1 (le[c]: items at count <= c)
-    to the integer numerator sum_i (2i - n + 1) x_(i). gini() sums it exactly
-    while n^2 * max count < 2^53, so value()'s one division is the same."""
-
-    def __init__(self, n_items: int):
-        self.n, self.num, self.total = n_items, 0, 0
-        self.counts, self.le = {}, [n_items]
-
-    def serve(self, ids):
-        """Counts one slate of distinct item ids."""
-        n, le, counts = self.n, self.le, self.counts
-        le.append(n)  # no count exceeds the number of slates served
-        for i in ids:
-            c = counts.get(i, 0)
-            self.num += 2 * le[c] - n - 1
-            le[c] -= 1
-            counts[i] = c + 1
-        self.total += len(ids)
-
-    def value(self) -> float:
-        return self.num / (self.n * self.total) if self.total else 0.0
+    g = np.where(g > 0.0, g, 0.0)
+    return float(g) if x.ndim == 1 else g
 
 
 def group_coverage(slates, catalog: ItemCatalog):

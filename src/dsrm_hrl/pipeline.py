@@ -266,11 +266,11 @@ def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):
 PURIFICATION_GAIN_EPISODES = 100
 
 
-def purification_gain(cfg: RunConfig, dsrm_ckpt):
+def purification_gain(cfg: RunConfig, denoiser: Denoiser):
     """The state-purification comparison: the same FLAT scoring policy
-    evaluated on raw states (no denoiser) and on purified states, over
-    PURIFICATION_GAIN_EPISODES sessions each; returns the two reports."""
-    denoiser, _ = load_denoiser(dsrm_ckpt, cfg.env.d)
+    evaluated on raw states (no denoiser) and on states purified by the
+    denoiser, over PURIFICATION_GAIN_EPISODES sessions each; returns the two
+    reports."""
     flat = replace(cfg.hrl, variant="FLAT")
     reports = []
     for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)):
@@ -282,10 +282,11 @@ def purification_gain(cfg: RunConfig, dsrm_ckpt):
     return tuple(reports)
 
 
-def state_dumps(cfg: RunConfig, dsrm_ckpt, n_states: int = 500):
-    """Raw and purified state embeddings with label columns (popularity
-    decile and group of the nearest catalog item) for external plotting."""
-    chain = ReverseChain(load_denoiser(dsrm_ckpt, cfg.env.d)[0])
+def state_dumps(cfg: RunConfig, denoiser: Denoiser, n_states: int = 500):
+    """Raw and the denoiser's purified state embeddings with label columns
+    (popularity decile and group of the nearest catalog item) for external
+    plotting."""
+    chain = ReverseChain(denoiser)
     env = RecEnv(cfg.env)
     rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 30])
     raw_states = random_rollout(env, rng, n_states).observed
@@ -307,8 +308,10 @@ def run_motivate(cfg: RunConfig, out_dir, dsrm_ckpt=None):
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are
     skipped with a notice when none is given. Returns (r_squared, the
     raw and purified reports of (b), or None when skipped)."""
-    # (b) runs first: a denoiser that load_denoiser refuses writes nothing.
-    gain = None if dsrm_ckpt is None else purification_gain(cfg, dsrm_ckpt)
+    # The denoiser is read once, and first: one that load_denoiser refuses
+    # writes nothing.
+    denoiser = None if dsrm_ckpt is None else load_denoiser(dsrm_ckpt, cfg.env.d)[0]
+    gain = None if denoiser is None else purification_gain(cfg, denoiser)
     r2, rows = popularity_reward_regression(cfg)
     write_csv(os.path.join(out_dir, "popularity_reward.csv"),
               ["item_id", "log1p_exposure", "mean_reward"], rows)
@@ -322,7 +325,7 @@ def run_motivate(cfg: RunConfig, out_dir, dsrm_ckpt=None):
     write_results(os.path.join(out_dir, "purification_gain.csv"), [raw, pur])
     log(f"motivate(b): raw Len={raw.len_mean:.3f} AD={raw.ad_mean:.3f} | "
         f"purified Len={pur.len_mean:.3f} AD={pur.ad_mean:.3f}")
-    (rs, rd, rg), (ps, pd_, pg) = state_dumps(cfg, dsrm_ckpt)
+    (rs, rd, rg), (ps, pd_, pg) = state_dumps(cfg, denoiser)
     write_embedding_dump(os.path.join(out_dir, "states_raw.tsv"), rs, rd, rg)
     write_embedding_dump(os.path.join(out_dir, "states_purified.tsv"), ps, pd_, pg)
     log("motivate(c): embedding dumps written")

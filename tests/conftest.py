@@ -4,7 +4,8 @@ import struct
 
 import numpy as np
 
-from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, encode_observed
+from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, SessionOutcome,
+                          encode_observed)
 
 FAST_CFG = """\
 [env]
@@ -80,3 +81,12 @@ def clean_state(env):
     """The noise-free encoding of the history of env's session, the clean
     state that its last observation corrupts."""
     return encode_observed(env._items, env._rewards, env.catalog, 0.0, None)
+
+
+def same_outcome(a, b):
+    """Two session outcomes with equal abandonment and equal arrays, element
+    for element."""
+    return (isinstance(a, SessionOutcome) and isinstance(b, SessionOutcome)
+            and a.abandoned == b.abandoned
+            and np.array_equal(a.rewards, b.rewards)
+            and np.array_equal(a.slates, b.slates))

@@ -199,7 +199,8 @@ def test_criterion_06_purification_gain(capsys, dsrm_ckpts):
     for seed in SEEDS:
         cfg = RunConfig()
         cfg.env.seed = seed
-        raw, pur = purification_gain(cfg, dsrm_ckpts[seed])
+        denoiser = load_denoiser(dsrm_ckpts[seed], cfg.env.d)[0]
+        raw, pur = purification_gain(cfg, denoiser)
         win = pur.len_mean > raw.len_mean and pur.ad_mean < raw.ad_mean
         wins += win
         details.append(f"seed {seed}: Len {raw.len_mean:.1f}->{pur.len_mean:.1f}"

@@ -15,6 +15,8 @@ from dsrm_hrl.metrics import gini
 from dsrm_hrl.nn import Adam
 from dsrm_hrl import agent as agent_mod
 
+from conftest import same_outcome
+
 
 def small_env_cfg(**kw):
     base = dict(d=8, n_items=40, slate_k=3, max_len=8, history_window=4,
@@ -382,7 +384,7 @@ def test_run_episode_matches_full_bookkeeping_loop(variant, mode):
             outcome, record = agent.run_episode(env, 500 + i, rng, train=train)
             ref_outcome, ref_traj = reference_episode(agent, ref_env, 500 + i,
                                                       ref_rng, train)
-            assert outcome == ref_outcome
+            assert same_outcome(outcome, ref_outcome)
             if train:
                 for name, array in zip(RECORD_FIELDS, record):
                     assert np.array_equal(array, getattr(ref_traj, name)), name
@@ -417,24 +419,37 @@ def test_greedy_episode_reads_no_rng(variant):
         outcome, _ = agent.run_episode(env, 40 + i, None, train=False)
         ref_outcome, _ = agent.run_episode(ref_env, 40 + i,
                                            np.random.default_rng(i), train=False)
-        assert outcome == ref_outcome
+        assert same_outcome(outcome, ref_outcome)
     assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
 
 
 def test_training_step_is_o_k_at_catalog_scale(monkeypatch):
-    """Training keeps the episode Gini up to date on the served items: no
-    gini() of the whole exposure vector and no sort anywhere in an episode
-    at 5000 items."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("whole-catalog Gini in a training step")
+    """Training takes the episode's Ginis over the items it served: at 5000
+    items, one gini() call on the (length, U) prefix counts of its U <=
+    length * slate_k served items, and no sort of a catalog-length axis
+    anywhere in an episode."""
+    ginis, sorted_widths = [], []
+    real_gini, real_sort = agent_mod.gini, np.sort
 
-    monkeypatch.setattr(agent_mod, "gini", forbidden)
-    monkeypatch.setattr(np, "sort", forbidden)
+    def recorded_gini(counts, n_items=None):
+        ginis.append((np.shape(counts), n_items))
+        return real_gini(counts, n_items=n_items)
+
+    def recorded_sort(a, *args, **kwargs):
+        sorted_widths.append(np.shape(a)[-1])
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(agent_mod, "gini", recorded_gini)
+    monkeypatch.setattr(np, "sort", recorded_sort)
     env = RecEnv(EnvConfig(d=8, n_items=5000, seed=1))
     _, agent = make_agent("HRL-RAW")
     outcome, record = agent.run_episode(env, 7, np.random.default_rng(7), train=True)
-    assert outcome.length > 1
-    assert len(record[3]) == outcome.length
+    length, slate_k = outcome.length, env.config.slate_k
+    assert length > 1
+    assert len(record[3]) == length
+    [((rows, served), n_items)] = ginis
+    assert rows == length and served <= length * slate_k and n_items == 5000
+    assert sorted_widths and max(sorted_widths) <= length * slate_k
 
 
 @pytest.mark.parametrize("variant", ["DSRM-HRL", "FLAT"])

@@ -6,6 +6,7 @@ import csv
 import pytest
 
 from dsrm_hrl import agent as agent_mod
+from dsrm_hrl import pipeline
 from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from dsrm_hrl.config import VARIANTS, ConfigError, load_config
 from dsrm_hrl.persistence import load_checkpoint, save_checkpoint
@@ -223,6 +224,24 @@ def test_motivate_with_denoiser(cfg_file, tmp_path):
     assert (out / "purification_gain.csv").exists()
     assert (out / "states_raw.tsv").exists()
     assert (out / "states_purified.tsv").exists()
+
+
+def test_motivate_reads_its_denoiser_once(cfg_file, tmp_path, monkeypatch):
+    """Parts (b) and (c) share one load of the --dsrm-ckpt checkpoint."""
+    out = tmp_path / "mot"
+    assert main(["train-dsrm", "--config", cfg_file, "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", counted)
+    rc = main(["motivate", "--config", cfg_file, "--seed", "1",
+               "--out", str(out), "--dsrm-ckpt", str(out / "dsrm.ckpt")])
+    assert rc == EXIT_OK
+    assert loads == [str(out / "dsrm.ckpt")]
 
 
 def test_denoiser_from_checkpoint_without_one_runtime_error(cfg_file, tmp_path,

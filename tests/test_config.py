@@ -167,7 +167,6 @@ KEPT_FOR_CHECKS = {
     "diffusion.reverse_step",       # criterion 2 and test_diffusion's oracle-denoiser checks
     "diffusion.Denoiser.predict",   # reverse_step's network call; perfbench SPANS
     "nn.gradient_check",            # the finite-difference oracle (criterion 1)
-    "metrics.gini",                 # criterion 3; oracle for metrics.EpisodeGini; perfbench SPANS
     "env.RecEnv.ground_truth_state",  # criterion 5
 }
 

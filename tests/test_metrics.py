@@ -53,9 +53,37 @@ def test_gini_input_validation():
     with pytest.raises(ValueError):
         gini([])
     with pytest.raises(ValueError):
-        gini([[1.0, 2.0]])
+        gini([[[1.0, 2.0]]])
+    with pytest.raises(ValueError):
+        gini(np.zeros((2, 0)))
     with pytest.raises(ValueError):
         gini([1.0, -1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=60), st.data())
+def test_gini_rows_equal_padded_vectors(n_rows, n_cols, n_pad, data):
+    """Each row of an integer count matrix, taken as the only nonzero columns
+    of n_items, has the Gini of that row padded with zeros to n_items, bit
+    for bit; the default n_items is the row length."""
+    counts = np.array(data.draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows)))
+    zero_row = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
+    counts[zero_row] = 0
+    n_items = n_cols + n_pad
+    rows = gini(counts, n_items=n_items)
+    assert rows.shape == (n_rows,)
+    assert rows.tolist() == [gini(np.pad(row, (0, n_pad))) for row in counts]
+    assert gini(counts).tolist() == [gini(row) for row in counts]
+    assert rows[zero_row] == 0.0
+    with pytest.raises(ValueError):
+        gini(counts, n_items=n_cols - 1)
+    negative = counts.copy()
+    negative[data.draw(st.integers(min_value=0, max_value=n_rows - 1)), 0] = -1
+    with pytest.raises(ValueError):
+        gini(negative, n_items=n_items)
 
 
 @settings(max_examples=50, deadline=None)

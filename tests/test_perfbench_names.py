@@ -104,3 +104,33 @@ def test_stage2_and_eval_steps_pass_through_the_env_spans(tracing):
     finally:
         patches.restore()
     assert tracing.leftover_wrappers() == []
+
+
+def test_training_episode_calls_the_wrapped_gini_once(tracing):
+    """perfbench's metrics.gini span wraps dsrm_hrl.agent.gini: a training
+    episode calls it exactly once, for all its steps, and an eval episode
+    never does."""
+    [(target, attr)] = [(target, attr) for target, attr, name, *_ in tracing.SPANS
+                        if name == "metrics.gini"]
+    assert (target, attr) == ("dsrm_hrl.agent", "gini")
+    env = RecEnv(EnvConfig(d=8, n_items=60, slate_k=4, max_len=7, init_exposure=100))
+    agent = Agent(HrlConfig(variant="HRL-RAW", hidden=(8,)), 8)
+    calls = []
+
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return counted
+
+    patches = tracing.Patches()
+    try:
+        patches.replace(target, attr, counting)
+        for train, expected in ((True, 1), (False, 0)):
+            calls.clear()
+            outcome, _ = agent.run_episode(env, 5, np.random.default_rng(0), train=train)
+            assert outcome.length > 1
+            assert len(calls) == expected
+    finally:
+        patches.restore()
+    assert tracing.leftover_wrappers() == []

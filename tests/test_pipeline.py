@@ -145,8 +145,8 @@ def test_state_dumps_match_old_loop(fast_run, pipeline_envs):
     dsrm, _ = fast_run
     cfg = parse_config(FAST_CFG)
     cfg.env.seed = 5
-    (raw, *_), (pur, *_) = state_dumps(cfg, dsrm, n_states=100)
     denoiser, _ = load_fast_denoiser(dsrm)
+    (raw, *_), (pur, *_) = state_dumps(cfg, denoiser, n_states=100)
     ref_raw, ref_pur, ref_exposure = old_dump_states(cfg, denoiser, 100, seed=5)
     assert np.array_equal(raw, ref_raw)
     assert np.array_equal(pur, ref_pur)

@@ -1,11 +1,13 @@
 """The lean training step against the code it replaced.
 
-The manager's shaped reward reads an episode Gini kept up to date on the
-served items only, and the MLP forward, backward and Adam step reuse their
-own buffers and activations. These tests run the earlier versions, kept
-here verbatim, side by side with the package's and require every Gini,
-output, cache entry, gradient, moment and parameter to match bit for bit.
-NumPy promises none of these equalities (a single-vector `W.dot(h)` against
+The manager's shaped rewards read one gini() call per episode over the
+prefix counts of the items it served, and the MLP forward, backward and
+Adam step reuse their own buffers and activations. These tests compare
+each Gini with gini() of the whole count vector, and run the earlier
+network math, kept here verbatim, side by side with the package's; every
+Gini, output, cache entry, gradient, moment and parameter must match bit
+for bit.
+NumPy promises none of the network equalities (a single-vector `W.dot(h)` against
 a one-row matmul, in-place against allocating ufuncs), so these tests pin
 them."""
 
@@ -16,7 +18,7 @@ from dsrm_hrl import agent as agent_mod
 from dsrm_hrl.agent import Agent
 from dsrm_hrl.config import EnvConfig, HrlConfig
 from dsrm_hrl.env import RecEnv
-from dsrm_hrl.metrics import EpisodeGini, gini
+from dsrm_hrl.metrics import gini
 from dsrm_hrl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, Flat, Mlp, ShapeError
 
 
@@ -92,21 +94,14 @@ class OldAdam:
 
 # -- episode Gini --------------------------------------------------------------
 
-class CheckedGini(EpisodeGini):
-    """The package's tracker, compared with gini() of the whole count vector
-    after every served slate."""
-    log = []
-
-    def __init__(self, n_items):
-        super().__init__(n_items)
-        self.exposure = np.zeros(n_items)
-        CheckedGini.log.append(self)
-
-    def serve(self, ids):
-        super().serve(ids)
-        self.exposure[ids] += 1
-        assert self.value() == gini(self.exposure)
-        assert self.total == self.exposure.sum()
+def full_count_ginis(slates, n_items):
+    """gini() of the episode's whole n-item count vector after each slate."""
+    counts = np.zeros(n_items)
+    ginis = []
+    for slate in slates:
+        counts[slate] += 1
+        ginis.append(gini(counts))
+    return ginis
 
 
 # (n_items, slate_k, max_len): FAST_CFG's env, then the default env at 500
@@ -116,43 +111,52 @@ GINI_ENVS = [(40, 3, 6), (500, 5, 30), (5000, 5, 30)]
 
 @pytest.mark.parametrize("n_items,slate_k,max_len", GINI_ENVS)
 def test_episode_gini_matches_gini_over_training_episodes(monkeypatch, n_items,
-                                                          slate_k, max_len):
-    """200 real training episodes on one shared catalog: the tracked Gini
-    equals gini() of the episode's counts after every step."""
-    monkeypatch.setattr(agent_mod, "EpisodeGini", CheckedGini)
-    CheckedGini.log = []
+                                                         slate_k, max_len):
+    """200 real training episodes on one shared catalog: each episode's one
+    gini() call gives gini() of the episode's whole count vector after
+    every step."""
+    calls = []
+
+    def checked(counts, n_items=None):
+        calls.append(gini(counts, n_items=n_items))
+        return calls[-1]
+
+    monkeypatch.setattr(agent_mod, "gini", checked)
     env = RecEnv(EnvConfig(d=8, n_items=n_items, slate_k=slate_k, max_len=max_len,
                            seed=3))
     agent = Agent(HrlConfig(hidden=(16,), variant="HRL-RAW"), 8, seed=3)
     rng = np.random.default_rng(4)
-    lengths = [agent.run_episode(env, 900 + i, rng, train=True)[0].length
-               for i in range(200)]
-    assert len(CheckedGini.log) == 200
+    lengths, repeats = [], 0
+    for i in range(200):
+        outcome, _ = agent.run_episode(env, 900 + i, rng, train=True)
+        assert len(calls) == i + 1
+        assert list(calls[-1]) == full_count_ginis(outcome.slates, n_items)
+        lengths.append(outcome.length)
+        repeats = max(repeats, np.bincount(outcome.slates.ravel()).max())
     assert max(lengths) == max_len
     # Items served in several steps of one episode.
-    assert max(max(g.counts.values()) for g in CheckedGini.log) >= 2
+    assert repeats >= 2
 
 
 @pytest.mark.parametrize("n_items,slate_k,max_len", GINI_ENVS)
 def test_episode_gini_matches_gini_on_hot_pools(n_items, slate_k, max_len):
     """Synthetic episodes whose slates come from a small pool, so counts run
-    up to max_len and many items share each count."""
+    up to max_len and many items share each count: gini() of the prefix
+    counts over the pool, with n_items, equals gini() of the whole count
+    vector after every step."""
     rng = np.random.default_rng(n_items)
     # Episode 0 serves its pool of slate_k items in all max_len steps.
     for episode in range(200):
-        tracker = EpisodeGini(n_items)
-        counts = np.zeros(n_items)
-        assert tracker.value() == gini(counts) == 0.0
         pool = rng.choice(n_items, size=slate_k + episode % (2 * slate_k + 1),
                           replace=False)
         length = max_len if episode % 3 == 0 else int(rng.integers(1, max_len + 1))
-        for _ in range(length):
-            ids = rng.choice(pool, size=slate_k, replace=False).tolist()
-            tracker.serve(ids)
-            counts[ids] += 1
-            assert tracker.value() == gini(counts)
+        slates = np.array([rng.choice(pool, size=slate_k, replace=False)
+                           for _ in range(length)])
+        prefix = np.cumsum(np.any(slates[:, :, None] == pool, axis=1), axis=0)
+        assert list(gini(prefix, n_items=n_items)) == full_count_ginis(slates, n_items)
+        assert gini(np.zeros_like(prefix), n_items=n_items).tolist() == [0.0] * length
         if len(pool) == slate_k:  # every pool item in every step
-            assert counts.max() == length
+            assert prefix[-1].max() == length
 
 
 # -- network math --------------------------------------------------------------
