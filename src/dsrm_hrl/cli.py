@@ -95,7 +95,8 @@ def main(argv=None) -> int:
                            os.path.join(args.out, "dsrm.ckpt"),
                            os.path.join(args.out, "dsrm_loss.csv"))
         elif args.command == "train":
-            run_train_policy(cfg, args.dsrm_ckpt, *policy_paths(cfg, args.out))
+            run_train_policy(cfg, args.dsrm_ckpt,
+                             *policy_paths(cfg.hrl.variant, f"s{cfg.env.seed}", args.out))
         elif args.command == "eval":
             run_eval(args.ckpt, episodes=args.episodes,
                      results_path=os.path.join(args.out, "results.csv"))

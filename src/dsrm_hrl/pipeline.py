@@ -135,11 +135,11 @@ def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
                     r["mean_omega_acc"], r["mean_omega_fair"]] for r in rows])
 
 
-def policy_paths(cfg: RunConfig, out_dir):
-    """cfg's policy checkpoint and training-curve paths, tagged <variant>_s<seed>."""
-    tag = f"{cfg.hrl.variant.lower().replace('-', '_')}_s{cfg.env.seed}"
-    return (os.path.join(out_dir, f"policy_{tag}.ckpt"),
-            os.path.join(out_dir, f"train_{tag}.csv"))
+def policy_paths(variant: str, tag: str, out_dir):
+    """A run's policy_<variant>_<tag>.ckpt and train_<variant>_<tag>.csv in out_dir."""
+    name = f"{variant.lower().replace('-', '_')}_{tag}"
+    return (os.path.join(out_dir, f"policy_{name}.ckpt"),
+            os.path.join(out_dir, f"train_{name}.csv"))
 
 
 def load_agent(ckpt_path):
@@ -190,48 +190,47 @@ def _copies(cfg: RunConfig, section: str, key: str, values) -> list[RunConfig]:
     return copies
 
 
-def run_sweep_steps(cfg: RunConfig, steps: list[int], out_dir):
-    """Retrain the denoiser per diffusion-step count, run the full pipeline,
-    and report one eval row per K plus a middle-vs-endpoints summary."""
+def _train_and_evaluate(tagged: dict, variants, out_dir) -> list[MetricsReport]:
+    """Per tagged config ({tag: RunConfig}), stage I once, then each of
+    variants trained against that denoiser (HRL-RAW loads none) and
+    evaluated: one results.csv row and one returned report each, in order."""
+    results_path = os.path.join(out_dir, "results.csv")
     reports = []
-    for kcfg in _copies(cfg, "dsrm", "k_steps", steps):
-        k = kcfg.dsrm.k_steps
-        dsrm_ckpt = os.path.join(out_dir, f"dsrm_k{k}.ckpt")
-        pol_ckpt = os.path.join(out_dir, f"policy_k{k}.ckpt")
-        run_train_dsrm(kcfg, dsrm_ckpt)
-        run_train_policy(kcfg, dsrm_ckpt, pol_ckpt)
-        report = run_eval(pol_ckpt)
-        reports.append((k, report))
-    rows = [[k, r.len_mean, r.r_each_mean, r.r_cum_mean, r.ad_mean]
-            for k, r in reports]
-    write_csv(f"{out_dir}/sweep_steps.csv",
-              ["k_steps", "len_mean", "r_each_mean", "r_cum_mean", "ad_mean"], rows)
+    for tag, cfg in tagged.items():
+        dsrm_ckpt = os.path.join(out_dir, f"dsrm_{tag}.ckpt")
+        run_train_dsrm(cfg, dsrm_ckpt, os.path.join(out_dir, f"dsrm_loss_{tag}.csv"))
+        for vcfg in _copies(cfg, "hrl", "variant", variants):
+            policy_ckpt, train_csv = policy_paths(vcfg.hrl.variant, tag, out_dir)
+            run_train_policy(vcfg, dsrm_ckpt, policy_ckpt, train_csv)
+            reports.append(run_eval(policy_ckpt, results_path=results_path))
+    log(f"{len(reports)} runs trained and evaluated: {results_path}")
+    return reports
+
+
+def run_sweep_steps(cfg: RunConfig, steps: list[int], out_dir):
+    """The config's variant trained and evaluated per diffusion-step count
+    (increasing), each against its own denoiser: one eval row per K in
+    sweep_steps.csv plus a middle-vs-endpoints summary."""
+    tagged = {f"k{c.dsrm.k_steps}": c for c in _copies(cfg, "dsrm", "k_steps", steps)}
+    if steps != sorted(steps):
+        raise config_mod.ConfigError(f"dsrm.k_steps: sweep values must increase, got {steps}")
+    reports = list(zip(steps, _train_and_evaluate(tagged, [cfg.hrl.variant], out_dir)))
+    write_csv(os.path.join(out_dir, "sweep_steps.csv"),
+              ["k_steps", "len_mean", "r_each_mean", "r_cum_mean", "ad_mean"],
+              [[k, r.len_mean, r.r_each_mean, r.r_cum_mean, r.ad_mean] for k, r in reports])
     summary = None
     if len(reports) >= 3:
         lens = [r.len_mean for _, r in reports]
         mid = len(reports) // 2
         summary = bool(lens[mid] >= lens[0] and lens[mid] >= lens[-1])
-        log(f"sweep: middle K={reports[mid][0]} "
-            f"{'wins' if summary else 'does not win'} on Len")
+        log(f"sweep: middle K={steps[mid]} {'wins' if summary else 'does not win'} on Len")
     return reports, summary
 
 
 def run_ablation(cfg: RunConfig, seeds: list[int], out_dir) -> list[MetricsReport]:
-    """Per seed, stage I once, then each of VARIANTS trained against that
-    denoiser (HRL-RAW loads none) and evaluated: one results.csv row and
-    one returned report each."""
-    results_path = os.path.join(out_dir, "results.csv")
-    reports = []
-    for scfg in _copies(cfg, "env", "seed", seeds):
-        seed = scfg.env.seed
-        dsrm_ckpt = os.path.join(out_dir, f"dsrm_s{seed}.ckpt")
-        run_train_dsrm(scfg, dsrm_ckpt, os.path.join(out_dir, f"dsrm_loss_s{seed}.csv"))
-        for vcfg in _copies(scfg, "hrl", "variant", VARIANTS):
-            policy_ckpt, train_csv = policy_paths(vcfg, out_dir)
-            run_train_policy(vcfg, dsrm_ckpt, policy_ckpt, train_csv)
-            reports.append(run_eval(policy_ckpt, results_path=results_path))
-    log(f"ablation complete: {results_path}")
-    return reports
+    """Every one of VARIANTS trained and evaluated per seed, against one denoiser per seed."""
+    tagged = {f"s{c.env.seed}": c for c in _copies(cfg, "env", "seed", seeds)}
+    return _train_and_evaluate(tagged, VARIANTS, out_dir)
 
 
 def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):

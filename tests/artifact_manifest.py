@@ -1,6 +1,9 @@
 """The artifact set and its sha256 manifest: every file written by
 train-dsrm, train and eval of each variant, motivate, sweep-steps and
-ablation, run in-process through the CLI, one directory per command group.
+ablation, run in-process through the CLI, one directory per command group;
+37 files. sweep-steps and ablation write the same kinds of files, tagged
+k<K> and s<seed>: a denoiser and loss curve per tag, a policy and training
+curve per variant and tag, and one results.csv row per policy.
 
     PYTHONPATH=src python tests/artifact_manifest.py CONFIG SEED OUT
 

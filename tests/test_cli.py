@@ -1,7 +1,9 @@
 """CLI subcommands (train-dsrm, train, eval, sweep-steps, motivate,
 ablation), exit codes, and output determinism."""
 
+import copy
 import csv
+import os
 
 import pytest
 
@@ -9,7 +11,7 @@ from dsrm_hrl import agent as agent_mod
 from dsrm_hrl import pipeline
 from dsrm_hrl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from dsrm_hrl.config import VARIANTS, ConfigError, load_config
-from dsrm_hrl.persistence import load_checkpoint, save_checkpoint
+from dsrm_hrl.persistence import load_checkpoint, save_checkpoint, write_csv, write_results
 from dsrm_hrl.pipeline import (run_eval, run_sweep_steps, run_train_dsrm,
                                run_train_policy)
 
@@ -53,10 +55,10 @@ def test_full_pipeline_and_determinism(cfg_file, tmp_path):
 
 
 def test_artifact_set_is_byte_identical_across_builds(cfg_file, tmp_path):
-    """Every subcommand's artifacts, 30 files from six commands, keep their
+    """Every subcommand's artifacts, 37 files from six commands, keep their
     names and bytes across two builds."""
     manifest = build(cfg_file, 7, tmp_path / "a")
-    assert len(manifest) == 30
+    assert len(manifest) == 37
     assert build(cfg_file, 7, tmp_path / "b") == manifest
 
 
@@ -203,6 +205,63 @@ def test_sweep_rejects_a_repeated_k_before_training(cfg_file, tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert "dsrm.k_steps: value 2 is repeated" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", ["200,5,20", "4,2"])
+def test_sweep_refuses_ks_that_do_not_increase(cfg_file, tmp_path, capsys, steps):
+    """The summary compares the middle K with both ends, so a sweep whose
+    Ks do not increase fails before anything is written."""
+    out = tmp_path / "sweep"
+    rc = main(["sweep-steps", "--config", cfg_file, "--out", str(out), "--steps", steps])
+    assert rc == EXIT_VALIDATION
+    assert "dsrm.k_steps: sweep values must increase" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def reference_sweep(cfg, steps, out_dir):
+    """The sweep's own loop before it shared the ablation's: each K's
+    denoiser and policy, with no loss curve, training curve or results.csv,
+    and the policy named policy_k<K>.ckpt."""
+    reports = []
+    for k in steps:
+        kcfg = copy.deepcopy(cfg)
+        kcfg.dsrm.k_steps = k
+        dsrm_ckpt = os.path.join(out_dir, f"dsrm_k{k}.ckpt")
+        pol_ckpt = os.path.join(out_dir, f"policy_k{k}.ckpt")
+        run_train_dsrm(kcfg, dsrm_ckpt)
+        run_train_policy(kcfg, dsrm_ckpt, pol_ckpt)
+        reports.append((k, run_eval(pol_ckpt)))
+    write_csv(f"{out_dir}/sweep_steps.csv",
+              ["k_steps", "len_mean", "r_each_mean", "r_cum_mean", "ad_mean"],
+              [[k, r.len_mean, r.r_each_mean, r.r_cum_mean, r.ad_mean] for k, r in reports])
+    return reports
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sweep_matches_the_reference_loop(cfg_file, tmp_path, variant):
+    """The sweep writes the reference loop's files byte for byte, its
+    policies renamed policy_<variant>_k<K>.ckpt, and adds each K's loss and
+    training curves and one results.csv row per K; nothing else."""
+    cfg = load_config(cfg_file)
+    cfg.hrl.variant = variant
+    ref, out = tmp_path / "ref", tmp_path / "sweep"
+    ref.mkdir()
+    out.mkdir()
+    expected = reference_sweep(cfg, [2, 4, 8], str(ref))
+    reports, _ = run_sweep_steps(cfg, [2, 4, 8], str(out))
+    assert [(k, vars(r)) for k, r in reports] == [(k, vars(r)) for k, r in expected]
+    tag = variant.lower().replace("-", "_")
+    renamed = {f"policy_k{k}.ckpt": f"policy_{tag}_k{k}.ckpt" for k in (2, 4, 8)}
+    old_names = sorted(p.name for p in ref.iterdir())
+    assert len(old_names) == 7
+    added = ["results.csv", *(f"dsrm_loss_k{k}.csv" for k in (2, 4, 8)),
+             *(f"train_{tag}_k{k}.csv" for k in (2, 4, 8))]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [renamed.get(n, n) for n in old_names] + added)
+    for name in old_names:
+        assert (out / renamed.get(name, name)).read_bytes() == (ref / name).read_bytes(), name
+    write_results(str(ref / "results.csv"), [r for _, r in expected])
+    assert (out / "results.csv").read_bytes() == (ref / "results.csv").read_bytes()
 
 
 def test_motivate_runs_without_denoiser(cfg_file, tmp_path):

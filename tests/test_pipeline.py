@@ -197,6 +197,25 @@ def test_old_checkpoint_with_unused_setting_rejected(fast_run, kw, tmp_path):
         load_fast_denoiser(with_retired_keys(dsrm, tmp_path / "d.ckpt", **kw))
 
 
+def test_flat_eval_does_not_depend_on_stage_two(fast_run, tmp_path):
+    """FLAT scores with fixed weights and eval never reads the value net, so
+    its report is the same after any stage II budget: a sweep over K under
+    FLAT isolates the denoiser. Stage II still fits a value net."""
+    dsrm, _ = fast_run
+    cfg = parse_config(FAST_CFG)
+    cfg.env.seed = 3
+    cfg.hrl.variant = "FLAT"
+    reports, values = [], []
+    for total_steps in (0, 120, 600):
+        cfg.hrl.total_steps = total_steps
+        ckpt = str(tmp_path / f"flat_{total_steps}.ckpt")
+        run_train_policy(cfg, dsrm, ckpt)
+        reports.append(vars(run_eval(ckpt)))
+        values.append(load_checkpoint(ckpt)[0]["value.W0"])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert not np.array_equal(values[0], values[2])
+
+
 def test_load_denoiser_needs_denoiser_tensors(fast_run):
     _, policies = fast_run
     with pytest.raises(CheckpointError, match="no denoiser tensors"):
