@@ -104,10 +104,11 @@ def score_items(state_vec: np.ndarray, omega: np.ndarray, catalog) -> np.ndarray
         sim = np.zeros(catalog.n_items)
     else:
         sim = catalog.embeddings @ (state_vec / norm)
-    scores = omega[0] * sim - omega[1] * catalog.log1p_exposure
-    if not np.isfinite(scores).all():
+    sim *= omega[0]  # the scores, in sim's own buffer
+    sim -= omega[1] * catalog.log1p_exposure
+    if not np.isfinite(sim).all():
         raise FloatingPointError("non-finite item scores")
-    return scores
+    return sim
 
 
 def select_slate(scores: np.ndarray, k: int) -> np.ndarray:
@@ -119,10 +120,12 @@ def select_slate(scores: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"slate size {k} outside [0, catalog size {n}]")
     if not np.isfinite(scores).all():
         raise ValueError("non-finite item scores")
-    neg = -scores
-    kth = np.partition(neg, k - 1)[k - 1]
-    candidates = np.flatnonzero(neg <= kth)
-    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+    if k == 0:
+        return np.empty(0, np.intp)
+    ranked = scores.copy()
+    ranked.partition(n - k)
+    candidates = (scores >= ranked[n - k]).nonzero()[0]
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
 def shaped_reward(r: float, episode_gini: float, lambda_fair: float) -> float:

@@ -61,7 +61,7 @@ class EnvConfig(_Section):
     noise_scale: float = _ranged(0.3, low=0)
     obs_noise: float = _ranged(0.05, low=0)
     zipf_s: float = _ranged(1.2)  # > 0: see _rules
-    init_exposure: int = _ranged(100_000, low=0)
+    init_exposure: int = _ranged(100_000, 0, 2**52)  # counts stay exact in float64
     window_a: int = _ranged(3, low=1)
     threshold_a: float = _ranged(0.6, 0, 1)
     decay_a: float = _ranged(0.25, 0, 1)

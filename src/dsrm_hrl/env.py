@@ -35,13 +35,15 @@ class ItemCatalog:
     """Items with unit-norm embeddings, cumulative exposure counts, a
     heavy-tailed initial popularity, and a popular/long-tail split (top 20%
     by initial popularity, ties broken by ascending item id; group_sizes
-    counts each group's items, indexed by group id). serve() alone writes
-    exposure, and keeps exposure_total, exposure_max and log1p_exposure
-    equal to those of the whole vector."""
+    counts each group's items, indexed by group id). Exposure counts are
+    held as float64 exact integers (any given array is coerced once), so
+    the drift share and the scores read them with no cast. serve() alone
+    writes exposure, and keeps exposure_total, exposure_max and
+    log1p_exposure equal to those of the whole vector."""
 
     n_items: int
     embeddings: np.ndarray          # (n_items, d), rows unit-norm
-    exposure: np.ndarray            # (n_items,) non-negative ints
+    exposure: np.ndarray            # (n_items,) float64 non-negative exact integers
     initial_popularity: np.ndarray  # (n_items,) positive reals
     group: np.ndarray               # (n_items,) GROUP_POPULAR / GROUP_LONGTAIL
     prior: np.ndarray = field(default=None)  # cold-start state vector
@@ -66,7 +68,7 @@ class ItemCatalog:
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         # Exposure warm start proportional to popularity: the catalog enters
         # the run with a pre-existing rich-get-richer imbalance.
-        exposure = np.round(cfg.init_exposure * pop / pop.max()).astype(np.int64)
+        exposure = np.round(cfg.init_exposure * pop / pop.max())
         order = np.lexsort((np.arange(n), -pop))
         group = np.full(n, GROUP_LONGTAIL, dtype=np.int64)
         group[order[:n_pop]] = GROUP_POPULAR
@@ -75,7 +77,10 @@ class ItemCatalog:
         return cls(n, emb, exposure, pop, group, prior)
 
     def __post_init__(self):
-        self.exposure_total = int(self.exposure.sum())
+        self.exposure = np.asarray(self.exposure, dtype=np.float64)
+        # Summed as Python ints: a float64 sum past 2**53 would round and an
+        # int64 one past 2**63 wrap.
+        self.exposure_total = sum(self.exposure.astype(np.int64).tolist())
         self.exposure_max = int(self.exposure.max())
         self.log1p_exposure = np.log1p(self.exposure)
         self.group_sizes = np.bincount(self.group, minlength=2)
@@ -84,10 +89,11 @@ class ItemCatalog:
         """One impression of each item of a slate of distinct ids, or of
         each slate of an (m, slate_k) block of them."""
         if slates.ndim == 1:
-            self.exposure[slates] += 1
+            served = self.exposure[slates] + 1.0
+            self.exposure[slates] = served
         else:
             self.exposure += np.bincount(slates.ravel(), minlength=self.n_items)
-        served = self.exposure[slates]
+            served = self.exposure[slates]
         self.log1p_exposure[slates] = np.log1p(served)
         self.exposure_total += served.size
         self.exposure_max = max(self.exposure_max, int(served.max()))
@@ -169,7 +175,7 @@ def _drift_directions(share, draws, embeddings: np.ndarray) -> np.ndarray:
     share *= np.abs(draws, out=draws)
     v = np.matmul(share[..., None, :], embeddings)[..., 0, :]
     norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0])
-    return np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
+    return np.divide(v, norm, out=np.zeros(v.shape), where=norm >= 1e-12)
 
 
 def popularity_drift_direction(catalog: ItemCatalog, draws: np.ndarray) -> np.ndarray:
@@ -420,9 +426,11 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
             peak[c:end] = served.max(axis=1)
             after[0] = counts[-1]
             if cfg.noise_scale > 0:
-                # popularity_drift_direction of each step's post-serve catalog.
+                # popularity_drift_direction of each step's post-serve catalog,
+                # its total exact in Python ints as the catalog's is.
                 draws = z[:end - c]
-                share = np.divide(counts, (total + k * (rows + c + 1))[:, None], out=counts)
+                totals = np.array([total + k * (r + c + 1) for r in rows.tolist()], np.float64)
+                share = np.divide(counts, totals[:, None], out=counts)
                 direction[c:end] = _drift_directions(share, draws[:, 1:-d], emb)
                 kept[c:end] = draws[:, keep]
         first -= m

@@ -5,6 +5,7 @@ ablation and the motivation analyses. The CLI is a thin wrapper over them."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import sys
@@ -193,8 +194,11 @@ def _copies(cfg: RunConfig, section: str, key: str, values) -> list[RunConfig]:
 def _train_and_evaluate(tagged: dict, variants, out_dir) -> list[MetricsReport]:
     """Per tagged config ({tag: RunConfig}), stage I once, then each of
     variants trained against that denoiser (HRL-RAW loads none) and
-    evaluated: one results.csv row and one returned report each, in order."""
+    evaluated: one results.csv row and one returned report each, in order.
+    A results.csv already in out_dir is replaced, as the checkpoints are."""
     results_path = os.path.join(out_dir, "results.csv")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(results_path)
     reports = []
     for tag, cfg in tagged.items():
         dsrm_ckpt = os.path.join(out_dir, f"dsrm_{tag}.ckpt")

@@ -165,6 +165,7 @@ def test_criterion_04_feedback_loop_regression(capsys):
            f"(< 0.1) unbiased control, {elapsed:.1f}s (< 60s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
     t0 = time.monotonic()
     gains = {}
@@ -192,6 +193,7 @@ def test_criterion_05_denoising_efficacy(capsys, dsrm_ckpts):
            f"sessions), {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_06_purification_gain(capsys, dsrm_ckpts):
     t0 = time.monotonic()
     wins = 0
@@ -212,6 +214,7 @@ def test_criterion_06_purification_gain(capsys, dsrm_ckpts):
            f"both Len and AD ({'; '.join(details)}), {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_ordering(capsys, ablation_reports):
     t0 = time.monotonic()
     mean_len = {v: np.mean([ablation_reports[(v, s)].len_mean for s in SEEDS])
@@ -229,6 +232,7 @@ def test_criterion_07_ablation_ordering(capsys, ablation_reports):
            f"{mean_ad['HRL-RAW']:.4f} (3 seeds, 200 episodes each)")
 
 
+@pytest.mark.slow
 def test_criterion_08_step_sweep_inverted_u(capsys, workdir):
     t0 = time.monotonic()
     cfg = RunConfig()

@@ -522,3 +522,43 @@ def test_ablation_matches_the_reference_loop(cfg_file, tmp_path):
     assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == names
     for name in names:
         assert (tmp_path / "abl" / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command,flags", [("sweep-steps", ("--steps", "2,4")),
+                                           ("ablation", ("--seeds", "3"))])
+def test_a_second_run_replaces_results(cfg_file, tmp_path, command, flags):
+    """A second run into the same directory replaces results.csv, as it
+    replaces the checkpoints and curves: its rows are its own runs', once."""
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out), *flags]
+    assert main(argv) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert len(rows) == (2 if command == "sweep-steps" else len(VARIANTS))
+
+
+def test_eval_appends_to_results(cfg_file, tmp_path):
+    """eval adds its row to a results.csv already in --out."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "3", "--out", str(out),
+                 "--variant", "HRL-RAW"]) == EXIT_OK
+    argv = ["eval", "--out", str(out), "--ckpt", str(out / "policy_hrl_raw_s3.ckpt")]
+    assert main(argv) == EXIT_OK
+    one = (out / "results.csv").read_text().splitlines()
+    assert main(argv) == EXIT_OK
+    assert (out / "results.csv").read_text().splitlines() == [*one, one[-1]]
+
+
+def test_init_exposure_is_bounded_where_counts_stay_exact(tmp_path, capsys):
+    """env.init_exposure = 2**52 is accepted; one past it exits 1 (at
+    10**19 the int64 warm start wrapped to a negative count)."""
+    top = 2**52
+    for value, rc in ((top, EXIT_OK), (top + 1, EXIT_VALIDATION)):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(FAST_CFG.replace("init_exposure = 100", f"init_exposure = {value}"))
+        assert main(["train-dsrm", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--epochs", "0"]) == rc
+    err = capsys.readouterr().err
+    assert f"error: env.init_exposure must be in [0, {top}], got {top + 1}" in err

@@ -36,6 +36,24 @@ def test_catalog_invariants():
     assert cat.exposure.max() == cfg.init_exposure
 
 
+def test_largest_init_exposure_counts_stay_exact():
+    """At init_exposure = 2**52, the config's high end, the counts are
+    float64 exact integers and stay so as impressions are served, and the
+    total is exact though it passes 2**53."""
+    env = RecEnv(small_cfg(init_exposure=2**52))
+    cat = env.catalog
+    top = int(np.argmax(cat.exposure))
+    assert cat.exposure.dtype == np.float64 and cat.exposure[top] == 2**52
+    env.reset(0)
+    slate = np.array([top, (top + 1) % 40, (top + 2) % 40])
+    env.step(slate)
+    cat.serve(slate[None])
+    counts = [int(c) for c in cat.exposure.tolist()]
+    assert counts[top] == 2**52 + 2
+    assert cat.exposure_max == 2**52 + 2
+    assert cat.exposure_total == sum(counts) > 2**53
+
+
 def test_catalog_popular_items_share_direction():
     cat = ItemCatalog.build(small_cfg(n_items=200), np.random.default_rng(1))
     pop_mean = cat.embeddings[cat.group == GROUP_POPULAR].mean(axis=0)

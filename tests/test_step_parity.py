@@ -13,6 +13,7 @@ The random rollout, in blocks of steps made in chunks, runs against
 RecEnv's own reset and step, one step at a time, and must match them bit
 for bit too."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ from dsrm_hrl.diffusion import Denoiser
 from dsrm_hrl.env import (GROUP_POPULAR, POP_DRIFT_RATIO, ROLLOUT_BLOCK, EnvError,
                           InvalidActionError, RecEnv,
                           _rollout_chunk, random_rollout, update_abandonment)
+
+from dsrm_hrl.env import ItemCatalog, _drift_directions, popularity_drift_direction
 
 from conftest import clean_state, random_slate, same_outcome
 
@@ -349,6 +352,21 @@ def test_chunked_rollout_matches_stepped_env(n_items, env_kind):
             == {False, True}
 
 
+def test_rollout_at_the_largest_warm_start_matches_stepped_env():
+    """init_exposure = 2**52 on 5000 items of near-flat popularity: the
+    warm-start total passes 2**63, and the chunked rollout still matches the
+    stepped env, with the catalog's total exact."""
+    cfg = EnvConfig(n_items=5000, init_exposure=2**52, zipf_s=0.001)
+    env, ref = RecEnv(cfg), RecEnv(cfg)
+    assert env.catalog.exposure_total > 2**63
+    got = random_rollout(env, np.random.default_rng(1), 40)
+    want, _, _ = stepped_rollout(ref, np.random.default_rng(1), 40)
+    for name, column in zip(("slates", "rewards", "exposure", "clean", "observed"), want):
+        assert np.array_equal(getattr(got, name), column), name
+    assert_catalogs_equal(env.catalog, ref.catalog)
+    assert env.catalog.exposure_total == sum(int(c) for c in env.catalog.exposure.tolist())
+
+
 def test_rollouts_continue_the_catalog():
     """Two rollouts on one env serve one catalog in turn, as two stepped
     rollouts on one env do."""
@@ -359,3 +377,189 @@ def test_rollouts_continue_the_catalog():
         want, _, _ = stepped_rollout(ref, np.random.default_rng(seed), 100)
         assert np.array_equal(got.observed, want[4])
         assert_catalogs_equal(env.catalog, ref.catalog)
+
+
+# -- the whole-catalog hot paths against their copy-free rewrites -----------
+#
+# The worker's scores, its slate selection and the drift share of the
+# observed state, as they read before the scores were built in place, the
+# k-th best score was found without negating the catalog and exposure was
+# held as float64 exact integers: verbatim, with int64 exposure counts.
+
+def parent_score_items(state_vec, omega, catalog):
+    norm = math.sqrt(state_vec.dot(state_vec))
+    if norm < 1e-12:
+        sim = np.zeros(catalog.n_items)
+    else:
+        sim = catalog.embeddings @ (state_vec / norm)
+    scores = omega[0] * sim - omega[1] * catalog.log1p_exposure
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("non-finite item scores")
+    return scores
+
+
+def parent_select_slate(scores, k):
+    n = len(scores)
+    if not 0 <= k <= n:
+        raise ValueError(f"slate size {k} outside [0, catalog size {n}]")
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite item scores")
+    neg = -scores
+    kth = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(neg <= kth)
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
+def parent_drift_directions(share, draws, embeddings):
+    share *= np.abs(draws, out=draws)
+    v = np.matmul(share[..., None, :], embeddings)[..., 0, :]
+    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0])
+    return np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
+
+
+def parent_popularity_drift_direction(catalog, draws):
+    if catalog.exposure_total <= 0:
+        return np.zeros(catalog.embeddings.shape[1])
+    return parent_drift_directions(catalog.exposure / catalog.exposure_total, draws,
+                                   catalog.embeddings)
+
+
+class ParentCatalog(ItemCatalog):
+    """ItemCatalog holding its exposure as given (int64 here), with the
+    statistics and serve it had then."""
+
+    def __post_init__(self):
+        self.exposure_total = int(self.exposure.sum())
+        self.exposure_max = int(self.exposure.max())
+        self.log1p_exposure = np.log1p(self.exposure)
+        self.group_sizes = np.bincount(self.group, minlength=2)
+
+    def serve(self, slates):
+        if slates.ndim == 1:
+            self.exposure[slates] += 1
+        else:
+            self.exposure += np.bincount(slates.ravel(), minlength=self.n_items)
+        served = self.exposure[slates]
+        self.log1p_exposure[slates] = np.log1p(served)
+        self.exposure_total += served.size
+        self.exposure_max = max(self.exposure_max, int(served.max()))
+
+
+def assert_same_bits(got, want):
+    """Equal arrays of one dtype and shape whose bytes match too, which
+    tells -0.0 from 0.0."""
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def catalog_pair(n_items, seed, exposure=None):
+    """A built catalog of n_items (d 16) and a ParentCatalog on the same
+    arrays with int64 counts. Items 10-19 copy items 0-9, embedding and
+    count, so their scores tie with those items'."""
+    cat = ItemCatalog.build(EnvConfig(n_items=n_items), np.random.default_rng(seed))
+    emb = cat.embeddings.copy()
+    emb[10:20] = emb[:10]
+    counts = cat.exposure.astype(np.int64) if exposure is None else exposure.copy()
+    counts[10:20] = counts[:10]
+    rest = (cat.initial_popularity, cat.group, cat.prior)
+    return (ItemCatalog(n_items, emb, counts.copy(), *rest),
+            ParentCatalog(n_items, emb, counts.copy(), *rest))
+
+
+# Signed zeros come from a zero accuracy weight times negative similarities;
+# with both weights zero every score is 0.0 or -0.0.
+OMEGAS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.3, 0.7), (0.2, 2.5)]
+
+
+@pytest.mark.parametrize("n_items", [500, 5000])
+def test_scores_and_slates_match_parent(n_items):
+    rng = np.random.default_rng(n_items)
+    cat, ref = catalog_pair(n_items, seed=n_items)
+    d = cat.embeddings.shape[1]
+    slate_k = EnvConfig().slate_k
+    states = [np.zeros(d), cat.embeddings[3], *rng.standard_normal((6, d))]
+    omegas = [*OMEGAS, *np.logaddexp(0.0, rng.standard_normal((4, 2)))]
+    for step in range(3):
+        assert_same_bits(cat.log1p_exposure, ref.log1p_exposure)
+        for state in states:
+            for omega in map(np.asarray, omegas):
+                scores = agent_mod.score_items(state, omega, cat)
+                assert_same_bits(scores, parent_score_items(state, omega, ref))
+                for k in (0, 1, slate_k, n_items):
+                    assert_same_bits(agent_mod.select_slate(scores, k),
+                                     parent_select_slate(scores, k))
+        slate = rng.choice(n_items, size=slate_k, replace=False)
+        cat.serve(slate)
+        ref.serve(slate)
+    # The tied pairs are served in id order, and both zero signs are seen.
+    scores = agent_mod.score_items(states[1], np.array([1.0, 0.0]), cat)
+    assert scores[3] == scores[13] == scores.max()
+    assert list(agent_mod.select_slate(scores, 2)) == [3, 13]
+    signs = np.signbit(agent_mod.score_items(states[2], np.zeros(2), cat))
+    assert signs.any() and not signs.all()
+
+
+@pytest.mark.parametrize("n_items", [500, 5000])
+def test_select_slate_matches_parent_on_ties_and_signed_zeros(n_items):
+    """Scores from a handful of values, 0.0 and -0.0 among them, so every
+    k-th best score is tied and the ties straddle it."""
+    rng = np.random.default_rng(n_items + 1)
+    values = np.array([-1.0, -0.0, 0.0, 0.25, 1.0])
+    for _ in range(20):
+        scores = rng.choice(values, size=n_items)
+        scores[rng.integers(n_items, size=n_items // 10)] = rng.standard_normal(n_items // 10)
+        for k in (0, 1, 5, int(rng.integers(1, n_items)), n_items):
+            assert_same_bits(agent_mod.select_slate(scores, k), parent_select_slate(scores, k))
+    for k in (0, 1, 5, n_items):
+        zeros = np.where(rng.random(n_items) < 0.5, 0.0, -0.0)
+        assert_same_bits(agent_mod.select_slate(zeros, k), parent_select_slate(zeros, k))
+
+
+@pytest.mark.parametrize("n_items", [500, 5000])
+def test_drift_matches_parent_int_counts(n_items):
+    """The drift direction from float64 counts against the int64 counts'
+    share, one state and rows of them, including a catalog with nothing
+    exposed and draws that cancel every exposed item."""
+    rng = np.random.default_rng(n_items + 2)
+    zero = np.zeros(n_items, np.int64)
+    one_item = zero.copy()
+    one_item[7] = 3
+    for exposure in (None, zero, one_item):
+        cat, ref = catalog_pair(n_items, seed=n_items, exposure=exposure)
+        assert_same_bits(cat.exposure / max(cat.exposure_total, 1),
+                         ref.exposure / max(ref.exposure_total, 1))
+        draws = rng.standard_normal((4, n_items))
+        draws[3, 7] = draws[3, 17] = 0.0
+        for row in draws:
+            assert_same_bits(popularity_drift_direction(cat, row.copy()),
+                             parent_popularity_drift_direction(ref, row.copy()))
+        if cat.exposure_total > 0:
+            share = np.tile(cat.exposure / cat.exposure_total, (4, 1))
+            ref_share = np.tile(ref.exposure / ref.exposure_total, (4, 1))
+            assert_same_bits(_drift_directions(share, draws.copy(), cat.embeddings),
+                             parent_drift_directions(ref_share, draws.copy(),
+                                                     ref.embeddings))
+    assert not popularity_drift_direction(cat, draws[3].copy()).any()
+
+
+def test_int_exposure_is_held_as_exact_float():
+    """An int64 exposure given to ItemCatalog is held as float64 and stays
+    an exact integer, equal to the int64 catalog's, after serves of one
+    slate and of blocks of slates."""
+    rng = np.random.default_rng(5)
+    cat, ref = catalog_pair(500, seed=5)
+    assert ref.exposure.dtype == np.int64 and cat.exposure.dtype == np.float64
+    for step in range(40):
+        if step % 4 == 3:
+            slates = np.array([rng.choice(500, size=5, replace=False) for _ in range(6)])
+        else:
+            slates = rng.choice(500, size=5, replace=False)
+        cat.serve(slates)
+        ref.serve(slates)
+        assert cat.exposure.dtype == np.float64
+        assert np.array_equal(cat.exposure, np.round(cat.exposure))
+        assert np.array_equal(cat.exposure, ref.exposure)
+        assert_same_bits(cat.log1p_exposure, ref.log1p_exposure)
+        assert (cat.exposure_total, cat.exposure_max) == (ref.exposure_total, ref.exposure_max)
+        assert_caches_fresh(cat)
