@@ -40,12 +40,21 @@ class ManagerPolicy:
         """The net's parameters ("net."-prefixed), then log_std: one vector."""
         return self._params
 
-    def gradients(self, acts, dmean, dlog_std) -> Flat:
-        """Gradients laid out as parameters(), given dL/dmean of the forward
-        that made acts and dL/dlog_std."""
+    def gradients(self, acts, means, us, dlp, entropy_coef: float) -> Flat:
+        """Gradients, laid out as parameters(), of -(sum(dlp * log_density(means,
+        us)) + entropy_coef * entropy()): dlp is the objective's derivative wrt
+        each sample's log-density, acts the activations of the forward that
+        made means. None flows to log_std where its clamp is saturated."""
+        log_std = self._clamped_log_std()
+        var = np.exp(2 * log_std)
+        diff = us - means
+        dmean = dlp[:, None] * (diff / var)
+        dlogstd = (dlp[:, None] * (diff**2 / var - 1.0)).sum(axis=0)
+        dlogstd += entropy_coef  # entropy bonus
+        dlogstd *= (self.log_std > LOG_STD_MIN) & (self.log_std < LOG_STD_MAX)
         grads = Flat.over(self._shapes, np.empty(self._params.vector.size))
-        self.net.backward(acts, dmean, out=grads.vector[:-2])
-        grads["log_std"][...] = dlog_std
+        self.net.backward(acts, -dmean, out=grads.vector[:-2])
+        grads["log_std"][...] = -dlogstd
         return grads
 
     def _clamped_log_std(self):
@@ -55,7 +64,7 @@ class ManagerPolicy:
             greedy: bool = False):
         """Returns (omega, mean, u): the Gaussian mean, the pre-squash sample
         u (the mean when greedy) and the weights omega = softplus(u) =
-        (accuracy, fairness); u's log-prob is _log_density(mean, u)."""
+        (accuracy, fairness); u's log-prob is log_density(mean, u)."""
         mean = self.net.forward(state[None])[0][0]
         if not np.isfinite(mean).all():
             raise FloatingPointError("manager policy produced non-finite output")
@@ -67,7 +76,7 @@ class ManagerPolicy:
             u = mean + np.exp(self._clamped_log_std()) * rng.standard_normal(2)
         return softplus(u), mean, u
 
-    def _log_density(self, mean: np.ndarray, u: np.ndarray):
+    def log_density(self, mean: np.ndarray, u: np.ndarray):
         """log_prob given the Gaussian mean(s) instead of the states. Sums over
         the last axis, so it takes one action or a batch."""
         log_std = self._clamped_log_std()
@@ -80,7 +89,7 @@ class ManagerPolicy:
         Gaussian log-density minus the log-Jacobian of the softplus, with
         the means and the forward's activations for backprop."""
         means, acts = self.net.forward(states)
-        return self._log_density(means, us), means, acts
+        return self.log_density(means, us), means, acts
 
     def entropy(self) -> float:
         log_std = self._clamped_log_std()
@@ -194,18 +203,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         # flows only where the unclipped branch is active.
         active = unclipped <= clipped
         dlp = np.where(active, ratio * adv_ok, 0.0) / b
-
-        log_std = policy._clamped_log_std()
-        var = np.exp(2 * log_std)
-        diff = us - means
-        dmean = dlp[:, None] * (diff / var)              # dlp/dmean
-        dlogstd = (dlp[:, None] * (diff**2 / var - 1.0)).sum(axis=0)
-        dlogstd += cfg.entropy_coef * np.ones(2)         # entropy bonus
-        # Zero gradient where the clamp is saturated.
-        dlogstd *= ((policy.log_std > LOG_STD_MIN) & (policy.log_std < LOG_STD_MAX))
-
-        grads = policy.gradients(acts, -dmean, -dlogstd)  # minimize -objective
-        opt_policy.step(grads)
+        opt_policy.step(policy.gradients(acts, means, us, dlp, cfg.entropy_coef))
 
         vloss = value_step(value_net, opt_value, states, ret)
         stats.append({"surrogate": surrogate, "value_loss": vloss,
@@ -275,7 +273,7 @@ class Agent:
         ginis = gini(np.cumsum(served, axis=0), n_items=env.catalog.n_items)
         shaped = [shaped_reward(r, g, self.cfg.lambda_fair) for r, g in zip(rewards_log, ginis)]
         states, us = np.array(states), np.array(us)
-        lps = np.zeros(step) if flat else self.policy._log_density(np.array(means), us)
+        lps = np.zeros(step) if flat else self.policy.log_density(np.array(means), us)
         return outcome, (states, us, lps, np.array(shaped), self.value_net.value(states))
 
 

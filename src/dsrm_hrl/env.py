@@ -334,7 +334,7 @@ class Rollout:
     """A random-policy rollout, one row per step."""
     slates: np.ndarray    # (T, slate_k) int64 served item ids
     rewards: np.ndarray   # (T, slate_k) observed per-item rewards
-    exposure: np.ndarray  # (T, slate_k) int64 each item's exposure before the serve
+    exposure: np.ndarray  # (T, slate_k) float64 each item's exposure before the serve
     clean: np.ndarray     # (T, d) clean encoding of the history after the step
     observed: np.ndarray  # (T, d) the observed state the step emitted
 
@@ -370,8 +370,7 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
     cfg, cat, emb = env.config, env.catalog, env.catalog.embeddings
     n, k, d = cfg.n_items, cfg.slate_k, cfg.d
     out = Rollout(np.empty((n_steps, k), np.int64), np.empty((n_steps, k)),
-                  np.empty((n_steps, k), np.int64), np.empty((n_steps, d)),
-                  np.empty((n_steps, d)))
+                  np.empty((n_steps, k)), np.empty((n_steps, d)), np.empty((n_steps, d)))
     block, chunk = min(ROLLOUT_BLOCK, n_steps), _rollout_chunk(n)
     # Per chunk: row 0 holds the exposure before the chunk and row t + 1 that
     # after its step t's serve, exact in float64; each step's observation noise.

@@ -154,6 +154,14 @@ def load_agent(ckpt_path):
     return agent, cfg
 
 
+def _report(cfg: RunConfig, agent: Agent, episodes: int, variant: str) -> MetricsReport:
+    """The report, labelled variant, of agent's greedy evaluation over
+    episodes held-out sessions on a fresh env of cfg."""
+    env = RecEnv(cfg.env)
+    return session_stats(evaluate(env, agent, episodes), env.catalog, variant=variant,
+                         seed=cfg.env.seed, max_len=cfg.env.max_len)
+
+
 def run_eval(ckpt_path, episodes: int | None = None,
              results_path=None) -> MetricsReport:
     """Greedy evaluation of a policy checkpoint on held-out session seeds
@@ -163,10 +171,7 @@ def run_eval(ckpt_path, episodes: int | None = None,
     if episodes is not None:  # checked like the config key it replaces
         cfg.eval = replace(cfg.eval, episodes=episodes).validate()
     log_config(cfg)
-    env = RecEnv(cfg.env)
-    outcomes = evaluate(env, agent, cfg.eval.episodes)
-    report = session_stats(outcomes, env.catalog, variant=cfg.hrl.variant,
-                           seed=cfg.env.seed, max_len=cfg.env.max_len)
+    report = _report(cfg, agent, cfg.eval.episodes, cfg.hrl.variant)
     if results_path is not None:
         write_results(results_path, [report])
     log(f"eval[{cfg.hrl.variant} seed={cfg.env.seed}]: "
@@ -245,12 +250,10 @@ def popularity_reward_regression(cfg: RunConfig, n_steps: int = 10_000):
     rollout = random_rollout(env, rng, n_steps)
     # Sums in step order. The exposure is the one at serve time, the bias
     # the impression actually saw.
-    reward_sum = np.zeros(cfg.env.n_items)
-    logexp_sum = np.zeros(cfg.env.n_items)
-    reward_cnt = np.zeros(cfg.env.n_items)
-    np.add.at(logexp_sum, rollout.slates, np.log1p(rollout.exposure.astype(np.float64)))
-    np.add.at(reward_sum, rollout.slates, rollout.rewards)
-    np.add.at(reward_cnt, rollout.slates, 1)
+    items, n = rollout.slates.ravel(), cfg.env.n_items
+    logexp_sum = np.bincount(items, np.log1p(rollout.exposure).ravel(), minlength=n)
+    reward_sum = np.bincount(items, rollout.rewards.ravel(), minlength=n)
+    reward_cnt = np.bincount(items, minlength=n)
     seen = reward_cnt > 0
     mean_r = reward_sum[seen] / reward_cnt[seen]
     log_exp = logexp_sum[seen] / reward_cnt[seen]
@@ -275,14 +278,9 @@ def purification_gain(cfg: RunConfig, denoiser: Denoiser):
     denoiser, over PURIFICATION_GAIN_EPISODES sessions each; returns the two
     reports."""
     flat = replace(cfg.hrl, variant="FLAT")
-    reports = []
-    for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)):
-        env = RecEnv(cfg.env)
-        agent = Agent(flat, cfg.env.d, denoiser=den)
-        outcomes = evaluate(env, agent, PURIFICATION_GAIN_EPISODES)
-        reports.append(session_stats(outcomes, env.catalog, variant=name,
-                                     seed=cfg.env.seed, max_len=cfg.env.max_len))
-    return tuple(reports)
+    return tuple(_report(cfg, Agent(flat, cfg.env.d, denoiser=den),
+                         PURIFICATION_GAIN_EPISODES, name)
+                 for name, den in (("RAW-STATE", None), ("PURIFIED-STATE", denoiser)))
 
 
 def state_dumps(cfg: RunConfig, denoiser: Denoiser, n_states: int = 500):

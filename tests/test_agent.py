@@ -7,7 +7,7 @@ import pytest
 
 from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, RecEnv
-from dsrm_hrl.agent import (Agent, ManagerPolicy, ValueNet, compute_gae,
+from dsrm_hrl.agent import (LOG_STD_MAX, Agent, ManagerPolicy, ValueNet, compute_gae,
                             evaluate, ppo_update, score_items, select_slate,
                             shaped_reward, softplus, train, value_step)
 from dsrm_hrl.env import SessionOutcome
@@ -96,9 +96,9 @@ def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
     forward = policy.net.forward
     monkeypatch.setattr(policy.net, "forward",
                         lambda x: calls.append(1) or forward(x))
-    log_density = policy._log_density
+    log_density = policy.log_density
     densities = []
-    monkeypatch.setattr(policy, "_log_density",
+    monkeypatch.setattr(policy, "log_density",
                         lambda m, u: densities.append(1) or log_density(m, u))
     for greedy, rng in ((True, None), (False, np.random.default_rng(9))):
         calls.clear()
@@ -114,7 +114,7 @@ def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
 
 @pytest.mark.parametrize("log_std", [(-0.4, 0.3), (-7.0, 3.0), (0.0, 0.0)])
 def test_episode_log_density_matches_per_step_log_prob(log_std):
-    """The per-episode call _log_density(means, us) on the stored means and
+    """The per-episode call log_density(means, us) on the stored means and
     pre-squash actions gives, row by row, the per-step log_prob of each
     state at its action, bit for bit (clamped log-std included)."""
     policy = ManagerPolicy(6, hidden=(16, 16), rng=np.random.default_rng(2))
@@ -123,7 +123,7 @@ def test_episode_log_density_matches_per_step_log_prob(log_std):
     states = rng.standard_normal((40, 6)) * np.logspace(-3, 3, 40)[:, None]
     means = np.array([policy.act(s, rng=rng)[1] for s in states])
     us = means + rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-3, 1, (40, 1))
-    lps = policy._log_density(means, us)
+    lps = policy.log_density(means, us)
     assert lps.shape == (40,)
     assert all(lps[i] == policy.log_prob(states[i:i + 1], us[i:i + 1])[0][0]
                for i in range(40))
@@ -274,6 +274,58 @@ def test_ppo_surrogate_clip_arithmetic():
                        adv, np.zeros(6), cfg)
     assert stats[0]["surrogate"] == pytest.approx(expected, abs=1e-12)
     assert stats[0]["dropped"] == 0
+
+
+class _Recorder:
+    """An optimizer stand-in that keeps the gradients it is stepped with."""
+
+    def __init__(self):
+        self.grads = []
+
+    def step(self, grads):
+        self.grads.append(grads.vector.copy())
+
+
+@pytest.mark.parametrize("log_std", [(-0.4, 0.3), (-0.4, LOG_STD_MAX + 0.5)])
+def test_ppo_policy_gradient_matches_finite_differences(log_std):
+    """ppo_update steps the manager with minus the gradient of its objective
+    mean(min(r A, clip(r) A)) + entropy_coef * entropy, r = exp(log_prob -
+    old log-prob), wrt every parameter (net and log_std), by central
+    differences: ratios inside and outside the clip band at both signs of
+    the advantage, with log_std inside its clamp or one dimension past
+    LOG_STD_MAX, where the objective is flat in it."""
+    rng = np.random.default_rng(11)
+    policy = ManagerPolicy(3, hidden=(5,), rng=rng)
+    policy.log_std[:] = log_std
+    cfg = small_hrl_cfg(clip_eps=0.2, ppo_epochs=1, entropy_coef=0.05)
+    states = rng.standard_normal((8, 3))
+    us = rng.standard_normal((8, 2))
+    # Ratios 0.5, 0.9, 1.1, 1.5 at each sign: clear of the clip band's edges.
+    old_lp = policy.log_prob(states, us)[0] - np.log(np.repeat([0.5, 0.9, 1.1, 1.5], 2))
+    adv = np.tile([1.0, -1.0], 4) * rng.uniform(0.5, 2.0, 8)
+
+    def objective():
+        ratio = np.exp(policy.log_prob(states, us)[0] - old_lp)
+        clipped = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv
+        return np.mean(np.minimum(ratio * adv, clipped)) + cfg.entropy_coef * policy.entropy()
+
+    opt = _Recorder()
+    ppo_update(policy, ValueNet(3, hidden=(5,), rng=rng), opt, _Recorder(),
+               states, us, old_lp, adv, np.zeros(8), cfg)
+    analytic = -opt.grads[0]
+    vector, h = policy.parameters().vector, 1e-5
+    numeric = np.empty_like(vector)
+    for i in range(vector.size):
+        orig = vector[i]
+        vector[i] = orig + h
+        up = objective()
+        vector[i] = orig - h
+        numeric[i] = (up - objective()) / (2 * h)
+        vector[i] = orig
+    err = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    err[(np.abs(analytic) < 1e-10) & (np.abs(numeric) < 1e-10)] = 0.0
+    assert err.max() < 1e-6
+    assert (analytic[-1] == 0.0) == (log_std[1] > LOG_STD_MAX)
 
 
 def test_ppo_update_moves_parameters():
@@ -456,7 +508,7 @@ def test_training_step_is_o_k_at_catalog_scale(monkeypatch):
 def test_training_episode_keeps_ppo_bookkeeping_off_the_step(monkeypatch, variant):
     """A training step makes no value forward and no log-density: the
     episode's values are one batched value call and its log-probs one
-    _log_density call on all its stored means (none for FLAT's fixed
+    log_density call on all its stored means (none for FLAT's fixed
     weights)."""
     def forbidden(*args, **kwargs):
         raise AssertionError("per-step PPO bookkeeping")
@@ -465,10 +517,10 @@ def test_training_episode_keeps_ppo_bookkeeping_off_the_step(monkeypatch, varian
     monkeypatch.setattr(agent.value_net.net, "forward", forbidden)
     monkeypatch.setattr(ManagerPolicy, "log_prob", forbidden)
     calls = {"value": [], "density": []}
-    value, log_density = ValueNet.value, ManagerPolicy._log_density
+    value, log_density = ValueNet.value, ManagerPolicy.log_density
     monkeypatch.setattr(ValueNet, "value", lambda self, states: calls["value"].append(
         len(states)) or value(self, states))
-    monkeypatch.setattr(ManagerPolicy, "_log_density", lambda self, means, us: calls[
+    monkeypatch.setattr(ManagerPolicy, "log_density", lambda self, means, us: calls[
         "density"].append(np.shape(means)) or log_density(self, means, us))
     env = RecEnv(small_env_cfg())
     rng = np.random.default_rng(5)

@@ -287,6 +287,58 @@ def test_only_the_catalog_writes_exposure():
     assert outside == []
 
 
+def _foreign_private_reads(tree):
+    """Lines of the reads x._name in tree (dunder names aside) where x is
+    not self or cls and no class around the read defines _name: as a
+    method, as a class attribute, or by assigning y._name in its body."""
+    owners = {}
+    for cls in (c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)):
+        defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        defined |= {t.id for n in cls.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                    for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                    if isinstance(t, ast.Name)}
+        defined |= {n.attr for n in ast.walk(cls)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(cls):
+            owners.setdefault(id(node), set()).update(defined)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                and node.attr not in owners.get(id(node), ())):
+            yield node.lineno
+
+
+def test_foreign_private_read_finder():
+    """The finder sees a private member read off another object, also
+    through self.x, and not one read off self or cls, a dunder, or a read
+    inside the class that defines the member."""
+    source = """
+policy._clamped_log_std()
+lps = self.policy._log_density(means, us)
+class Flat:
+    _cache = None
+    def over(cls, other):
+        flat._views = {}
+        return flat._views, other._cache, other._own(), cls._x, self._y, flat.__class__
+    def _own(self):
+        pass
+class Other:
+    def f(self, flat):
+        return flat._views
+"""
+    assert sorted(_foreign_private_reads(ast.parse(source))) == [2, 3, 13]
+
+
+def test_private_members_are_read_only_by_their_own_class():
+    """No code in src/ reads a _-prefixed member of another object, except
+    inside the class that defines it: each class owns its private state."""
+    pkg = pathlib.Path(dsrm_hrl.__file__).parent
+    foreign = [f"{path.name}:{line}" for path in sorted(pkg.glob("*.py"))
+               for line in _foreign_private_reads(ast.parse(path.read_text()))]
+    assert foreign == []
+
+
 # Defaulted parameters that no call in src/ sets, or that every
 # call fills with the same literal, kept on purpose.
 KEPT_DEFAULTS = {

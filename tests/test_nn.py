@@ -342,8 +342,8 @@ def test_models_keep_parameters_and_gradients_in_one_vector():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 16))
     policy, value = ManagerPolicy(16, rng=rng), ValueNet(16, rng=rng)
-    _, cache = policy.net.forward(x)
-    pairs = [(policy.parameters(), policy.gradients(cache, np.ones((7, 2)), np.ones(2)))]
+    means, cache = policy.net.forward(x)
+    pairs = [(policy.parameters(), policy.gradients(cache, means, means + 1.0, np.ones(7), 0.1))]
     _, cache = value.net.forward(x)
     pairs.append((value.net.parameters(), value.net.backward(cache, np.ones((7, 1)))))
     for params, grads in pairs:
