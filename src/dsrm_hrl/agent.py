@@ -17,6 +17,9 @@ from .nn import Adam, Flat, Mlp, layer_shapes
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = np.log(2.0 * np.pi)
+# Stage II's log columns, one row per update: its number, ppo_update's stats
+# of its last epoch (columns 1-3) and the batch's mean manager weights.
+TRAIN_LOG = ("update", "surrogate", "value_loss", "entropy", "mean_omega_acc", "mean_omega_fair")
 
 
 def softplus(x):
@@ -137,10 +140,10 @@ def select_slate(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
-def shaped_reward(r: float, episode_gini: float, lambda_fair: float) -> float:
+def shaped_reward(r, episode_gini, lambda_fair: float):
     """Manager reward: environment reward minus lambda * the Gini of the
-    episode's exposure counts so far."""
-    return float(r - lambda_fair * episode_gini)
+    episode's exposure counts so far, of one step or of an array of steps."""
+    return r - lambda_fair * episode_gini
 
 
 def compute_gae(rewards, values, gamma: float, lam: float):
@@ -206,8 +209,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         opt_policy.step(policy.gradients(acts, means, us, dlp, cfg.entropy_coef))
 
         vloss = value_step(value_net, opt_value, states, ret)
-        stats.append({"surrogate": surrogate, "value_loss": vloss,
-                      "entropy": entropy, "dropped": dropped})
+        stats.append(dict(zip(TRAIN_LOG[1:4], (surrogate, vloss, entropy)), dropped=dropped))
     return stats
 
 
@@ -271,10 +273,10 @@ class Agent:
         served = np.zeros((step, len(items)))
         served[np.arange(step)[:, None], cols.reshape(outcome.slates.shape)] = 1
         ginis = gini(np.cumsum(served, axis=0), n_items=env.catalog.n_items)
-        shaped = [shaped_reward(r, g, self.cfg.lambda_fair) for r, g in zip(rewards_log, ginis)]
+        shaped = shaped_reward(outcome.rewards, ginis, self.cfg.lambda_fair)
         states, us = np.array(states), np.array(us)
         lps = np.zeros(step) if flat else self.policy.log_density(np.array(means), us)
-        return outcome, (states, us, lps, np.array(shaped), self.value_net.value(states))
+        return outcome, (states, us, lps, shaped, self.value_net.value(states))
 
 
 def train(env: RecEnv, agent: Agent) -> list[dict]:
@@ -309,20 +311,15 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
             # Fixed manager weights: only the value baseline is learned.
             for _ in range(cfg.ppo_epochs):
                 vloss = value_step(agent.value_net, opt_value, states, ret)
-            last = {"surrogate": 0.0, "value_loss": vloss, "entropy": 0.0}
+            stats = (0.0, vloss, 0.0)
             omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
         else:
             last = ppo_update(agent.policy, agent.value_net, opt_policy, opt_value,
                               states, us, lps, adv, ret, cfg)[-1]
+            stats = [last[c] for c in TRAIN_LOG[1:4]]
             omegas = softplus(us)
-        rows.append({
-            "update": len(rows) + 1,
-            "surrogate": last["surrogate"],
-            "value_loss": last["value_loss"],
-            "entropy": last["entropy"],
-            "mean_omega_acc": float(np.mean(omegas[:, 0])),
-            "mean_omega_fair": float(np.mean(omegas[:, 1])),
-        })
+        rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, *stats, float(np.mean(omegas[:, 0])),
+                                         float(np.mean(omegas[:, 1]))))))
     return rows
 
 

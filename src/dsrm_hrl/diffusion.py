@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DsrmConfig
-from .env import random_rollout
 from .nn import Adam, Mlp
 
 
@@ -179,14 +178,6 @@ def dsrm_loss(denoiser: Denoiser, x: np.ndarray, eps: np.ndarray):
     loss = float(np.sum(resid * resid)) / b
     # d(mean over batch of ||resid||^2)/dpred = 2 resid / b
     return loss, denoiser.net.backward(acts, 2.0 * resid / b)
-
-
-def collect_pairs(env, n_pairs: int, rng: np.random.Generator):
-    """Paired training data from uniform-random-policy rollouts: clean
-    encodings (zero observation noise on the same history) and the
-    corrupted observations actually emitted by the environment."""
-    rollout = random_rollout(env, rng, n_pairs)
-    return rollout.clean, rollout.observed
 
 
 def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,

@@ -88,12 +88,8 @@ class ItemCatalog:
     def serve(self, slates: np.ndarray):
         """One impression of each item of a slate of distinct ids, or of
         each slate of an (m, slate_k) block of them."""
-        if slates.ndim == 1:
-            served = self.exposure[slates] + 1.0
-            self.exposure[slates] = served
-        else:
-            self.exposure += np.bincount(slates.ravel(), minlength=self.n_items)
-            served = self.exposure[slates]
+        np.add.at(self.exposure, slates, 1.0)
+        served = self.exposure[slates]
         self.log1p_exposure[slates] = np.log1p(served)
         self.exposure_total += served.size
         self.exposure_max = max(self.exposure_max, int(served.max()))
@@ -456,3 +452,11 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
             clean, kept[:m], direction[:m], cfg.noise_scale)
         cat.serve(slates)
     return out
+
+
+def collect_pairs(env: RecEnv, n_pairs: int, rng: np.random.Generator):
+    """Paired training data from uniform-random-policy rollouts: clean
+    encodings (zero observation noise on the same history) and the
+    corrupted observations actually emitted by the environment."""
+    rollout = random_rollout(env, rng, n_pairs)
+    return rollout.clean, rollout.observed

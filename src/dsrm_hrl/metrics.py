@@ -30,7 +30,7 @@ class MetricsReport:
 
 
 def gini(counts, n_items=None):
-    """Gini coefficient of a non-negative vector of n_items counts:
+    """Gini coefficient of a finite non-negative vector of n_items counts:
     sum_ij |x_i - x_j| / (2 n sum x). All-zero input is defined as 0. Rows
     (a 2-d input) give one value each. The columns are the only items of
     n_items (default: all of them) that may be nonzero; the rest count as 0."""
@@ -41,8 +41,8 @@ def gini(counts, n_items=None):
     n = m if n_items is None else n_items
     if n < m:
         raise ValueError(f"gini: n_items {n} is below the {m} columns given")
-    if np.any(x < 0):
-        raise ValueError("gini expects non-negative values")
+    if not np.all((x >= 0) & (x < np.inf)):  # NaN compares false
+        raise ValueError("gini expects finite non-negative values")
     total = x.sum(axis=-1)
     # sum_ij |xi - xj| = 2 * sum_i (2i - n + 1) x_(i)  (0-based i), where the
     # n - m uncounted zeros sort first.

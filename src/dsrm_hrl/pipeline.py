@@ -13,10 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .agent import Agent, evaluate, train
+from .agent import TRAIN_LOG, Agent, evaluate, train
 from .config import EVAL_SEED_OFFSET, VARIANTS, RunConfig, render_config
-from .diffusion import Denoiser, ReverseChain, collect_pairs, purify, train_dsrm
-from .env import RecEnv, random_rollout
+from .diffusion import Denoiser, ReverseChain, purify, train_dsrm
+from .env import RecEnv, collect_pairs, random_rollout
 from .metrics import MetricsReport, session_stats
 from .nn import ShapeError, check_layout
 from .persistence import (CheckpointError, checkpoint_param_hash,
@@ -129,11 +129,7 @@ def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
         modules["denoiser"] = denoiser.net
     save_checkpoint(ckpt_path, _tensors(modules), render_config(snapshot))
     if train_csv_path is not None:
-        write_csv(train_csv_path,
-                  ["update", "surrogate", "value_loss", "entropy",
-                   "mean_omega_acc", "mean_omega_fair"],
-                  [[r["update"], r["surrogate"], r["value_loss"], r["entropy"],
-                    r["mean_omega_acc"], r["mean_omega_fair"]] for r in rows])
+        write_csv(train_csv_path, TRAIN_LOG, [[r[c] for c in TRAIN_LOG] for r in rows])
 
 
 def policy_paths(variant: str, tag: str, out_dir):

@@ -213,6 +213,25 @@ def test_shaped_reward_hand_case():
     assert shaped_reward(0.5, gini(np.ones(4)), 1.0) == pytest.approx(0.5)
 
 
+def test_training_episode_calls_shaped_reward_once(monkeypatch):
+    """A training episode shapes all its rewards in one shaped_reward call
+    on the arrays of its step rewards and Ginis; an eval episode makes none."""
+    calls = []
+
+    def counted(r, episode_gini, lambda_fair):
+        calls.append((np.shape(r), np.shape(episode_gini)))
+        return shaped_reward(r, episode_gini, lambda_fair)
+
+    monkeypatch.setattr(agent_mod, "shaped_reward", counted)
+    _, agent = make_agent("HRL-RAW")
+    env = RecEnv(small_env_cfg())
+    for train, expected in ((True, 1), (False, 0)):
+        calls.clear()
+        outcome, _ = agent.run_episode(env, 5, np.random.default_rng(0), train=train)
+        assert outcome.length > 1
+        assert calls == [((outcome.length,), (outcome.length,))] * expected
+
+
 def gae_oracle(rewards, values, dones, gamma, lam):
     """Direct per-episode unroll, independent of the implementation."""
     n = len(rewards)

@@ -339,6 +339,21 @@ def test_private_members_are_read_only_by_their_own_class():
     assert foreign == []
 
 
+def test_the_purifier_does_not_import_the_simulator():
+    """diffusion.py learns from (clean, observed) arrays; it imports nothing
+    from dsrm_hrl.env, which owns the rollouts that collect them."""
+    path = pathlib.Path(dsrm_hrl.__file__).parent / "diffusion.py"
+    imported = set()  # modules, and names taken from them as "module.name"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported |= {module, *(f"{module}.{a.name}".lstrip(".") for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert {"config", "nn"} <= imported
+    assert imported.isdisjoint({"env", "dsrm_hrl.env"})
+
+
 # Defaulted parameters that no call in src/ sets, or that every
 # call fills with the same literal, kept on purpose.
 KEPT_DEFAULTS = {

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from dsrm_hrl.config import ConfigError, DsrmConfig, EnvConfig
-from dsrm_hrl.diffusion import (Denoiser, ReverseChain, collect_pairs,
-                                dsrm_input, dsrm_loss, forward_diffuse,
-                                make_schedule, purify, reverse_step,
-                                time_embedding, train_dsrm)
-from dsrm_hrl.env import RecEnv
+from dsrm_hrl.diffusion import (Denoiser, ReverseChain, dsrm_input, dsrm_loss,
+                                forward_diffuse, make_schedule, purify,
+                                reverse_step, time_embedding, train_dsrm)
+from dsrm_hrl.env import RecEnv, collect_pairs
 from dsrm_hrl.nn import gradient_check
 
 

@@ -58,6 +58,11 @@ def test_gini_input_validation():
         gini(np.zeros((2, 0)))
     with pytest.raises(ValueError):
         gini([1.0, -1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            gini([1.0, bad])
+        with pytest.raises(ValueError):
+            gini([[1.0, 2.0], [bad, 1.0]], n_items=5)
 
 
 @settings(max_examples=100, deadline=None)

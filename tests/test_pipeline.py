@@ -7,8 +7,8 @@ import pytest
 
 from dsrm_hrl import pipeline
 from dsrm_hrl.config import ConfigError, parse_config
-from dsrm_hrl.diffusion import ReverseChain, collect_pairs, purify
-from dsrm_hrl.env import RecEnv
+from dsrm_hrl.diffusion import ReverseChain, purify
+from dsrm_hrl.env import RecEnv, collect_pairs
 from dsrm_hrl.persistence import (CheckpointError, load_checkpoint,
                                   save_checkpoint)
 from dsrm_hrl.pipeline import (load_agent, load_denoiser,
