@@ -13,7 +13,7 @@ from .config import DsrmConfig
 from .nn import Adam, Mlp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionSchedule:
     """beta/alpha/alpha_bar/sigma sequences, 1-indexed by diffusion step k
     (arrays are 0-indexed internally; index k-1 holds step k).

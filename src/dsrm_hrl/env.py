@@ -30,7 +30,7 @@ class InvalidActionError(EnvError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class ItemCatalog:
     """Items with unit-norm embeddings, cumulative exposure counts, a
     heavy-tailed initial popularity, and a popular/long-tail split (top 20%
@@ -325,7 +325,7 @@ class RecEnv:
         return self._abandoned
 
 
-@dataclass
+@dataclass(eq=False)
 class Rollout:
     """A random-policy rollout, one row per step."""
     slates: np.ndarray    # (T, slate_k) int64 served item ids

@@ -75,23 +75,18 @@ def absolute_difference(slates, catalog: ItemCatalog) -> float:
 
 
 def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
-                  variant: str = "", seed: int = 0,
-                  max_len: int = 0) -> MetricsReport:
-    """Aggregate episode outcomes. Stds are population standard deviations.
-    Zero-length episodes count toward Len (as 0) but are excluded from the
-    per-step reward average and the coverage means."""
+                  variant: str, seed: int, max_len: int) -> MetricsReport:
+    """Aggregate the outcomes of episodes of at least one step; a zero-step
+    one raises ValueError. Stds are population standard deviations."""
     if not outcomes:
         raise ValueError("no outcomes to aggregate")
+    # One (f_pop, f_tail) row and one AD per episode, taken first: a
+    # zero-step episode raises here, before any mean.
+    f_pop, f_tail = np.array([group_coverage(o.slates, catalog) for o in outcomes]).T
+    ads = np.array([absolute_difference(o.slates, catalog) for o in outcomes])
     lens = np.array([o.length for o in outcomes], dtype=np.float64)
     r_cum = np.array([float(np.sum(o.rewards)) for o in outcomes])
-    nonzero = [o for o in outcomes if o.length > 0]
-    r_each = np.array([float(np.mean(o.rewards)) for o in nonzero]) \
-        if nonzero else np.array([0.0])
-    # One (f_pop, f_tail) row and one AD per episode; with no episode to
-    # cover, zeros.
-    f_pop, f_tail = np.array([group_coverage(o.slates, catalog) for o in nonzero]
-                             or [(0.0, 0.0)]).T
-    ads = np.array([absolute_difference(o.slates, catalog) for o in nonzero] or [0.0])
+    r_each = np.array([float(np.mean(o.rewards)) for o in outcomes])
     return MetricsReport(
         variant=variant, seed=seed, max_len=max_len,
         len_mean=float(lens.mean()), len_std=float(lens.std()),

@@ -37,7 +37,7 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str = ""):
+def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str):
     """Write named tensors (downcast to float32 little-endian) plus a config
     snapshot. Deterministic byte layout: tensors ordered by name."""
     out = [MAGIC, struct.pack("<I", VERSION)]

@@ -40,17 +40,15 @@ def log_config(cfg: RunConfig):
 
 # -- stage I ----------------------------------------------------------------
 
-def run_train_dsrm(cfg: RunConfig, ckpt_path, loss_csv_path=None):
+def run_train_dsrm(cfg: RunConfig, ckpt_path, loss_csv_path):
     """Collect paired data from uniform-random rollouts and fit the
-    denoiser. Saves a checkpoint and optionally the loss curve."""
+    denoiser. Saves a checkpoint and the loss curve."""
     env = RecEnv(cfg.env)
     pair_rng = np.random.default_rng([cfg.env.seed, cfg.env.seed, 10])
     clean, noisy = collect_pairs(env, cfg.dsrm.n_pairs, pair_rng)
     denoiser, curve = train_dsrm(clean, noisy, cfg.dsrm, seed=cfg.env.seed)
     save_checkpoint(ckpt_path, _tensors({"denoiser": denoiser.net}), render_config(cfg))
-    if loss_csv_path is not None:
-        write_csv(loss_csv_path, ["epoch", "loss"],
-                  [[i + 1, l] for i, l in enumerate(curve)])
+    write_csv(loss_csv_path, ["epoch", "loss"], [[i + 1, l] for i, l in enumerate(curve)])
     if curve:
         log(f"stage I: {len(curve)} epochs, loss {curve[0]:.4f} -> {curve[-1]:.4f}")
 
@@ -102,7 +100,7 @@ def denoiser_hash(denoiser: Denoiser) -> str:
 
 # -- stage II ---------------------------------------------------------------
 
-def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
+def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path):
     """PPO training for the configured variant. The denoiser is loaded from
     its checkpoint and never updated; its parameter hash is checked before
     and after training, and the policy checkpoint's snapshot takes its
@@ -128,8 +126,7 @@ def run_train_policy(cfg: RunConfig, dsrm_ckpt, ckpt_path, train_csv_path=None):
         log(f"denoiser frozen: hash {hash_before[:16]} unchanged")
         modules["denoiser"] = denoiser.net
     save_checkpoint(ckpt_path, _tensors(modules), render_config(snapshot))
-    if train_csv_path is not None:
-        write_csv(train_csv_path, TRAIN_LOG, [[r[c] for c in TRAIN_LOG] for r in rows])
+    write_csv(train_csv_path, TRAIN_LOG, [[r[c] for c in TRAIN_LOG] for r in rows])
 
 
 def policy_paths(variant: str, tag: str, out_dir):
@@ -158,18 +155,17 @@ def _report(cfg: RunConfig, agent: Agent, episodes: int, variant: str) -> Metric
                          seed=cfg.env.seed, max_len=cfg.env.max_len)
 
 
-def run_eval(ckpt_path, episodes: int | None = None,
-             results_path=None) -> MetricsReport:
+def run_eval(ckpt_path, results_path, episodes: int | None = None) -> MetricsReport:
     """Greedy evaluation of a policy checkpoint on held-out session seeds
-    (train seed range shifted by a fixed offset). The config is the
-    checkpoint's snapshot, with episodes applied; it is logged."""
+    (train seed range shifted by a fixed offset), its report appended to
+    results_path. The config is the checkpoint's snapshot, with episodes
+    applied; it is logged."""
     agent, cfg = load_agent(ckpt_path)
     if episodes is not None:  # checked like the config key it replaces
         cfg.eval = replace(cfg.eval, episodes=episodes).validate()
     log_config(cfg)
     report = _report(cfg, agent, cfg.eval.episodes, cfg.hrl.variant)
-    if results_path is not None:
-        write_results(results_path, [report])
+    write_results(results_path, [report])
     log(f"eval[{cfg.hrl.variant} seed={cfg.env.seed}]: "
         f"Len={report.len_mean:.3f} AD={report.ad_mean:.3f} "
         f"(eval seeds offset by {EVAL_SEED_OFFSET}, disjoint from training)")
@@ -299,7 +295,7 @@ def state_dumps(cfg: RunConfig, denoiser: Denoiser, n_states: int = 500):
     return (raw_states, *labels(raw_states)), (pur_states, *labels(pur_states))
 
 
-def run_motivate(cfg: RunConfig, out_dir, dsrm_ckpt=None):
+def run_motivate(cfg: RunConfig, out_dir, dsrm_ckpt):
     """The three motivation analyses: (a) popularity-vs-reward regression
     under a random policy; (b) fixed-policy comparison on raw vs purified
     states; (c) state embedding dumps. (b) and (c) need a denoiser and are

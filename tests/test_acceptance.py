@@ -280,9 +280,9 @@ def test_criterion_10_runtime_budget(capsys, tmp_path):
     cfg = RunConfig()  # defaults: 20k env steps, n_items=500, one variant
     dsrm = str(tmp_path / "dsrm.ckpt")
     pol = str(tmp_path / "policy.ckpt")
-    run_train_dsrm(cfg, dsrm)
-    run_train_policy(cfg, dsrm, pol)
-    run_eval(pol)
+    run_train_dsrm(cfg, dsrm, str(tmp_path / "dsrm_loss.csv"))
+    run_train_policy(cfg, dsrm, pol, str(tmp_path / "train.csv"))
+    run_eval(pol, str(tmp_path / "results.csv"))
     elapsed = time.monotonic() - t0
     ok = elapsed < 600
     report(capsys, 10, ok,

@@ -218,19 +218,19 @@ def test_sweep_refuses_ks_that_do_not_increase(cfg_file, tmp_path, capsys, steps
     assert list(out.iterdir()) == []
 
 
-def reference_sweep(cfg, steps, out_dir):
+def reference_sweep(cfg, steps, out_dir, log_dir):
     """The sweep's own loop before it shared the ablation's: each K's
-    denoiser and policy, with no loss curve, training curve or results.csv,
-    and the policy named policy_k<K>.ckpt."""
+    denoiser and policy, the policy named policy_k<K>.ckpt, with its loss
+    curve, training curve and results.csv in log_dir instead."""
     reports = []
     for k in steps:
         kcfg = copy.deepcopy(cfg)
         kcfg.dsrm.k_steps = k
         dsrm_ckpt = os.path.join(out_dir, f"dsrm_k{k}.ckpt")
         pol_ckpt = os.path.join(out_dir, f"policy_k{k}.ckpt")
-        run_train_dsrm(kcfg, dsrm_ckpt)
-        run_train_policy(kcfg, dsrm_ckpt, pol_ckpt)
-        reports.append((k, run_eval(pol_ckpt)))
+        run_train_dsrm(kcfg, dsrm_ckpt, os.path.join(log_dir, f"dsrm_loss_k{k}.csv"))
+        run_train_policy(kcfg, dsrm_ckpt, pol_ckpt, os.path.join(log_dir, f"train_k{k}.csv"))
+        reports.append((k, run_eval(pol_ckpt, os.path.join(log_dir, "results.csv"))))
     write_csv(f"{out_dir}/sweep_steps.csv",
               ["k_steps", "len_mean", "r_each_mean", "r_cum_mean", "ad_mean"],
               [[k, r.len_mean, r.r_each_mean, r.r_cum_mean, r.ad_mean] for k, r in reports])
@@ -244,10 +244,10 @@ def test_sweep_matches_the_reference_loop(cfg_file, tmp_path, variant):
     training curves and one results.csv row per K; nothing else."""
     cfg = load_config(cfg_file)
     cfg.hrl.variant = variant
-    ref, out = tmp_path / "ref", tmp_path / "sweep"
-    ref.mkdir()
-    out.mkdir()
-    expected = reference_sweep(cfg, [2, 4, 8], str(ref))
+    ref, out, logs = tmp_path / "ref", tmp_path / "sweep", tmp_path / "logs"
+    for d in (ref, out, logs):
+        d.mkdir()
+    expected = reference_sweep(cfg, [2, 4, 8], str(ref), str(logs))
     reports, _ = run_sweep_steps(cfg, [2, 4, 8], str(out))
     assert [(k, vars(r)) for k, r in reports] == [(k, vars(r)) for k, r in expected]
     tag = variant.lower().replace("-", "_")

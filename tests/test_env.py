@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrm_hrl.config import EnvConfig
+from dsrm_hrl.diffusion import make_schedule
 from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, EnvError, InvalidActionError,
                           ItemCatalog, RecEnv, _sigmoid,
-                          encode_observed, update_abandonment)
+                          encode_observed, random_rollout, update_abandonment)
 
 from conftest import random_slate
 
@@ -18,6 +19,20 @@ def small_cfg(**kw):
                 init_exposure=100, seed=0)
     base.update(kw)
     return EnvConfig(**base)
+
+
+def test_array_records_compare_by_identity():
+    """The catalog, a rollout and a diffusion schedule hold arrays, which
+    have no truth value: each equals only itself, without raising, and the
+    frozen schedule hashes."""
+    pairs = [(RecEnv(small_cfg()).catalog, RecEnv(small_cfg()).catalog),
+             tuple(random_rollout(RecEnv(small_cfg()), np.random.default_rng(1), 8)
+                   for _ in range(2)),
+             (make_schedule(5, 1e-4, 0.02), make_schedule(5, 1e-4, 0.02))]
+    for a, b in pairs:
+        assert a == a and a in [a]
+        assert not a == b and a != b and a not in [b]
+    hash(pairs[2][0])
 
 
 def test_catalog_invariants():

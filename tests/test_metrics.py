@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -155,7 +156,7 @@ def test_session_stats_leaves_numpy_ma_unimported():
             "from dsrm_hrl.metrics import session_stats\n"
             "print('numpy.ma' in sys.modules)\n"
             "session_stats([SessionOutcome(np.ones(2), np.array([[0, 2], [1, 3]]), False)],\n"
-            "              tiny_catalog())\n"
+            "              tiny_catalog(), 'X', 0, 2)\n"
             "print('numpy.ma' in sys.modules)\n")
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
@@ -177,23 +178,32 @@ def test_session_stats_aggregation():
     outcomes = [
         SessionOutcome(np.array([1.0, 0.5]), np.array([[0, 2], [1, 3]]), False),
         SessionOutcome(np.array([0.25]), np.array([[2, 3]]), True),
-        # zero-length: Len yes, R_each no
-        SessionOutcome(np.zeros(0), np.empty((0, 2), dtype=np.int64), True),
     ]
     rep = session_stats(outcomes, cat, variant="X", seed=7, max_len=5)
-    assert rep.n_episodes == 3
-    assert rep.len_mean == pytest.approx(1.0)
+    assert rep.n_episodes == 2
+    assert rep.len_mean == pytest.approx(1.5)
     assert rep.r_each_mean == pytest.approx((0.75 + 0.25) / 2)
-    assert rep.r_cum_mean == pytest.approx((1.5 + 0.25 + 0.0) / 3)
+    assert rep.r_cum_mean == pytest.approx((1.5 + 0.25) / 2)
     # episode ADs: |1-1|=0 and |0-1|=1
     assert rep.ad_mean == pytest.approx(0.5)
-    assert rep.len_std == pytest.approx(np.std([2, 1, 0]))
+    assert rep.len_std == pytest.approx(np.std([2, 1]))
     assert rep.variant == "X" and rep.seed == 7 and rep.max_len == 5
+
+
+def test_session_stats_rejects_zero_step_episode():
+    """Every episode run_episode records has a step: a zero-step outcome
+    raises before any mean is taken, so no RuntimeWarning precedes it."""
+    outcomes = [SessionOutcome(np.array([0.25]), np.array([[2, 3]]), True),
+                SessionOutcome(np.zeros(0), np.empty((0, 2), dtype=np.int64), True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty episode"):
+            session_stats(outcomes, tiny_catalog(), "X", 7, 5)
 
 
 def test_session_stats_empty_rejected():
     with pytest.raises(ValueError):
-        session_stats([], tiny_catalog())
+        session_stats([], tiny_catalog(), "X", 7, 5)
 
 
 # -- the list-based record, as the array record's oracle -------------------
@@ -251,11 +261,11 @@ def list_session_stats(outcomes, catalog, variant="", seed=0, max_len=0):
 
 
 # Sessions on tiny_catalog's 4 items: each step a slate of k distinct ids
-# (k fixed per draw) and a reward in [0, 1]; 0-length sessions included.
+# (k fixed per draw) and a reward in [0, 1]; every session has a step.
 _sessions = st.integers(1, 4).flatmap(lambda k: st.lists(
     st.tuples(st.lists(st.tuples(st.floats(0.0, 1.0),
                                  st.permutations(range(4)).map(lambda p: p[:k])),
-                       max_size=30),
+                       min_size=1, max_size=30),
               st.booleans()),
     min_size=1, max_size=40).map(lambda sessions: (k, sessions)))
 

@@ -1,12 +1,17 @@
 """Pipeline stages over the shared random-policy rollout and the checkpoint
-loader: equality with the separate loops the rollout replaced, and loading
-of checkpoints whose config snapshot carries retired keys."""
+loader: equality with the separate loops the rollout replaced, loading of
+checkpoints whose config snapshot carries retired keys, and the inventory of
+the random streams a run draws."""
+
+import sys
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from dsrm_hrl import pipeline
-from dsrm_hrl.config import ConfigError, parse_config
+from dsrm_hrl.cli import EXIT_OK, main
+from dsrm_hrl.config import VARIANTS, ConfigError, parse_config
 from dsrm_hrl.diffusion import ReverseChain, purify
 from dsrm_hrl.env import RecEnv, collect_pairs
 from dsrm_hrl.persistence import (CheckpointError, load_checkpoint,
@@ -108,13 +113,13 @@ def fast_run(tmp_path_factory):
     cfg = parse_config(FAST_CFG)
     cfg.env.seed = 3
     dsrm = str(out / "dsrm.ckpt")
-    run_train_dsrm(cfg, dsrm)
+    run_train_dsrm(cfg, dsrm, str(out / "dsrm_loss.csv"))
     policies = {}
     for variant in ("DSRM-HRL", "FLAT", "HRL-RAW"):
         cfg.hrl.variant = variant
         policies[variant] = str(out / f"policy_{variant}.ckpt")
         run_train_policy(cfg, dsrm if variant != "HRL-RAW" else None,
-                         policies[variant])
+                         policies[variant], str(out / f"train_{variant}.csv"))
     return dsrm, policies
 
 
@@ -175,7 +180,8 @@ def test_old_checkpoint_evaluates_the_same(fast_run, variant, tmp_path):
     _, policies = fast_run
     old = with_retired_keys(policies[variant], tmp_path / "old.ckpt")
     assert load_agent(old)[1] == load_agent(policies[variant])[1]
-    assert run_eval(old) == run_eval(policies[variant])
+    assert run_eval(old, tmp_path / "old.csv") == run_eval(policies[variant],
+                                                         tmp_path / "new.csv")
 
 
 def test_old_denoiser_checkpoint_loads(fast_run, tmp_path):
@@ -209,8 +215,8 @@ def test_flat_eval_does_not_depend_on_stage_two(fast_run, tmp_path):
     for total_steps in (0, 120, 600):
         cfg.hrl.total_steps = total_steps
         ckpt = str(tmp_path / f"flat_{total_steps}.ckpt")
-        run_train_policy(cfg, dsrm, ckpt)
-        reports.append(vars(run_eval(ckpt)))
+        run_train_policy(cfg, dsrm, ckpt, str(tmp_path / f"train_{total_steps}.csv"))
+        reports.append(vars(run_eval(ckpt, tmp_path / f"results_{total_steps}.csv")))
         values.append(load_checkpoint(ckpt)[0]["value.W0"])
     assert reports[1] == reports[0] and reports[2] == reports[0]
     assert not np.array_equal(values[0], values[2])
@@ -298,3 +304,57 @@ def test_load_agent_takes_the_denoiser_its_variant_has(fast_run, tmp_path):
         bare = edited(policies[variant], tmp_path / "bare.ckpt", dict.fromkeys(den))
         with pytest.raises(CheckpointError, match=f"{bare}: no denoiser tensors"):
             load_agent(bare)
+
+
+# The random streams that more than one call site draws, as (run seed, the
+# co_qualname of default_rng's caller) sets. The FOUND groups are seed-stream
+# collisions that ROADMAP item 6 removes; the others are harmless.
+SHARED_STREAMS = {
+    frozenset({(7, "RecEnv.__init__"), (7, "train_dsrm")}):
+        "FOUND: ItemCatalog.build and the denoiser's initialisation both draw default_rng(7)",
+    frozenset({(0, "RecEnv.__init__"), (0, "train_dsrm"),
+               (0, "Mlp.__init__"), (7, "Mlp.__init__")}):
+        "FOUND, as at seed 7; _denoiser's Mlp fallback default_rng(0) too, which _fill overwrites",
+    frozenset({(0, "_start_session"), (0, "Agent.__init__"), (7, "Agent.__init__")}):
+        "FOUND: at seed 0 the agent's nets draw training session 1's stream; the seed-0 "
+        "Agents of load_agent (overwritten by _fill) and of FLAT's purification_gain "
+        "(nets unread) draw it at any seed",
+    frozenset({(0, "_start_session"), (0, "train")}):
+        "FOUND: at seed 0 PPO's sampling draws training session 2's stream",
+}
+
+
+def test_random_stream_inventory(tmp_path, monkeypatch):
+    """Every default_rng of train-dsrm, train of each variant, eval and
+    motivate at FAST_CFG, at seeds 0 and 7, grouped by the stream its key
+    seeds ([s] and [s, 0] are one stream): the call sites that share one are
+    exactly SHARED_STREAMS, so a new collision fails here."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        made.append((sys._getframe(1).f_code.co_qualname, seed))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    cfg_file = tmp_path / "fast.cfg"
+    cfg_file.write_text(FAST_CFG)
+    sites = defaultdict(set)
+    for seed in (0, 7):
+        out = tmp_path / f"s{seed}"
+        flags = ["--config", str(cfg_file), "--seed", str(seed), "--out", str(out)]
+        dsrm = ["--dsrm-ckpt", str(out / "dsrm.ckpt")]
+        runs = [["train-dsrm", *flags], ["motivate", *flags, *dsrm]]
+        for variant in VARIANTS:
+            tag = variant.lower().replace("-", "_")
+            ckpt = str(out / f"policy_{tag}_s{seed}.ckpt")
+            runs += [["train", *flags, "--variant", variant, *dsrm],
+                     ["eval", "--out", str(out), "--ckpt", ckpt]]
+        made.clear()
+        for argv in runs:
+            assert main(argv) == EXIT_OK, argv
+        for qualname, key in made:
+            stream = tuple(np.random.SeedSequence(key).generate_state(4))
+            sites[stream].add((seed, qualname))
+    shared = {frozenset(s) for s in sites.values() if len(s) > 1}
+    assert shared == SHARED_STREAMS.keys()
