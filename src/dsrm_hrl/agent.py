@@ -31,7 +31,7 @@ class ManagerPolicy:
     softplus-squashed so both weights stay non-negative. The log-std vector
     is state-independent and clamped to [-5, 2]."""
 
-    def __init__(self, d: int, hidden=(64, 64), rng=None):
+    def __init__(self, d: int, hidden, rng):
         sizes = [d, *hidden, 2]
         self._shapes = {**{f"net.{k}": s for k, s in layer_shapes(sizes).items()},
                         "log_std": (2,)}
@@ -63,19 +63,17 @@ class ManagerPolicy:
     def _clamped_log_std(self):
         return np.minimum(np.maximum(self.log_std, LOG_STD_MIN), LOG_STD_MAX)
 
-    def act(self, state: np.ndarray, rng: np.random.Generator | None = None,
-            greedy: bool = False):
-        """Returns (omega, mean, u): the Gaussian mean, the pre-squash sample
-        u (the mean when greedy) and the weights omega = softplus(u) =
-        (accuracy, fairness); u's log-prob is log_density(mean, u)."""
+    def act(self, state: np.ndarray, rng: np.random.Generator | None):
+        """Returns (omega, mean, u): the Gaussian mean, the pre-squash point u
+        (a sample drawn from rng, or the mean when rng is None) and the
+        weights omega = softplus(u) = (accuracy, fairness); u's log-prob is
+        log_density(mean, u)."""
         mean = self.net.forward(state[None])[0][0]
         if not np.isfinite(mean).all():
             raise FloatingPointError("manager policy produced non-finite output")
-        if greedy:
+        if rng is None:
             u = mean.copy()
         else:
-            if rng is None:
-                raise ValueError("sampling requires an rng")
             u = mean + np.exp(self._clamped_log_std()) * rng.standard_normal(2)
         return softplus(u), mean, u
 
@@ -100,7 +98,7 @@ class ManagerPolicy:
 
 
 class ValueNet:
-    def __init__(self, d: int, hidden=(64, 64), rng=None):
+    def __init__(self, d: int, hidden, rng):
         self.net = Mlp([d, *hidden, 1], rng=rng)
 
     def value(self, states: np.ndarray) -> np.ndarray:
@@ -252,7 +250,7 @@ class Agent:
         while not done:
             state = self.policy_state(obs)
             if not flat and step % self.cfg.manager_interval == 0:
-                omega, mean, u = self.policy.act(state, rng=rng, greedy=not train)
+                omega, mean, u = self.policy.act(state, rng if train else None)
             scores = score_items(state, omega, env.catalog)
             slate = select_slate(scores, env.config.slate_k)
             item_rewards, obs, done = env.step(slate)

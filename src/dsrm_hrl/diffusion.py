@@ -180,8 +180,7 @@ def dsrm_loss(denoiser: Denoiser, x: np.ndarray, eps: np.ndarray):
     return loss, denoiser.net.backward(acts, 2.0 * resid / b)
 
 
-def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig,
-               seed: int = 0):
+def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig, seed: int):
     """Stage-one training: fit the conditional denoiser on paired data with
     Adam to a fixed epoch budget. Returns (denoiser, loss_curve)."""
     clean = np.asarray(clean, dtype=np.float64)

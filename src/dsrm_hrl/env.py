@@ -221,7 +221,7 @@ def _corrupt(clean, z, direction, noise_scale: float) -> np.ndarray:
 
 
 def update_abandonment(satisfaction: float, popular_counts, config: EnvConfig,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None):
     """Windowed popularity penalty on satisfaction plus an optional
     stochastic early exit. Deterministic when abandon_prob == 0.
 

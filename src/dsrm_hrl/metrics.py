@@ -68,9 +68,9 @@ def group_coverage(slates, catalog: ItemCatalog):
     return float(cover[GROUP_POPULAR]), float(cover[GROUP_LONGTAIL])
 
 
-def absolute_difference(slates, catalog: ItemCatalog) -> float:
-    """|f(popular) - f(long-tail)| for one episode."""
-    f_pop, f_tail = group_coverage(slates, catalog)
+def absolute_difference(f_pop, f_tail):
+    """|f(popular) - f(long-tail)| of group_coverage's pair, for one episode
+    or elementwise for arrays of episodes."""
     return abs(f_pop - f_tail)
 
 
@@ -80,10 +80,10 @@ def session_stats(outcomes: list[SessionOutcome], catalog: ItemCatalog,
     one raises ValueError. Stds are population standard deviations."""
     if not outcomes:
         raise ValueError("no outcomes to aggregate")
-    # One (f_pop, f_tail) row and one AD per episode, taken first: a
-    # zero-step episode raises here, before any mean.
+    # One (f_pop, f_tail) row per episode, taken first: a zero-step
+    # episode raises here, before any mean.
     f_pop, f_tail = np.array([group_coverage(o.slates, catalog) for o in outcomes]).T
-    ads = np.array([absolute_difference(o.slates, catalog) for o in outcomes])
+    ads = absolute_difference(f_pop, f_tail)
     lens = np.array([o.length for o in outcomes], dtype=np.float64)
     r_cum = np.array([float(np.sum(o.rewards)) for o in outcomes])
     r_each = np.array([float(np.mean(o.rewards)) for o in outcomes])

@@ -91,7 +91,7 @@ class Mlp:
     views of one vector in layer_shapes order: the net's own, or a given one.
     """
 
-    def __init__(self, layer_sizes, rng=None, vector=None):
+    def __init__(self, layer_sizes, rng, vector=None):
         if len(layer_sizes) < 2:
             raise ShapeError("need at least input and output layer sizes")
         if any(s < 1 for s in layer_sizes):
@@ -167,7 +167,7 @@ class Adam:
     A tensor whose gradient is not finite keeps its parameters and moments,
     and counts once in skipped."""
 
-    def __init__(self, params: Flat, lr=1e-3):
+    def __init__(self, params: Flat, lr):
         self.lr = lr
         self.step_count = 0
         self.skipped = 0

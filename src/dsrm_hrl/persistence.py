@@ -117,8 +117,6 @@ def checkpoint_param_hash(tensors: dict[str, np.ndarray]) -> str:
 
 
 def _fmt(val) -> str:
-    if isinstance(val, (int, np.integer)):
-        return str(int(val))
     if isinstance(val, float):
         return f"{val:.6g}"
     return str(val)

@@ -15,7 +15,7 @@ from dsrm_hrl.config import RunConfig
 from dsrm_hrl.diffusion import (Denoiser, ReverseChain, forward_diffuse,
                                 make_schedule, purify, reverse_step)
 from dsrm_hrl.env import RecEnv
-from dsrm_hrl.metrics import absolute_difference, gini
+from dsrm_hrl.metrics import absolute_difference, gini, group_coverage
 from dsrm_hrl.nn import Mlp, gradient_check
 from dsrm_hrl.pipeline import (load_denoiser, popularity_reward_regression,
                                purification_gain, run_ablation, run_eval,
@@ -141,8 +141,8 @@ def test_criterion_03_metric_oracles(capsys):
         worst = max(worst, abs(gini(x) - brute))
     from conftest import tiny_catalog
     cat = tiny_catalog()
-    hand = (absolute_difference([[0, 2], [0, 3]], cat) == pytest.approx(0.5)
-            and absolute_difference([[0, 1]], cat) == pytest.approx(1.0)
+    hand = (absolute_difference(*group_coverage([[0, 2], [0, 3]], cat)) == pytest.approx(0.5)
+            and absolute_difference(*group_coverage([[0, 1]], cat)) == pytest.approx(1.0)
             and gini([0.0, 0.0, 0.0, 4.0]) == pytest.approx(0.75)
             and gini([1.0, 3.0]) == pytest.approx(0.25))
     elapsed = time.monotonic() - t0

@@ -39,19 +39,14 @@ def test_softplus_hand_values():
 
 
 def test_greedy_action_is_squashed_mean():
+    """Without an rng, act returns the mean as u and its softplus as omega."""
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(0))
     state = np.random.default_rng(1).standard_normal(4)
     mean = policy.net.forward(state[None])[0][0]
-    omega, act_mean, u = policy.act(state, greedy=True)
+    omega, act_mean, u = policy.act(state, rng=None)
     assert np.array_equal(u, mean) and np.array_equal(act_mean, mean)
     assert omega[0] == pytest.approx(softplus(mean)[0])
     assert omega[1] == pytest.approx(softplus(mean)[1])
-
-
-def test_sampling_requires_rng():
-    policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        policy.act(np.zeros(4), greedy=False)
 
 
 def test_log_prob_density_integrates_to_one():
@@ -88,7 +83,7 @@ def test_log_prob_batch_matches_single():
 def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
     """act makes one forward and computes no density; the density of the
     mean it returns, at the sampled point, equals a separate log_prob call
-    there, bit for bit. Greedy (evaluation) acting returns the mean as u."""
+    there, bit for bit. Without an rng (evaluation) it returns the mean as u."""
     policy = ManagerPolicy(4, hidden=(8,), rng=np.random.default_rng(7))
     policy.log_std[:] = [-0.4, 0.3]
     state = np.random.default_rng(8).standard_normal(4)
@@ -100,13 +95,13 @@ def test_act_makes_one_forward_and_matches_log_prob(monkeypatch):
     densities = []
     monkeypatch.setattr(policy, "log_density",
                         lambda m, u: densities.append(1) or log_density(m, u))
-    for greedy, rng in ((True, None), (False, np.random.default_rng(9))):
+    for rng in (None, np.random.default_rng(9)):
         calls.clear()
         densities.clear()
-        _, mean, u = policy.act(state, rng=rng, greedy=greedy)
+        _, mean, u = policy.act(state, rng=rng)
         assert len(calls) == 1 and not densities
         assert np.array_equal(mean, forward(state[None])[0][0])
-        if greedy:
+        if rng is None:
             assert np.array_equal(u, mean)
         else:
             assert log_density(mean, u) == policy.log_prob(state[None], u[None])[0][0]
@@ -405,7 +400,7 @@ def reference_episode(agent, env, session_seed, rng, train):
             return action, 0.0, np.zeros(2), held
         if held is not None and step % agent.cfg.manager_interval != 0:
             return held[0], held[1], held[2], held
-        action, _, u = agent.policy.act(state, rng=rng, greedy=not train)
+        action, _, u = agent.policy.act(state, rng if train else None)
         lp = float(agent.policy.log_prob(state[None], u[None])[0][0])
         return action, lp, u, (action, lp, u)
 
@@ -481,10 +476,14 @@ def test_eval_episode_is_inference_only(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["DSRM-HRL", "HRL-RAW", "FLAT"])
-def test_greedy_episode_reads_no_rng(variant):
-    """Evaluation draws nothing from the rng it is given, so evaluate passes
-    none: the outcomes with rng=None equal those with a Generator."""
+def test_greedy_episode_reads_no_rng(variant, monkeypatch):
+    """Evaluation acts on the manager's means: run_episode calls act with
+    rng=None whatever rng it is given, so evaluate passes none, and the
+    outcomes with rng=None equal those with a Generator."""
     _, agent = make_agent(variant, manager_interval=2)
+    act, rngs = agent.policy.act, []
+    monkeypatch.setattr(agent.policy, "act",
+                        lambda state, rng: rngs.append(rng) or act(state, rng))
     env, ref_env = RecEnv(small_env_cfg()), RecEnv(small_env_cfg())
     for i in range(4):
         outcome, _ = agent.run_episode(env, 40 + i, None, train=False)
@@ -492,6 +491,7 @@ def test_greedy_episode_reads_no_rng(variant):
                                            np.random.default_rng(i), train=False)
         assert same_outcome(outcome, ref_outcome)
     assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
+    assert rngs == [None] * len(rngs) and bool(rngs) == (variant != "FLAT")
 
 
 def test_training_step_is_o_k_at_catalog_scale(monkeypatch):

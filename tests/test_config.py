@@ -374,13 +374,11 @@ def _literal(node, otherwise=_UNKNOWN):
     return type(value), repr(value)
 
 
-def test_every_defaulted_parameter_is_set():
-    """Each parameter with a default, of a package function, method or
-    constructor, is filled with more than one value by the calls in src/
-    to a callable of that name: the argument passed by position or keyword,
-    else the default. One that every call fills with
-    the same literal, or with its default, or that no call reaches, is an
-    option no run can set, unless it is listed above."""
+def _calls_and_defaulted():
+    """Every call in src/, as (name called, opaque?, positional args, keyword
+    args), and every defaulted parameter of a package function, method or
+    constructor, as {"module.qualname:param": (name called, index among the
+    call's arguments, param, default node)}."""
     pkg = pathlib.Path(dsrm_hrl.__file__).parent
     calls, defaulted = [], {}
     for path in pkg.glob("*.py"):
@@ -416,6 +414,17 @@ def test_every_defaulted_parameter_is_set():
                     if default is not None:
                         defaulted[f"{qual}:{arg.arg}"] = (called_as, math.inf, arg.arg,
                                                           default)
+    return calls, defaulted
+
+
+def test_every_defaulted_parameter_is_set():
+    """Each parameter with a default, of a package function, method or
+    constructor, is filled with more than one value by the calls in src/
+    to a callable of that name: the argument passed by position or keyword,
+    else the default. One that every call fills with
+    the same literal, or with its default, or that no call reaches, is an
+    option no run can set, unless it is listed above."""
+    calls, defaulted = _calls_and_defaulted()
 
     def filled(call, index, param, default):
         _, opaque, args, kws = call
@@ -435,6 +444,32 @@ def test_every_defaulted_parameter_is_set():
         if key not in KEPT_DEFAULTS and _UNKNOWN not in values and len(values) <= 1:
             single.append(key)
     assert single == []
+
+
+# Defaulted parameters that every call in src/ passes, kept for the tests'
+# shorter calls.
+KEPT_FOR_BARE_CALLS = {
+    "agent.Agent.__init__:denoiser",  # test_train_step_parity builds a bare HRL-RAW Agent
+    "metrics.gini:n_items",  # criterion 3 and test_train_step_parity take bare vectors' Ginis
+}
+
+
+def test_every_default_is_used():
+    """Each parameter with a default is left out by some call in src/ to a
+    callable of that name, so that a run falls back to the default. A
+    default that every call overrides, or that no call reaches, is a second
+    source for a value the callers own (the config's hidden sizes, learning
+    rates and seeds), unless it is listed above or in KEPT_DEFAULTS. A call
+    through *args or **kwargs may leave any parameter out."""
+    calls, defaulted = _calls_and_defaulted()
+    assert KEPT_FOR_BARE_CALLS <= defaulted.keys()
+    always = []
+    for key, (called_as, index, param, _) in sorted(defaulted.items()):
+        passed = [not opaque and (index < len(args) or param in kws)
+                  for name, opaque, args, kws in calls if name == called_as]
+        if key not in KEPT_DEFAULTS | KEPT_FOR_BARE_CALLS and all(passed):
+            always.append(key)
+    assert always == []
 
 
 # The four section validators as they were before the per-field ranges, kept

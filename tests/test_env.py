@@ -197,11 +197,11 @@ def test_abandonment_share_matches_mean_of_groups():
             share = float(np.mean(groups == GROUP_POPULAR))
             counts = [row.tolist().count(GROUP_POPULAR) for row in groups]
             at = small_cfg(slate_k=k, threshold_a=share, decay_a=0.5)
-            assert update_abandonment(1.0, counts, at)[0] == 1.0
+            assert update_abandonment(1.0, counts, at, None)[0] == 1.0
             if share > 0:
                 below = small_cfg(slate_k=k, threshold_a=np.nextafter(share, 0.0),
                                   decay_a=0.5)
-                assert update_abandonment(1.0, counts, below)[0] == 0.5
+                assert update_abandonment(1.0, counts, below, None)[0] == 0.5
 
 
 def test_history_window_cap():
@@ -271,26 +271,26 @@ def test_abandonment_hand_simulation():
     satisfaction 1.0 -> 0.5 -> 0.0 -> abandoned."""
     cfg = small_cfg(window_a=2, threshold_a=0.4, decay_a=0.5)
     window = [3, 3]  # popular items per slate (slate_k = 3)
-    s, ab = update_abandonment(1.0, window, cfg)
+    s, ab = update_abandonment(1.0, window, cfg, None)
     assert s == pytest.approx(0.5) and not ab
-    s, ab = update_abandonment(s, window, cfg)
+    s, ab = update_abandonment(s, window, cfg, None)
     assert s == 0.0 and ab
 
 
 def test_abandonment_below_threshold_no_decay():
     cfg = small_cfg(window_a=2, threshold_a=0.6, decay_a=0.5)
     window = [1]  # one popular item of three
-    s, ab = update_abandonment(1.0, window, cfg)
+    s, ab = update_abandonment(1.0, window, cfg, None)
     assert s == 1.0 and not ab
 
 
 def test_abandonment_validation():
     cfg = small_cfg()
     with pytest.raises(ValueError):
-        update_abandonment(1.5, [], cfg)
+        update_abandonment(1.5, [], cfg, None)
     cfg2 = small_cfg(abandon_prob=0.5)
     with pytest.raises(ValueError):
-        update_abandonment(1.0, [], cfg2)  # stochastic exit without rng
+        update_abandonment(1.0, [], cfg2, None)  # stochastic exit without rng
 
 
 def test_full_episode_determinism():

@@ -168,9 +168,8 @@ def test_session_stats_leaves_numpy_ma_unimported():
 
 def test_absolute_difference_hand_cases():
     cat = tiny_catalog()
-    assert absolute_difference(np.array([[0, 2], [0, 3]]), cat) == pytest.approx(0.5)
-    assert absolute_difference(np.array([[0, 1]]), cat) == pytest.approx(1.0)
-    assert absolute_difference(np.array([[0, 2]]), cat) == pytest.approx(0.0)
+    for slates, ad in (([[0, 2], [0, 3]], 0.5), ([[0, 1]], 1.0), ([[0, 2]], 0.0)):
+        assert absolute_difference(*group_coverage(np.array(slates), cat)) == pytest.approx(ad)
 
 
 def test_session_stats_aggregation():

@@ -169,7 +169,7 @@ def test_adam_skips_nonfinite_gradients():
 
 
 def test_adam_rejects_shape_mismatch():
-    opt = Adam(Flat.over({"w": (3,)}))
+    opt = Adam(Flat.over({"w": (3,)}), lr=1e-3)
     with pytest.raises(ShapeError):
         opt.step(Flat.over({"w": (2,)}))
 
@@ -262,8 +262,8 @@ class PerTensorAdam:
 
 MODELS = {
     "denoiser": lambda rng: Denoiser(DsrmConfig(), 16, rng=rng).net,
-    "manager": lambda rng: ManagerPolicy(16, rng=rng),
-    "value": lambda rng: ValueNet(16, rng=rng).net,
+    "manager": lambda rng: ManagerPolicy(16, hidden=(64, 64), rng=rng),
+    "value": lambda rng: ValueNet(16, hidden=(64, 64), rng=rng).net,
 }
 
 
@@ -341,7 +341,8 @@ def test_models_keep_parameters_and_gradients_in_one_vector():
     its gradients come laid out the same way, so Adam binds to that vector."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 16))
-    policy, value = ManagerPolicy(16, rng=rng), ValueNet(16, rng=rng)
+    policy = ManagerPolicy(16, hidden=(64, 64), rng=rng)
+    value = ValueNet(16, hidden=(64, 64), rng=rng)
     means, cache = policy.net.forward(x)
     pairs = [(policy.parameters(), policy.gradients(cache, means, means + 1.0, np.ones(7), 0.1))]
     _, cache = value.net.forward(x)
