@@ -17,8 +17,9 @@ from .nn import Adam, Flat, Mlp, layer_shapes
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = np.log(2.0 * np.pi)
-# Stage II's log columns, one row per update: its number, ppo_update's stats
-# of its last epoch (columns 1-3) and the batch's mean manager weights.
+# Stage II's log columns, one row per update: its number, ppo_update's
+# surrogate, the critic's loss before its last step, ppo_update's entropy
+# (both of its last epoch; 0 for FLAT) and the batch's mean manager weights.
 TRAIN_LOG = ("update", "surrogate", "value_loss", "entropy", "mean_omega_acc", "mean_omega_fair")
 
 
@@ -147,8 +148,6 @@ def shaped_reward(r, episode_gini, lambda_fair: float):
 def compute_gae(rewards, values, gamma: float, lam: float):
     """Generalized advantage estimation over one ended episode; the value
     after its last step is 0. Returns (advantages, returns)."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
     n = len(rewards)
     if n == 0:
         raise ValueError("empty trajectory")
@@ -174,17 +173,11 @@ def value_step(value_net: ValueNet, opt_value: Adam, states: np.ndarray,
     return vloss
 
 
-def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
-               opt_value: Adam, states, pre_squash, old_log_probs, advantages,
-               returns, cfg: HrlConfig):
-    """One round of clipped-surrogate PPO epochs on a fixed batch. The
-    worker has no learned parameters, so manager and worker gradients are
-    structurally separate. Returns per-epoch stats."""
-    states = np.asarray(states, dtype=np.float64)
-    us = np.asarray(pre_squash, dtype=np.float64)
-    old_lp = np.asarray(old_log_probs, dtype=np.float64)
-    adv = np.asarray(advantages, dtype=np.float64)
-    ret = np.asarray(returns, dtype=np.float64)
+def ppo_update(policy: ManagerPolicy, opt_policy: Adam, states, us, old_lp, adv,
+               cfg: HrlConfig):
+    """The manager's clipped-surrogate PPO epochs on a fixed batch of float64
+    arrays. The worker has no learned parameters and train fits the critic,
+    so only the manager moves. Returns per-epoch stats."""
     b = len(states)
     stats = []
     dropped = 0
@@ -205,9 +198,7 @@ def ppo_update(policy: ManagerPolicy, value_net: ValueNet, opt_policy: Adam,
         active = unclipped <= clipped
         dlp = np.where(active, ratio * adv_ok, 0.0) / b
         opt_policy.step(policy.gradients(acts, means, us, dlp, cfg.entropy_coef))
-
-        vloss = value_step(value_net, opt_value, states, ret)
-        stats.append(dict(zip(TRAIN_LOG[1:4], (surrogate, vloss, entropy)), dropped=dropped))
+        stats.append({"surrogate": surrogate, "entropy": entropy, "dropped": dropped})
     return stats
 
 
@@ -218,16 +209,16 @@ class Agent:
         self.cfg = cfg
         self.chain = None if denoiser is None else ReverseChain(denoiser)
         rng = np.random.default_rng([seed, 1])
-        self.policy = ManagerPolicy(d, hidden=tuple(cfg.hidden), rng=rng)
-        self.value_net = ValueNet(d, hidden=tuple(cfg.hidden), rng=rng)
+        self.policy = ManagerPolicy(d, hidden=cfg.hidden, rng=rng)
+        self.value_net = ValueNet(d, hidden=cfg.hidden, rng=rng)
         if cfg.variant == "DSRM-HRL" and denoiser is None:
             raise ValueError("variant DSRM-HRL requires a trained denoiser")
 
     def policy_state(self, observed_vec: np.ndarray) -> np.ndarray:
         """The purified state when the agent holds a denoiser, else the raw
-        one (HRL-RAW is never given a denoiser)."""
+        observation as given (HRL-RAW is never given a denoiser)."""
         if self.chain is None:
-            return np.asarray(observed_vec, dtype=np.float64)
+            return observed_vec
         return purify(observed_vec, self.chain)
 
     def run_episode(self, env: RecEnv, session_seed: int, rng, train: bool):
@@ -280,8 +271,10 @@ class Agent:
 def train(env: RecEnv, agent: Agent) -> list[dict]:
     """Stage-two PPO training to the agent config's env-step budget: whole
     episodes (session n seeded env seed * 100_000 + n, n < EVAL_SEED_OFFSET)
-    until a batch holds batch_steps steps, then one update on it, with
-    advantages normalised over the batch. Returns one log row per update."""
+    until a batch holds batch_steps steps, then one update on it: advantages
+    normalised over the batch, ppo_epochs steps of the critic for every
+    variant, then the manager's PPO epochs (FLAT's manager is fixed).
+    Returns one log row per update."""
     cfg = agent.cfg
     seed = env.config.seed
     rng = np.random.default_rng([seed, 2])
@@ -291,8 +284,8 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
     sessions = steps_done = 0
     while steps_done < cfg.total_steps:
         episodes = []
-        batch_len = 0
-        while batch_len < cfg.batch_steps and steps_done < cfg.total_steps:
+        batch_end = min(steps_done + cfg.batch_steps, cfg.total_steps)
+        while steps_done < batch_end:
             sessions += 1
             if sessions >= EVAL_SEED_OFFSET:
                 raise ValueError(f"training session {sessions} would reuse eval session 0's seed")
@@ -300,24 +293,21 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
                 env, seed * 100_000 + sessions, rng, train=True)
             adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
             episodes.append((states, us, lps, adv, ret))
-            batch_len += len(states)
             steps_done += len(states)
         states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
         if len(adv) >= 2:
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        for _ in range(cfg.ppo_epochs):
+            vloss = value_step(agent.value_net, opt_value, states, ret)
         if cfg.variant == "FLAT":
-            # Fixed manager weights: only the value baseline is learned.
-            for _ in range(cfg.ppo_epochs):
-                vloss = value_step(agent.value_net, opt_value, states, ret)
-            stats = (0.0, vloss, 0.0)
+            surrogate = entropy = 0.0
             omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
         else:
-            last = ppo_update(agent.policy, agent.value_net, opt_policy, opt_value,
-                              states, us, lps, adv, ret, cfg)[-1]
-            stats = [last[c] for c in TRAIN_LOG[1:4]]
+            last = ppo_update(agent.policy, opt_policy, states, us, lps, adv, cfg)[-1]
+            surrogate, entropy = last["surrogate"], last["entropy"]
             omegas = softplus(us)
-        rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, *stats, float(np.mean(omegas[:, 0])),
-                                         float(np.mean(omegas[:, 1]))))))
+        rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, surrogate, vloss, entropy,
+                                         *(float(np.mean(w)) for w in omegas.T)))))
     return rows
 
 

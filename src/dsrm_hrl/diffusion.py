@@ -136,9 +136,8 @@ def purify(observed_vec: np.ndarray, chain: ReverseChain) -> np.ndarray:
     to step K, sqrt(abar_K) * obs (the DDIM start), and adds no noise on the
     way back (z=0). Each step is reverse_step as ~11 NumPy calls writing into
     buffers, in the op order of s = inv_sqrt_alpha * (s - eps_coef * net(s))."""
-    vec = np.asarray(observed_vec, dtype=np.float64)
-    s = chain.sqrt_ab * vec  # a fresh array, updated in place
-    table = chain.time_part + (chain.w0_c @ vec + chain.b0)
+    s = chain.sqrt_ab * observed_vec  # a fresh array, updated in place
+    table = chain.time_part + (chain.w0_c @ observed_vec + chain.b0)
     h0, dot0, later = chain.h0, chain.dot0, chain.later
     # Looked up once: K steps make about 11 calls each.
     add, multiply, subtract, tanh = np.add, np.multiply, np.subtract, np.tanh
@@ -181,10 +180,8 @@ def dsrm_loss(denoiser: Denoiser, x: np.ndarray, eps: np.ndarray):
 
 
 def train_dsrm(clean: np.ndarray, noisy: np.ndarray, cfg: DsrmConfig, seed: int):
-    """Stage-one training: fit the conditional denoiser on paired data with
-    Adam to a fixed epoch budget. Returns (denoiser, loss_curve)."""
-    clean = np.asarray(clean, dtype=np.float64)
-    noisy = np.asarray(noisy, dtype=np.float64)
+    """Stage-one training: fit the conditional denoiser on paired float64
+    arrays with Adam to a fixed epoch budget. Returns (denoiser, loss_curve)."""
     if clean.shape != noisy.shape:
         raise ValueError("clean/noisy shape mismatch")
     if clean.shape[0] < cfg.min_pairs:

@@ -1,6 +1,6 @@
 """Manager policy, worker scoring, GAE, PPO arithmetic, training loop."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -270,7 +270,6 @@ def test_ppo_surrogate_clip_arithmetic():
     exactly, so the first-epoch surrogate has a closed form."""
     rng = np.random.default_rng(9)
     policy = ManagerPolicy(4, hidden=(8,), rng=rng)
-    value_net = ValueNet(4, hidden=(8,), rng=rng)
     cfg = small_hrl_cfg(clip_eps=0.2, ppo_epochs=1, entropy_coef=0.0)
     states = rng.standard_normal((6, 4))
     us = rng.standard_normal((6, 2))
@@ -281,11 +280,9 @@ def test_ppo_surrogate_clip_arithmetic():
     ratio = np.exp(shift)
     clipped = np.clip(ratio, 0.8, 1.2) * adv
     expected = float(np.mean(np.minimum(ratio * adv, clipped)))
-    # zero-lr optimizers: weights frozen, stats still computed
+    # zero-lr optimizer: weights frozen, stats still computed
     opt_p = Adam(policy.parameters(), lr=0.0)
-    opt_v = Adam(value_net.net.parameters(), lr=0.0)
-    stats = ppo_update(policy, value_net, opt_p, opt_v, states, us, old_lp,
-                       adv, np.zeros(6), cfg)
+    stats = ppo_update(policy, opt_p, states, us, old_lp, adv, cfg)
     assert stats[0]["surrogate"] == pytest.approx(expected, abs=1e-12)
     assert stats[0]["dropped"] == 0
 
@@ -324,8 +321,7 @@ def test_ppo_policy_gradient_matches_finite_differences(log_std):
         return np.mean(np.minimum(ratio * adv, clipped)) + cfg.entropy_coef * policy.entropy()
 
     opt = _Recorder()
-    ppo_update(policy, ValueNet(3, hidden=(5,), rng=rng), opt, _Recorder(),
-               states, us, old_lp, adv, np.zeros(8), cfg)
+    ppo_update(policy, opt, states, us, old_lp, adv, cfg)
     analytic = -opt.grads[0]
     vector, h = policy.parameters().vector, 1e-5
     numeric = np.empty_like(vector)
@@ -345,7 +341,6 @@ def test_ppo_policy_gradient_matches_finite_differences(log_std):
 def test_ppo_update_moves_parameters():
     rng = np.random.default_rng(10)
     policy = ManagerPolicy(4, hidden=(8,), rng=rng)
-    value_net = ValueNet(4, hidden=(8,), rng=rng)
     cfg = small_hrl_cfg(ppo_epochs=3)
     states = rng.standard_normal((16, 4))
     us = rng.standard_normal((16, 2))
@@ -353,11 +348,40 @@ def test_ppo_update_moves_parameters():
     adv = rng.standard_normal(16)
     before = {k: v.copy() for k, v in policy.parameters().items()}
     opt_p = Adam(policy.parameters(), lr=1e-3)
-    opt_v = Adam(value_net.net.parameters(), lr=1e-3)
-    ppo_update(policy, value_net, opt_p, opt_v, states, us, lps, adv,
-               rng.standard_normal(16), cfg)
+    ppo_update(policy, opt_p, states, us, lps, adv, cfg)
     after = policy.parameters()
     assert any(not np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_ppo_update_leaves_the_critic_alone(monkeypatch):
+    """ppo_update moves the manager only: it runs with value_step raising.
+    train fits the critic itself, ppo_epochs value_steps per log row, for
+    every variant, FLAT included."""
+    def no_critic(*args):
+        raise AssertionError("ppo_update stepped the critic")
+
+    monkeypatch.setattr(agent_mod, "value_step", no_critic)
+    rng = np.random.default_rng(12)
+    policy = ManagerPolicy(4, hidden=(8,), rng=rng)
+    states, us = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
+    stats = ppo_update(policy, Adam(policy.parameters(), lr=1e-3), states, us,
+                       policy.log_prob(states, us)[0], rng.standard_normal(6),
+                       small_hrl_cfg(ppo_epochs=3))
+    assert [sorted(epoch) for epoch in stats] == [["dropped", "entropy", "surrogate"]] * 3
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return value_step(*args)
+
+    monkeypatch.setattr(agent_mod, "value_step", counted)
+    for variant in ("DSRM-HRL", "HRL-RAW", "FLAT"):
+        calls.clear()
+        cfg, agent = make_agent(variant, ppo_epochs=3)
+        rows = train(RecEnv(small_env_cfg()), agent)
+        assert len(rows) >= 2
+        assert len(calls) == cfg.ppo_epochs * len(rows)
 
 
 def make_agent(variant, seed=0, **kw):
@@ -641,21 +665,14 @@ def list_gae(rewards, values, dones, gamma, lam, normalize):
 def list_train(env, agent, cfg, seed, log_rows):
     """The stage-II loop written the long way, as an oracle for
     agent.train: list-valued trajectories with a dones list, GAE per
-    episode, the batch normalisation as a second step, a value-only update
-    function for FLAT, and log rows appended to the caller's list."""
+    episode, the batch normalisation as a second step, the critic and the
+    manager stepped in turn within each epoch (one value_step, then a
+    one-epoch ppo_update), and log rows appended to the caller's list."""
     rng = np.random.default_rng([seed, 2])
     opt_policy = Adam(agent.policy.parameters(), lr=cfg.lr_policy)
     opt_value = Adam(agent.value_net.net.parameters(), lr=cfg.lr_value)
+    one_epoch = replace(cfg, ppo_epochs=1)
     sessions = 0
-
-    def value_only_update(batch, returns):
-        states = np.asarray(batch.states, dtype=np.float64)
-        ret = np.asarray(returns, dtype=np.float64)
-        return [{"surrogate": 0.0,
-                 "value_loss": value_step(agent.value_net, opt_value, states, ret),
-                 "entropy": 0.0, "dropped": 0}
-                for _ in range(cfg.ppo_epochs)]
-
     steps_done = 0
     update_idx = 0
     while steps_done < cfg.total_steps:
@@ -674,22 +691,25 @@ def list_train(env, agent, cfg, seed, log_rows):
         adv = np.asarray(batch_adv)
         if len(adv) >= 2:
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        if cfg.variant == "FLAT":
-            stats = value_only_update(batch, batch_ret)
-        else:
-            stats = ppo_update(agent.policy, agent.value_net, opt_policy,
-                               opt_value, batch.states, batch.pre_squash,
-                               batch.log_probs, adv, batch_ret, cfg)
+        states = np.asarray(batch.states, dtype=np.float64)
+        us = np.asarray(batch.pre_squash, dtype=np.float64)
+        old_lp = np.asarray(batch.log_probs, dtype=np.float64)
+        ret = np.asarray(batch_ret, dtype=np.float64)
+        last = {"surrogate": 0.0, "entropy": 0.0}
+        for _ in range(cfg.ppo_epochs):
+            value_loss = value_step(agent.value_net, opt_value, states, ret)
+            if cfg.variant != "FLAT":
+                last = ppo_update(agent.policy, opt_policy, states, us, old_lp,
+                                  adv, one_epoch)[-1]
         update_idx += 1
         omegas = np.array([[softplus(u[0]), softplus(u[1])]
                            for u in batch.pre_squash]) \
             if cfg.variant != "FLAT" else \
             np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
-        last = stats[-1]
         log_rows.append({
             "update": update_idx,
             "surrogate": last["surrogate"],
-            "value_loss": last["value_loss"],
+            "value_loss": value_loss,
             "entropy": last["entropy"],
             "mean_omega_acc": float(np.mean(omegas[:, 0])),
             "mean_omega_fair": float(np.mean(omegas[:, 1])),

@@ -4,6 +4,7 @@ ablation), exit codes, and output determinism."""
 import copy
 import csv
 import os
+import pathlib
 
 import pytest
 
@@ -17,6 +18,9 @@ from dsrm_hrl.pipeline import (run_eval, run_sweep_steps, run_train_dsrm,
 
 from artifact_manifest import build
 from conftest import FAST_CFG, OVERFLOWING_SHAPES, checkpoint_declaring, non_utf8_copy
+
+
+RECORDED_FAST_MANIFEST = pathlib.Path(__file__).with_name("artifact_manifest_fast.txt")
 
 
 @pytest.fixture
@@ -56,8 +60,17 @@ def test_full_pipeline_and_determinism(cfg_file, tmp_path):
 
 def test_artifact_set_is_byte_identical_across_builds(cfg_file, tmp_path):
     """Every subcommand's artifacts, 37 files from six commands, keep their
-    names and bytes across two builds."""
+    names and bytes across two builds, and across versions of the program:
+    the first build equals the manifest recorded in artifact_manifest_fast.txt,
+    which only a deliberate change of values edits."""
     manifest = build(cfg_file, 7, tmp_path / "a")
+    recorded = {}
+    for line in RECORDED_FAST_MANIFEST.read_text(encoding="utf-8").splitlines():
+        digest, path = line.split("  ", 1)
+        recorded[path] = digest
+    differ = sorted(p for p in manifest.keys() | recorded.keys()
+                    if manifest.get(p) != recorded.get(p))
+    assert not differ, f"artifacts differ from the recorded FAST manifest: {differ}"
     assert len(manifest) == 37
     assert build(cfg_file, 7, tmp_path / "b") == manifest
 
