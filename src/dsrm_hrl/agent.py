@@ -268,12 +268,24 @@ class Agent:
         return outcome, (states, us, lps, shaped, self.value_net.value(states))
 
 
+def train_session_seed(seed: int, n: int) -> int:
+    """The session seed of training session n (from 1) of env seed seed:
+    below eval_session_seed(seed, 0) while n < EVAL_SEED_OFFSET."""
+    return seed * 100_000 + n
+
+
+def eval_session_seed(seed: int, i: int) -> int:
+    """The session seed of eval session i (from 0) of env seed seed."""
+    return EVAL_SEED_OFFSET + seed * 100_000 + i
+
+
 def train(env: RecEnv, agent: Agent) -> list[dict]:
     """Stage-two PPO training to the agent config's env-step budget: whole
-    episodes (session n seeded env seed * 100_000 + n, n < EVAL_SEED_OFFSET)
+    episodes (session n from 1, n < EVAL_SEED_OFFSET; train_session_seed)
     until a batch holds batch_steps steps, then one update on it: advantages
     normalised over the batch, ppo_epochs steps of the critic for every
-    variant, then the manager's PPO epochs (FLAT's manager is fixed).
+    variant, then the manager's PPO epochs (FLAT's manager is fixed). The
+    episodes run in one session plan of env over the training seeds.
     Returns one log row per update."""
     cfg = agent.cfg
     seed = env.config.seed
@@ -282,37 +294,40 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
     opt_value = Adam(agent.value_net.net.parameters(), lr=cfg.lr_value)
     rows = []
     sessions = steps_done = 0
-    while steps_done < cfg.total_steps:
-        episodes = []
-        batch_end = min(steps_done + cfg.batch_steps, cfg.total_steps)
-        while steps_done < batch_end:
-            sessions += 1
-            if sessions >= EVAL_SEED_OFFSET:
-                raise ValueError(f"training session {sessions} would reuse eval session 0's seed")
-            _, (states, us, lps, rewards, values) = agent.run_episode(
-                env, seed * 100_000 + sessions, rng, train=True)
-            adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
-            episodes.append((states, us, lps, adv, ret))
-            steps_done += len(states)
-        states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
-        if len(adv) >= 2:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        for _ in range(cfg.ppo_epochs):
-            vloss = value_step(agent.value_net, opt_value, states, ret)
-        if cfg.variant == "FLAT":
-            surrogate = entropy = 0.0
-            omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
-        else:
-            last = ppo_update(agent.policy, opt_policy, states, us, lps, adv, cfg)[-1]
-            surrogate, entropy = last["surrogate"], last["entropy"]
-            omegas = softplus(us)
-        rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, surrogate, vloss, entropy,
-                                         *(float(np.mean(w)) for w in omegas.T)))))
+    with env.sessions(train_session_seed(seed, n) for n in range(1, EVAL_SEED_OFFSET)):
+        while steps_done < cfg.total_steps:
+            episodes = []
+            batch_end = min(steps_done + cfg.batch_steps, cfg.total_steps)
+            while steps_done < batch_end:
+                sessions += 1
+                if sessions >= EVAL_SEED_OFFSET:
+                    raise ValueError(
+                        f"training session {sessions} would reuse eval session 0's seed")
+                _, (states, us, lps, rewards, values) = agent.run_episode(
+                    env, train_session_seed(seed, sessions), rng, train=True)
+                adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
+                episodes.append((states, us, lps, adv, ret))
+                steps_done += len(states)
+            states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
+            if len(adv) >= 2:
+                adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+            for _ in range(cfg.ppo_epochs):
+                vloss = value_step(agent.value_net, opt_value, states, ret)
+            if cfg.variant == "FLAT":
+                surrogate = entropy = 0.0
+                omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
+            else:
+                last = ppo_update(agent.policy, opt_policy, states, us, lps, adv, cfg)[-1]
+                surrogate, entropy = last["surrogate"], last["entropy"]
+                omegas = softplus(us)
+            rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, surrogate, vloss, entropy,
+                                             *(float(np.mean(w)) for w in omegas.T)))))
     return rows
 
 
 def evaluate(env: RecEnv, agent: Agent, episodes: int) -> list[SessionOutcome]:
-    """Greedy evaluation on a session-seed range disjoint from training."""
-    return [agent.run_episode(env, EVAL_SEED_OFFSET + env.config.seed * 100_000 + i,
-                              None, train=False)[0]
-            for i in range(episodes)]
+    """Greedy evaluation on a session-seed range disjoint from training
+    (eval_session_seed), in one session plan of env."""
+    seeds = [eval_session_seed(env.config.seed, i) for i in range(episodes)]
+    with env.sessions(seeds):
+        return [agent.run_episode(env, s, None, train=False)[0] for s in seeds]

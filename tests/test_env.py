@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsrm_hrl import env as env_mod
 from dsrm_hrl.config import EnvConfig
 from dsrm_hrl.diffusion import make_schedule
 from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, EnvError, InvalidActionError,
@@ -83,6 +84,29 @@ def test_reset_determinism():
     assert np.array_equal(env1.ground_truth_state(), env2.ground_truth_state())
     o3 = env2.reset(43)
     assert not np.array_equal(o1, o3)
+
+
+def test_session_plan_takes_its_seeds_in_order(monkeypatch):
+    """In a session plan each reset must take the plan's next seed; a reset
+    that does not, or that finds the plan used up, raises and leaves no
+    session open, as does the end of the block."""
+    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
+    env, ref = RecEnv(small_cfg()), RecEnv(small_cfg())
+    with env.sessions([5, 6]):
+        assert np.array_equal(env.reset(5), ref.reset(5))
+        env.step([0, 1, 2])
+        with pytest.raises(EnvError, match="not the session plan's next"):
+            env.reset(7)
+        with pytest.raises(EnvError, match="finished or unstarted"):
+            env.step([0, 1, 2])
+        ref.step([0, 1, 2])
+        assert np.array_equal(env.reset(6), ref.reset(6))
+        with pytest.raises(EnvError, match="not the session plan's next"):
+            env.reset(7)
+    with env.sessions([8]):
+        assert np.array_equal(env.reset(8), ref.reset(8))
+    with pytest.raises(EnvError, match="finished or unstarted"):
+        env.step([0, 1, 2])
 
 
 def test_latent_pref_unit_norm():
