@@ -11,7 +11,6 @@ sessions abandon early when slates are dominated by popular items.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -254,10 +253,11 @@ def _abandonment_after(satisfaction: float, popular: deque, slate, catalog: Item
 
 
 # The fewest normals a session may draw for sessions() to draw them ahead.
-# A plan costs main two thread handoffs per session, about 70-90 us each
-# while main runs (2 vCPUs), whatever the session's size, and saves the
-# draws: HRL-RAW's greedy 30-step episodes took 6-9% longer planned at 500
-# items (16k normals a session) and 29-30% less at 5000 (156k).
+# A plan costs main one thread handoff per session, whatever the session's
+# size, and saves the draws: forced on at 500 items (16k normals a
+# session), it slowed default-dsrm-hrl's stage II by 5% and its eval
+# episodes by 3% (4 pairs, 2 vCPUs); at 5000 (156k) it makes HRL-RAW's eval
+# episodes about 25% shorter.
 PLAN_MIN_NORMALS = 2**16
 
 
@@ -282,103 +282,63 @@ class _SessionPlan:
     With abandon_prob 0, every draw a session makes after its preference is
     a standard normal, and NumPy gives the same bits for one block of them
     as for its parts drawn one call at a time. So a planned session reads
-    its draws in order from one buffer of _session_normals, in two halves.
-    At its start (begin) the first half already holds its stream's start,
-    and the worker draws the second half. Once a read starts in the second
-    half, main builds the next session's generator and the worker draws
-    that session's first half into the half just read; a session that ends
-    before that has its successor's first half drawn on main at its begin.
-    Main builds every generator and owns the buffer: the worker only calls
-    _fill, and main waits until the worker has taken each fill, so the fill
-    does not wait out the interpreter's switch interval. A fault in a fill
-    is raised in main at the next wait for one. A view read from the plan
-    is valid until its next read."""
+    its draws in order from one buffer of _session_normals, and the plan
+    holds two: while main reads one session, the worker fills the other
+    with the next session's whole stream. The plan's first session draws
+    from its generator, as outside a plan, while the worker fills the
+    second, so no fill starts before the first begin and main never waits
+    out a whole fill. Each later begin waits for its session's fill and
+    starts the next session's into the buffer just released. Main builds
+    every generator, and the worker only calls _fill. A fault in a fill is
+    raised in main at the begin that needs it, or at close. A view read
+    from the plan is valid until the next begin."""
 
     def __init__(self, config: EnvConfig, seeds):
+        # Here, not at the top: concurrent.futures loads logging (0.6 MB of RSS).
+        from concurrent.futures import ThreadPoolExecutor
         self._config, self._seeds = config, iter(seeds)
-        self._buf = np.empty(_session_normals(config))
-        self._half = self._buf.size // 2
-        self._next = None  # (seed, generator, preference) of a session whose first half is drawn
-        self._pos = self._ready = 0  # the read position; the end of what may be read
-        self._ahead = True  # the next session's first half has been started
-        self._job = self._fault = None
-        self._busy = False  # a fill is started and not yet waited for
-        self._go, self._taken, self._filled = threading.Lock(), threading.Lock(), threading.Lock()
-        for lock in (self._go, self._taken, self._filled):
-            lock.acquire()
-        self._worker = threading.Thread(target=self._work, name="session-plan", daemon=True)
-        self._worker.start()
+        self._bufs = [np.empty(_session_normals(config)) for _ in range(2)]
+        self._worker = ThreadPoolExecutor(1, thread_name_prefix="session-plan")
+        self._next = None  # the next session's (seed, generator, preference, buffer, fill)
+        self._buf, self._pos = None, 0  # the buffer being read and the read position
 
-    def _work(self):
-        while True:
-            self._go.acquire()
-            job = self._job
-            if job is None:
-                return
-            self._taken.release()
-            try:
-                _fill(*job)
-            except BaseException as exc:  # handed to main, which raises it
-                self._fault = exc
-            self._filled.release()
-
-    def _start(self, rng: np.random.Generator, out: np.ndarray):
-        self._job, self._busy = (rng, out), True
-        self._go.release()
-        self._taken.acquire()
-
-    def _wait(self):
-        if self._busy:
-            self._filled.acquire()
-            self._busy = False
-        if self._fault is not None:
-            fault, self._fault = self._fault, None
-            raise fault
-
-    def _draw_next(self, fill):
-        """Build the plan's next session, if any, and fill its first half:
-        fill is _fill on main or _start on the worker."""
+    def _fill_next(self, ahead: bool):
+        """Build the plan's next session, if any, and if ahead start its
+        fill into the buffer not being read."""
         seed = next(self._seeds, None)
         if seed is not None:
             rng, pref = _start_session(self._config, seed)
-            self._next = seed, rng, pref
-            fill(rng, self._buf[:self._half])
+            buf = self._bufs[self._buf is self._bufs[0]]
+            self._next = seed, rng, pref, buf, ahead and self._worker.submit(_fill, rng, buf)
 
     def begin(self, seed: int):
-        """The generator and preference of the plan's next session, which
-        must have this seed; its first half is ready and its second half
-        being drawn."""
-        self._wait()
-        if self._next is None:  # the plan's first session, or the last ended in its first half
-            self._draw_next(_fill)
+        """The generator, preference and source of normals of the plan's
+        next session, which must have this seed: the generator itself for
+        the plan's first session, else the plan once the session's fill is
+        done. The next session's fill starts."""
+        if self._next is None and self._buf is None:  # the plan's first session
+            self._fill_next(False)
         if self._next is None or self._next[0] != seed:
             raise EnvError(f"session {seed} is not the session plan's next")
-        _, rng, pref = self._next
-        self._next = None
-        self._start(rng, self._buf[self._half:])
-        self._pos, self._ready, self._ahead = 0, self._half, False
-        return rng, pref
+        (_, rng, pref, self._buf, fill), self._next = self._next, None
+        if fill:
+            fill.result()
+        self._pos = 0
+        self._fill_next(True)
+        return rng, pref, self if fill else rng
 
     def standard_normal(self, size: int) -> np.ndarray:
         """The session's next size normals, as its generator would draw them."""
         start = self._pos
         self._pos = end = start + size
-        if end > self._ready:
-            self._wait()
-            self._ready = self._buf.size
-        if start >= self._half and not self._ahead:
-            self._ahead = True
-            self._draw_next(self._start)
         return self._buf[start:end]
 
     def close(self):
-        """Wait for the fill in flight, raising its fault, and stop the worker."""
-        try:
-            self._wait()
-        finally:
-            self._job = None
-            self._go.release()
-            self._worker.join()
+        """Wait for the fill in flight and join the worker, then raise the
+        fault of a fill that no begin waited for."""
+        self._worker.shutdown()
+        if self._next is not None and self._next[-1]:
+            self._next[-1].result()
 
 
 class RecEnv:
@@ -416,9 +376,8 @@ class RecEnv:
         try:
             yield
         finally:
-            self._plan = None
-            if self._draws is plan:
-                self._draws, self._done = None, True
+            self._plan = self._draws = None
+            self._done = True
             plan.close()
 
     def reset(self, seed: int) -> np.ndarray:
@@ -430,8 +389,7 @@ class RecEnv:
             self._rng, self._pref = _start_session(self.config, seed)
             self._draws = self._rng
         else:
-            self._rng, self._pref = self._plan.begin(seed)
-            self._draws = self._plan
+            self._rng, self._pref, self._draws = self._plan.begin(seed)
         self._items, self._rewards = np.empty(0, np.int64), np.empty(0)
         self._satisfaction, self._step = 1.0, 0
         self._done = self._abandoned = False

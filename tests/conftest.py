@@ -1,8 +1,10 @@
 """Shared test helpers."""
 
 import struct
+import threading
 
 import numpy as np
+import pytest
 
 from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, SessionOutcome,
                           encode_observed)
@@ -33,6 +35,14 @@ ppo_epochs = 2
 [eval]
 episodes = 5
 """
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running that it started."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) <= before
 
 
 def non_utf8_copy(path, field):

@@ -645,15 +645,16 @@ def test_training_plan_ends_below_the_eval_range(monkeypatch):
 
 
 def threads_during_episodes(monkeypatch):
-    """The count of threads running at each episode's start, as a list
-    that run_episode fills."""
-    counts, run_episode = [], Agent.run_episode
+    """The count of threads running after each episode's reset, as a list
+    that RecEnv.reset fills."""
+    counts, reset = [], RecEnv.reset
 
-    def counted(self, env, session_seed, rng, train):
+    def counted(self, seed):
+        state = reset(self, seed)
         counts.append(threading.active_count())
-        return run_episode(self, env, session_seed, rng, train)
+        return state
 
-    monkeypatch.setattr(Agent, "run_episode", counted)
+    monkeypatch.setattr(RecEnv, "reset", counted)
     return counts
 
 
@@ -666,9 +667,10 @@ def fill_fault(rng, out):
     for exit_by in ("return", "episode raises", "fill raises")] + [("train", "eval seed guard")])
 def test_no_thread_outlives_train_or_evaluate(run, exit_by, monkeypatch):
     """train and evaluate run their episodes in a session plan with one
-    worker thread, which is stopped on every way out: a return, an episode
-    that raises, a fault in the worker's fill (raised in the caller), and
-    train's guard on the eval seed range."""
+    worker thread, which runs from the first reset and is stopped on every
+    way out: a return, an episode that raises, a fault in the worker's fill
+    (raised in the caller at the next reset), and train's guard on the eval
+    seed range."""
     monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
     env, (_, agent) = RecEnv(small_env_cfg()), make_agent("HRL-RAW")
     counts = threads_during_episodes(monkeypatch)
@@ -687,10 +689,7 @@ def test_no_thread_outlives_train_or_evaluate(run, exit_by, monkeypatch):
 
         monkeypatch.setattr(agent_mod, "score_items", failing)
     elif exit_by == "fill raises":
-        fill = env_mod._fill
-        monkeypatch.setattr(env_mod, "_fill", lambda rng, out: (
-            fill if threading.current_thread() is threading.main_thread()
-            else fill_fault)(rng, out))
+        monkeypatch.setattr(env_mod, "_fill", fill_fault)
     elif exit_by == "eval seed guard":
         monkeypatch.setattr(agent_mod, "EVAL_SEED_OFFSET", 3)
     before = threading.enumerate()
@@ -703,8 +702,8 @@ def test_no_thread_outlives_train_or_evaluate(run, exit_by, monkeypatch):
 # Each case runs the planned and unplanned sessions on small_env_cfg with
 # these keys: catalogs of 40, 500 and 5000 items, a first reset with nothing
 # exposed (1 + d normals), each kind of normal absent, abandonment draws,
-# and sessions that end in their first half, so that their second halves
-# and their successors' first halves are drawn and never read.
+# and sessions that end early, so that the rest of their buffers is drawn
+# and never read, while the next session's fill goes into the other.
 PLAN_CASES = {
     "40 items": {},
     "500 items": dict(n_items=500, slate_k=5, max_len=12),

@@ -1,5 +1,7 @@
 """Synthetic interactive environment: catalog, rewards, abandonment."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,54 @@ def test_session_plan_takes_its_seeds_in_order(monkeypatch):
         assert np.array_equal(env.reset(8), ref.reset(8))
     with pytest.raises(EnvError, match="finished or unstarted"):
         env.step([0, 1, 2])
+
+
+@pytest.mark.parametrize("n_items, planned", [(500, False), (5000, True)])
+def test_sessions_plan_only_large_sessions(n_items, planned):
+    """At the real PLAN_MIN_NORMALS, sessions() at the default config runs
+    one worker thread from the first reset at 5000 items (156k normals a
+    session) and none at 500 (16k); none runs after the block."""
+    env, before = RecEnv(EnvConfig(n_items=n_items)), threading.active_count()
+    with env.sessions([1, 2]):
+        assert threading.active_count() == before
+        env.reset(1)
+        assert threading.active_count() == before + planned
+    assert threading.active_count() == before
+
+
+def test_plan_whose_first_session_never_begins(monkeypatch):
+    """A block whose only reset takes the wrong seed raises that reset's
+    EnvError at the reset and no other error at its exit."""
+    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
+    env = RecEnv(small_cfg())
+    with pytest.raises(EnvError, match="not the session plan's next"):
+        with env.sessions([5, 6]):
+            env.reset(6)
+
+
+def test_fault_in_a_fill_no_reset_waits_for(monkeypatch):
+    """A fault in the look-ahead fill of a session that is never begun
+    (session 7's, after sessions 5 and 6 ran) is raised at the block's
+    exit, once the worker is joined."""
+    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
+    fill = env_mod._fill
+
+    def session_7_raises(rng, out):
+        if rng.bit_generator.seed_seq.entropy == [0, 7]:
+            raise RuntimeError("look-ahead fault")
+        fill(rng, out)
+
+    monkeypatch.setattr(env_mod, "_fill", session_7_raises)
+    env, ref = RecEnv(small_cfg()), RecEnv(small_cfg())
+    before, body_done = threading.enumerate(), False
+    with pytest.raises(RuntimeError, match="look-ahead fault"):
+        with env.sessions([5, 6, 7]):
+            for seed in (5, 6):
+                assert np.array_equal(env.reset(seed), ref.reset(seed))
+                assert np.array_equal(env.step([0, 1, 2])[1], ref.step([0, 1, 2])[1])
+            body_done = True
+    assert body_done
+    assert threading.enumerate() == before
 
 
 def test_latent_pref_unit_norm():
