@@ -284,8 +284,7 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
     episodes (session n from 1, n < EVAL_SEED_OFFSET; train_session_seed)
     until a batch holds batch_steps steps, then one update on it: advantages
     normalised over the batch, ppo_epochs steps of the critic for every
-    variant, then the manager's PPO epochs (FLAT's manager is fixed). The
-    episodes run in one session plan of env over the training seeds.
+    variant, then the manager's PPO epochs (FLAT's manager is fixed).
     Returns one log row per update."""
     cfg = agent.cfg
     seed = env.config.seed
@@ -294,40 +293,38 @@ def train(env: RecEnv, agent: Agent) -> list[dict]:
     opt_value = Adam(agent.value_net.net.parameters(), lr=cfg.lr_value)
     rows = []
     sessions = steps_done = 0
-    with env.sessions(train_session_seed(seed, n) for n in range(1, EVAL_SEED_OFFSET)):
-        while steps_done < cfg.total_steps:
-            episodes = []
-            batch_end = min(steps_done + cfg.batch_steps, cfg.total_steps)
-            while steps_done < batch_end:
-                sessions += 1
-                if sessions >= EVAL_SEED_OFFSET:
-                    raise ValueError(
-                        f"training session {sessions} would reuse eval session 0's seed")
-                _, (states, us, lps, rewards, values) = agent.run_episode(
-                    env, train_session_seed(seed, sessions), rng, train=True)
-                adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
-                episodes.append((states, us, lps, adv, ret))
-                steps_done += len(states)
-            states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
-            if len(adv) >= 2:
-                adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            for _ in range(cfg.ppo_epochs):
-                vloss = value_step(agent.value_net, opt_value, states, ret)
-            if cfg.variant == "FLAT":
-                surrogate = entropy = 0.0
-                omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
-            else:
-                last = ppo_update(agent.policy, opt_policy, states, us, lps, adv, cfg)[-1]
-                surrogate, entropy = last["surrogate"], last["entropy"]
-                omegas = softplus(us)
-            rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, surrogate, vloss, entropy,
-                                             *(float(np.mean(w)) for w in omegas.T)))))
+    while steps_done < cfg.total_steps:
+        episodes = []
+        batch_end = min(steps_done + cfg.batch_steps, cfg.total_steps)
+        while steps_done < batch_end:
+            sessions += 1
+            if sessions >= EVAL_SEED_OFFSET:
+                raise ValueError(
+                    f"training session {sessions} would reuse eval session 0's seed")
+            _, (states, us, lps, rewards, values) = agent.run_episode(
+                env, train_session_seed(seed, sessions), rng, train=True)
+            adv, ret = compute_gae(rewards, values, cfg.gamma, cfg.lam_gae)
+            episodes.append((states, us, lps, adv, ret))
+            steps_done += len(states)
+        states, us, lps, adv, ret = (np.concatenate(x) for x in zip(*episodes))
+        if len(adv) >= 2:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        for _ in range(cfg.ppo_epochs):
+            vloss = value_step(agent.value_net, opt_value, states, ret)
+        if cfg.variant == "FLAT":
+            surrogate = entropy = 0.0
+            omegas = np.array([[cfg.flat_omega_acc, cfg.flat_omega_fair]])
+        else:
+            last = ppo_update(agent.policy, opt_policy, states, us, lps, adv, cfg)[-1]
+            surrogate, entropy = last["surrogate"], last["entropy"]
+            omegas = softplus(us)
+        rows.append(dict(zip(TRAIN_LOG, (len(rows) + 1, surrogate, vloss, entropy,
+                                         *(float(np.mean(w)) for w in omegas.T)))))
     return rows
 
 
 def evaluate(env: RecEnv, agent: Agent, episodes: int) -> list[SessionOutcome]:
     """Greedy evaluation on a session-seed range disjoint from training
-    (eval_session_seed), in one session plan of env."""
-    seeds = [eval_session_seed(env.config.seed, i) for i in range(episodes)]
-    with env.sessions(seeds):
-        return [agent.run_episode(env, s, None, train=False)[0] for s in seeds]
+    (eval_session_seed)."""
+    return [agent.run_episode(env, eval_session_seed(env.config.seed, i), None, train=False)[0]
+            for i in range(episodes)]

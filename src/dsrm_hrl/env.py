@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,43 +159,118 @@ def _encode_histories(items, rewards, embeddings: np.ndarray) -> np.ndarray:
 POP_DRIFT_RATIO = 2.0
 
 
+# The most exposed items whose drift weights an observation draws one by
+# one: the smallest power of two at or above the default catalog, so every
+# catalog of at most this many items draws one weight per item. A larger
+# catalog's other items, its tail, draw one Gaussian of d dimensions.
+DRIFT_ITEMS = 512
+
+# The mean and the standard deviation of a half-normal magnitude.
+HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+HALF_NORMAL_STD = math.sqrt(1.0 - 2.0 / math.pi)
+
+# Catalog rows per product of the tail's second moment: its temporaries
+# stay within (MOMENT_BLOCK, d) whatever the catalog's size.
+MOMENT_BLOCK = 1024
+
+
 def _noise_width(n_items: int, d: int, exposed: bool) -> int:
-    """An observation's normals: drift magnitude, n_items for its direction if exposed, d."""
-    return 1 + (n_items if exposed else 0) + d
+    """An observation's normals: the drift magnitude; while anything is
+    exposed, one per item or, past DRIFT_ITEMS items, one per exact item and
+    d for the tail; then d isotropic."""
+    drift = n_items if n_items <= DRIFT_ITEMS else DRIFT_ITEMS + d
+    return 1 + (drift if exposed else 0) + d
 
 
-def _drift_directions(share, draws, embeddings: np.ndarray) -> np.ndarray:
-    """Unit drift directions of rows of exposure shares, or of one row: the
-    embeddings weighted by share * abs(draws) (both overwritten) and
-    normalised, with zeros where the norm is below 1e-12."""
-    share *= np.abs(draws, out=draws)
-    v = np.matmul(share[..., None, :], embeddings)[..., 0, :]
+def _session_drift(exposure: np.ndarray, embeddings: np.ndarray):
+    """A session's drift model, fixed at its reset from the exposure then:
+    None while the catalog has at most DRIFT_ITEMS items, which are all
+    exact. Otherwise the exact items are the DRIFT_ITEMS most exposed (ties
+    to the lower id, in id order), and the tail's half-normal weights are
+    summed by their first two moments. The model is the exact items' ids
+    and the drift basis, one row per drift weight: their embeddings, then
+    HALF_NORMAL_MEAN * S1, then HALF_NORMAL_STD * L. S1 = sum of x_i e_i
+    over the tail, and L is the symmetric PSD square root of its sum of
+    x_i^2 e_i e_i^T (eigenvalues clipped at 0, so a tail of low rank or
+    with nothing exposed is fine). Both sums run over the catalog with the
+    exact items' counts taken as 0, the second by blocks of MOMENT_BLOCK
+    items."""
+    n, d = embeddings.shape
+    if n <= DRIFT_ITEMS:
+        return None
+    kth = np.partition(exposure, n - DRIFT_ITEMS)[n - DRIFT_ITEMS]
+    exact = exposure > kth
+    exact[np.flatnonzero(exposure == kth)[:DRIFT_ITEMS - np.count_nonzero(exact)]] = True
+    tail = np.where(exact, 0.0, exposure)
+    second = np.zeros((d, d))
+    for i in range(0, n, MOMENT_BLOCK):
+        rows = embeddings[i:i + MOMENT_BLOCK] * tail[i:i + MOMENT_BLOCK, None]
+        second += rows.T @ rows  # one buffer: NumPy's symmetric product
+    lam, vec = np.linalg.eigh(second)
+    root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+    top = np.flatnonzero(exact)
+    return top, np.vstack((embeddings[top], HALF_NORMAL_MEAN * (tail @ embeddings),
+                           HALF_NORMAL_STD * root))
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of v, or one row, normalised, with zeros where the norm is below 1e-12."""
     norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0])
     return np.divide(v, norm, out=np.zeros(v.shape), where=norm >= 1e-12)
 
 
-def popularity_drift_direction(catalog: ItemCatalog, draws: np.ndarray) -> np.ndarray:
+def _drift_directions(share, draws, embeddings: np.ndarray) -> np.ndarray:
+    """Unit drift directions of rows of exposure shares, or of one row, with
+    every item exact: the embeddings weighted by share * abs(draws) (both
+    overwritten) and normalised."""
+    share *= np.abs(draws, out=draws)
+    return _unit_rows(np.matmul(share[..., None, :], embeddings)[..., 0, :])
+
+
+def _tail_drift_directions(counts, total, draws, drift) -> np.ndarray:
+    """Unit drift directions by a session's drift model past DRIFT_ITEMS
+    items, of rows of the exact items' exposure counts, or of one row (total
+    a column, or a number), from draws (overwritten): the basis weighted by
+    count / total * abs(draw) for each exact item, 1 / total for the tail's
+    mean and 1 / total * draw for each row of its square root, normalised."""
+    top, basis = drift
+    m = len(top)
+    weights = np.empty(counts.shape[:-1] + (len(basis),))
+    np.divide(counts, total, out=weights[..., :m])
+    weights[..., :m] *= np.abs(draws[..., :m], out=draws[..., :m])
+    weights[..., m:] = 1.0 / total
+    weights[..., m + 1:] *= draws[..., m:]
+    return _unit_rows(np.matmul(weights[..., None, :], basis)[..., 0, :])
+
+
+def popularity_drift_direction(catalog: ItemCatalog, draws: np.ndarray, drift) -> np.ndarray:
     """Unit vector from the cone of heavily-exposed item directions: a
     random non-negative combination of item embeddings, exposure shares
-    times abs(draws), one normal per item. Exposure follows a heavy tail, so
-    the handful of most-served items dominate. Zeros while nothing is
-    exposed, and then an observation draws no such normals."""
+    times half-normal weights drawn from draws by the session's drift model
+    (_session_drift): one abs(draw) per item, or past DRIFT_ITEMS items one
+    per exact item and a moment-matched Gaussian for the tail. Exposure
+    follows a heavy tail, so the handful of most-served items dominate.
+    Zeros while nothing is exposed, and then an observation draws no such
+    normals."""
     if catalog.exposure_total <= 0:
         return np.zeros(catalog.embeddings.shape[1])
-    return _drift_directions(catalog.exposure / catalog.exposure_total, draws,
-                             catalog.embeddings)
+    if drift is None:
+        return _drift_directions(catalog.exposure / catalog.exposure_total, draws,
+                                 catalog.embeddings)
+    return _tail_drift_directions(catalog.exposure[drift[0]], catalog.exposure_total, draws,
+                                  drift)
 
 
 def encode_observed(items: np.ndarray, rewards: np.ndarray, catalog: ItemCatalog,
-                    noise_scale: float, rng: np.random.Generator | _SessionPlan | None
-                    ) -> np.ndarray:
+                    noise_scale: float, rng: np.random.Generator | None, drift) -> np.ndarray:
     """The observed state: the clean encoding of a history of consumed items
     and their rewards, their reward-weighted mean embedding (an empty
     history encodes as the catalog's cold-start prior), corrupted by a
-    drift of half-normal magnitude along popularity_drift_direction plus a
-    small isotropic Gaussian whose expected norm is about noise_scale, from
-    one draw of _noise_width normals from rng (a session's generator or its
-    plan). With noise_scale 0 it is the clean encoding, and rng is not used."""
+    drift of half-normal magnitude along popularity_drift_direction (by the
+    session's drift model) plus a small isotropic Gaussian whose expected
+    norm is about noise_scale, from one draw of _noise_width normals from
+    the session's generator rng. With noise_scale 0 it is the clean
+    encoding, and neither rng nor drift is used."""
     ids = items.tolist()
     if ids:
         if min(ids) < 0 or max(ids) >= catalog.n_items:
@@ -208,7 +282,7 @@ def encode_observed(items: np.ndarray, rewards: np.ndarray, catalog: ItemCatalog
         return clean
     d = len(clean)
     z = rng.standard_normal(_noise_width(catalog.n_items, d, catalog.exposure_total > 0))
-    return _corrupt(clean, z, popularity_drift_direction(catalog, z[1:-d]), noise_scale)
+    return _corrupt(clean, z, popularity_drift_direction(catalog, z[1:-d], drift), noise_scale)
 
 
 def _corrupt(clean, z, direction, noise_scale: float) -> np.ndarray:
@@ -252,150 +326,34 @@ def _abandonment_after(satisfaction: float, popular: deque, slate, catalog: Item
     return update_abandonment(satisfaction, popular, config, rng)
 
 
-# The fewest normals a session may draw for sessions() to draw them ahead.
-# A plan costs main one thread handoff per session, whatever the session's
-# size, and saves the draws: forced on at 500 items (16k normals a
-# session), it slowed default-dsrm-hrl's stage II by 5% and its eval
-# episodes by 3% (4 pairs, 2 vCPUs); at 5000 (156k) it makes HRL-RAW's eval
-# episodes about 25% shorter.
-PLAN_MIN_NORMALS = 2**16
-
-
-def _session_normals(config: EnvConfig) -> int:
-    """The most normals a session draws after its preference when
-    abandon_prob is 0: its reset's observation, then max_len steps of
-    slate_k reward normals and an observation."""
-    observation = _noise_width(config.n_items, config.d, True) if config.noise_scale > 0 else 0
-    rewards = config.slate_k if config.obs_noise > 0 else 0
-    return observation + config.max_len * (rewards + observation)
-
-
-def _fill(rng: np.random.Generator, out: np.ndarray):
-    """Draw out's normals from rng: the one call a session plan's worker makes."""
-    rng.standard_normal(out=out)
-
-
-class _SessionPlan:
-    """The normals of a run of sessions whose seeds are known in advance,
-    each session's drawn ahead on one worker thread while main runs.
-
-    With abandon_prob 0, every draw a session makes after its preference is
-    a standard normal, and NumPy gives the same bits for one block of them
-    as for its parts drawn one call at a time. So a planned session reads
-    its draws in order from one buffer of _session_normals, and the plan
-    holds two: while main reads one session, the worker fills the other
-    with the next session's whole stream. The plan's first session draws
-    from its generator, as outside a plan, while the worker fills the
-    second, so no fill starts before the first begin and main never waits
-    out a whole fill. Each later begin waits for its session's fill and
-    starts the next session's into the buffer just released. Main builds
-    every generator, and the worker only calls _fill. A fault in a fill is
-    raised in main at the begin that needs it, or at close. A view read
-    from the plan is valid until the next begin."""
-
-    def __init__(self, config: EnvConfig, seeds):
-        # Here, not at the top: concurrent.futures loads logging (0.6 MB of RSS).
-        from concurrent.futures import ThreadPoolExecutor
-        self._config, self._seeds = config, iter(seeds)
-        self._bufs = [np.empty(_session_normals(config)) for _ in range(2)]
-        self._worker = ThreadPoolExecutor(1, thread_name_prefix="session-plan")
-        self._next = None  # the next session's (seed, generator, preference, buffer, fill)
-        self._buf, self._pos = None, 0  # the buffer being read and the read position
-
-    def _fill_next(self, ahead: bool):
-        """Build the plan's next session, if any, and if ahead start its
-        fill into the buffer not being read."""
-        seed = next(self._seeds, None)
-        if seed is not None:
-            rng, pref = _start_session(self._config, seed)
-            buf = self._bufs[self._buf is self._bufs[0]]
-            self._next = seed, rng, pref, buf, ahead and self._worker.submit(_fill, rng, buf)
-
-    def begin(self, seed: int):
-        """The generator, preference and source of normals of the plan's
-        next session, which must have this seed: the generator itself for
-        the plan's first session, else the plan once the session's fill is
-        done. The next session's fill starts."""
-        if self._next is None and self._buf is None:  # the plan's first session
-            self._fill_next(False)
-        if self._next is None or self._next[0] != seed:
-            raise EnvError(f"session {seed} is not the session plan's next")
-        (_, rng, pref, self._buf, fill), self._next = self._next, None
-        if fill:
-            fill.result()
-        self._pos = 0
-        self._fill_next(True)
-        return rng, pref, self if fill else rng
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        """The session's next size normals, as its generator would draw them."""
-        start = self._pos
-        self._pos = end = start + size
-        return self._buf[start:end]
-
-    def close(self):
-        """Wait for the fill in flight and join the worker, then raise the
-        fault of a fill that no begin waited for."""
-        self._worker.shutdown()
-        if self._next is not None and self._next[-1]:
-            self._next[-1].result()
-
-
 class RecEnv:
-    """Environment owning the catalog (with cumulative exposure across
-    sessions) and the current session: its generator, the source of its
-    normals (the generator, or the session plan that draws them ahead),
-    the user's latent preference, the consumed items and their rewards (two
-    arrays, oldest first, capped at history_window) and satisfaction. Only
-    a session plan's worker thread runs besides the caller's, and only
-    within sessions()."""
+    """Single-threaded environment owning the catalog (with cumulative
+    exposure across sessions) and the current session: its generator, its
+    drift model (_session_drift), the user's latent preference, the
+    consumed items and their rewards (two arrays, oldest first, capped at
+    history_window) and satisfaction."""
 
     def __init__(self, config: EnvConfig):
         config.validate()
         self.config = config
         self.catalog = ItemCatalog.build(config, np.random.default_rng(config.seed))
-        self._rng = self._pref = self._draws = self._plan = None
+        self._rng = self._pref = self._drift = None
         self._done, self._abandoned = True, False
         self._popular_counts = deque(maxlen=config.window_a)
 
     # -- session control ---------------------------------------------------
 
-    @contextmanager
-    def sessions(self, seeds):
-        """Plan the sessions reset within the block: each reset must take
-        the next of seeds, and each session's normals are drawn ahead on one
-        worker thread, the same bits its generator would draw, so nothing
-        else may draw from a planned session's generator. Where a session's
-        draws are not all normals (abandon_prob > 0), or it draws fewer than
-        PLAN_MIN_NORMALS, its generator serves them as outside a plan. On
-        every exit the worker is stopped, and a session still open ends."""
-        if self.config.abandon_prob > 0 or _session_normals(self.config) < PLAN_MIN_NORMALS:
-            yield
-            return
-        self._plan = plan = _SessionPlan(self.config, seeds)
-        try:
-            yield
-        finally:
-            self._plan = self._draws = None
-            self._done = True
-            plan.close()
-
     def reset(self, seed: int) -> np.ndarray:
         """Start a fresh session with a new user; returns the observed
-        state vector. Deterministic given (seed, config). The session before
-        it ends first, so a reset that raises leaves no session open."""
-        self._done = True
-        if self._plan is None:
-            self._rng, self._pref = _start_session(self.config, seed)
-            self._draws = self._rng
-        else:
-            self._rng, self._pref, self._draws = self._plan.begin(seed)
+        state vector. Deterministic given (seed, config)."""
+        self._rng, self._pref = _start_session(self.config, seed)
+        self._drift = _session_drift(self.catalog.exposure, self.catalog.embeddings)
         self._items, self._rewards = np.empty(0, np.int64), np.empty(0)
         self._satisfaction, self._step = 1.0, 0
         self._done = self._abandoned = False
         self._popular_counts.clear()
         return encode_observed(self._items, self._rewards, self.catalog,
-                               self.config.noise_scale, self._draws)
+                               self.config.noise_scale, self._rng, self._drift)
 
     def ground_truth_state(self) -> np.ndarray:
         """Sim-only oracle: the session's true preference vector."""
@@ -424,7 +382,7 @@ class RecEnv:
             raise InvalidActionError("slate contains unknown item ids")
         cfg, cat = self.config, self.catalog
         weight = _exposure_weight(cat.log1p_exposure[slate], cat.exposure_max)
-        noise = self._draws.standard_normal(len(ids)) if cfg.obs_noise > 0 else np.zeros(len(ids))
+        noise = self._rng.standard_normal(len(ids)) if cfg.obs_noise > 0 else np.zeros(len(ids))
         rewards = _reward_chain(cat.embeddings[slate] @ self._pref, weight, noise, cfg)
         cat.serve(slate)
 
@@ -437,7 +395,8 @@ class RecEnv:
         self._step += 1
         self._done = abandoned or self._step >= cfg.max_len
         self._abandoned = abandoned
-        nxt = encode_observed(self._items, self._rewards, cat, cfg.noise_scale, self._draws)
+        nxt = encode_observed(self._items, self._rewards, cat, cfg.noise_scale, self._rng,
+                             self._drift)
         return rewards, nxt, self._done
 
     @property
@@ -478,7 +437,8 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
     runs in blocks of ROLLOUT_BLOCK steps, each in two passes. The first
     goes by chunks of _rollout_chunk steps: each step's draws, in the order
     a session makes them, then the chunk's work that spans the catalog,
-    its exposure rows and drift directions. The second does the rest of
+    its exposure rows, the drift models of the sessions that begin in it
+    and the drift directions. The second does the rest of
     the math (rewards, histories, observations) over the whole block as
     arrays, and serves the block's slates. Stacked matrix-vector products
     do one product per row, so each row's sums group as the single-step
@@ -493,7 +453,10 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
     after = np.empty((chunk + 1, n))
     after[0] = cat.exposure
     z = np.empty((chunk, _noise_width(n, d, True)))
-    keep = np.r_[0, 1 + n:1 + n + d]  # a step's noise without its drift normals
+    keep = np.r_[0, z.shape[1] - d:z.shape[1]]  # a step's noise without its drift normals
+    # Past DRIFT_ITEMS items each session has a drift model of its own, built
+    # at its first step; drift is the model of the session under way.
+    tailed, drift = cfg.noise_scale > 0 and n > DRIFT_ITEMS, None
     # Per step of the block, what the second pass reads.
     prefs, noise = np.empty((block, d)), np.zeros((block, k))
     peak = np.empty(block)  # the largest count of the step's slate after its serve
@@ -511,8 +474,11 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
         total = cat.exposure_total
         for c in range(0, m, chunk):
             end = min(c + chunk, m)
+            begun = []  # the chunk's steps that begin a tailed session
             for r in range(c, end):
                 if done:
+                    if tailed:
+                        begun.append(r - c)
                     srng, pref = _start_session(cfg, int(rng.integers(0, 2**31 - 1)))
                     if cfg.noise_scale > 0:  # the reset encoding's draws
                         srng.standard_normal(_noise_width(n, d, total + r * k > 0))
@@ -539,14 +505,25 @@ def random_rollout(env: RecEnv, rng: np.random.Generator, n_steps: int) -> Rollo
             served = counts[rows[:, None], slates[c:end]]
             seen[c:end] = served - 1.0
             peak[c:end] = served.max(axis=1)
+            models = [drift, *(_session_drift(after[t], emb) for t in begun)]
+            drift = models[-1]
             after[0] = counts[-1]
             if cfg.noise_scale > 0:
                 # popularity_drift_direction of each step's post-serve catalog,
-                # its total exact in Python ints as the catalog's is.
+                # its total exact in Python ints as the catalog's is; past
+                # DRIFT_ITEMS items by the drift model of each step's session.
                 draws = z[:end - c]
                 totals = np.array([total + k * (r + c + 1) for r in rows.tolist()], np.float64)
-                share = np.divide(counts, totals[:, None], out=counts)
-                direction[c:end] = _drift_directions(share, draws[:, 1:-d], emb)
+                if tailed:
+                    bounds = [0, *begun, end - c]
+                    for model, a, b in zip(models, bounds, bounds[1:]):
+                        if a < b:  # the first is empty when a session begins the chunk
+                            direction[c + a:c + b] = _tail_drift_directions(
+                                counts[a:b, model[0]], totals[a:b, None], draws[a:b, 1:-d],
+                                model)
+                else:
+                    share = np.divide(counts, totals[:, None], out=counts)
+                    direction[c:end] = _drift_directions(share, draws[:, 1:-d], emb)
                 kept[c:end] = draws[:, keep]
         first -= m
 

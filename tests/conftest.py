@@ -90,7 +90,7 @@ def random_slate(env):
 def clean_state(env):
     """The noise-free encoding of the history of env's session, the clean
     state that its last observation corrupts."""
-    return encode_observed(env._items, env._rewards, env.catalog, 0.0, None)
+    return encode_observed(env._items, env._rewards, env.catalog, 0.0, None, None)
 
 
 def same_outcome(a, b):

@@ -10,14 +10,12 @@ import pytest
 from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.env import GROUP_LONGTAIL, GROUP_POPULAR, ItemCatalog, RecEnv
 from dsrm_hrl.agent import (LOG_STD_MAX, Agent, ManagerPolicy, ValueNet, compute_gae,
-                            eval_session_seed, evaluate, ppo_update, score_items,
-                            select_slate, shaped_reward, softplus, train,
-                            train_session_seed, value_step)
+                            evaluate, ppo_update, score_items, select_slate,
+                            shaped_reward, softplus, train, value_step)
 from dsrm_hrl.env import SessionOutcome
 from dsrm_hrl.metrics import gini
 from dsrm_hrl.nn import Adam
 from dsrm_hrl import agent as agent_mod
-from dsrm_hrl import env as env_mod
 
 from conftest import same_outcome
 
@@ -629,21 +627,6 @@ def test_training_runs_every_session_below_the_eval_offset(monkeypatch):
     assert len(seeds) == n - 1
 
 
-def test_training_plan_ends_below_the_eval_range(monkeypatch):
-    """train's session plan builds the sessions of train_session_seed and
-    ends below eval_session_seed's range: when training runs out of
-    sessions, no generator was built for eval session 0's seed or above."""
-    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
-    monkeypatch.setattr(agent_mod, "EVAL_SEED_OFFSET", 4)
-    built, start = [], env_mod._start_session
-    monkeypatch.setattr(env_mod, "_start_session",
-                        lambda config, seed: built.append(seed) or start(config, seed))
-    with pytest.raises(ValueError, match="training session 4 would reuse"):
-        train(RecEnv(small_env_cfg(seed=2)), make_agent("HRL-RAW")[1])
-    assert built == [train_session_seed(2, n) for n in (1, 2, 3)]
-    assert max(built) < eval_session_seed(2, 0)
-
-
 def threads_during_episodes(monkeypatch):
     """The count of threads running after each episode's reset, as a list
     that RecEnv.reset fills."""
@@ -658,103 +641,37 @@ def threads_during_episodes(monkeypatch):
     return counts
 
 
-def fill_fault(rng, out):
-    raise RuntimeError("fill fault")
-
-
 @pytest.mark.parametrize("run, exit_by", [
     (run, exit_by) for run in ("train", "evaluate")
-    for exit_by in ("return", "episode raises", "fill raises")] + [("train", "eval seed guard")])
+    for exit_by in ("return", "episode raises")] + [("train", "eval seed guard")])
 def test_no_thread_outlives_train_or_evaluate(run, exit_by, monkeypatch):
-    """train and evaluate run their episodes in a session plan with one
-    worker thread, which runs from the first reset and is stopped on every
-    way out: a return, an episode that raises, a fault in the worker's fill
-    (raised in the caller at the next reset), and train's guard on the eval
-    seed range."""
-    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
-    env, (_, agent) = RecEnv(small_env_cfg()), make_agent("HRL-RAW")
+    """train and evaluate run single-threaded on a 5000-item catalog whose
+    30-step sessions draw over 2**16 normals each: no thread starts at any
+    reset, and none is left on any way out (a return, an episode that
+    raises, and train's guard on the eval seed range)."""
+    env = RecEnv(small_env_cfg(n_items=5000, max_len=30))
+    agent = make_agent("HRL-RAW")[1]
     counts = threads_during_episodes(monkeypatch)
     raises = {"return": contextlib.nullcontext(),
               "episode raises": pytest.raises(FloatingPointError, match="non-finite"),
-              "fill raises": pytest.raises(RuntimeError, match="fill fault"),
               "eval seed guard": pytest.raises(ValueError, match="would reuse")}[exit_by]
     if exit_by == "episode raises":
         calls = []
 
         def failing(state, omega, catalog):
             calls.append(state)
-            if len(calls) == 12:  # in the second session
+            if len(calls) == 34:  # in the second session
                 raise FloatingPointError("non-finite item scores")
             return score_items(state, omega, catalog)
 
         monkeypatch.setattr(agent_mod, "score_items", failing)
-    elif exit_by == "fill raises":
-        monkeypatch.setattr(env_mod, "_fill", fill_fault)
     elif exit_by == "eval seed guard":
         monkeypatch.setattr(agent_mod, "EVAL_SEED_OFFSET", 3)
     before = threading.enumerate()
     with raises:
         train(env, agent) if run == "train" else evaluate(env, agent, 5)
     assert threading.enumerate() == before
-    assert counts and set(counts) == {len(before) + 1}
-
-
-# Each case runs the planned and unplanned sessions on small_env_cfg with
-# these keys: catalogs of 40, 500 and 5000 items, a first reset with nothing
-# exposed (1 + d normals), each kind of normal absent, abandonment draws,
-# and sessions that end early, so that the rest of their buffers is drawn
-# and never read, while the next session's fill goes into the other.
-PLAN_CASES = {
-    "40 items": {},
-    "500 items": dict(n_items=500, slate_k=5, max_len=12),
-    "5000 items": dict(n_items=5000, slate_k=5, max_len=12),
-    "init_exposure 0": dict(init_exposure=0),
-    "obs_noise 0": dict(obs_noise=0.0),
-    "noise_scale 0": dict(noise_scale=0.0),
-    "abandon_prob > 0": dict(abandon_prob=0.3),
-    "early ends": dict(n_items=500, threshold_a=0.0, decay_a=0.5, window_a=1),
-}
-
-
-@pytest.mark.parametrize("case", PLAN_CASES)
-def test_planned_sessions_match_unplanned(case, monkeypatch):
-    """train then evaluate on one env, their sessions in session plans,
-    against train with sessions() a no-op then a plain loop of run_episode
-    on a twin: every outcome and PPO record, the log rows, the parameters
-    and the final catalog exposure equal bit for bit. With abandon_prob > 0
-    a plan draws nothing ahead (its fill raises)."""
-    env_cfg = small_env_cfg(**PLAN_CASES[case])
-    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
-    if env_cfg.abandon_prob > 0:
-        monkeypatch.setattr(env_mod, "_fill", fill_fault)
-    episodes, run_episode = [], Agent.run_episode
-
-    def recorded(self, env, session_seed, rng, train):
-        episodes.append(run_episode(self, env, session_seed, rng, train))
-        return episodes[-1]
-
-    monkeypatch.setattr(Agent, "run_episode", recorded)
-    env, ref_env = RecEnv(env_cfg), RecEnv(env_cfg)
-    (_, agent), (_, ref_agent) = make_agent("HRL-RAW"), make_agent("HRL-RAW")
-    rows = train(env, agent)
-    outcomes = evaluate(env, agent, 6)
-    planned, episodes[:] = episodes[:], []
-    with monkeypatch.context() as unplanned:
-        unplanned.setattr(RecEnv, "sessions", lambda self, seeds: contextlib.nullcontext())
-        assert train(ref_env, ref_agent) == rows
-    ref_outcomes = [ref_agent.run_episode(ref_env, eval_session_seed(0, i), None, False)[0]
-                    for i in range(6)]
-    assert len(planned) == len(episodes) > len(outcomes)
-    for (outcome, record), (ref_outcome, ref_record) in zip(planned, episodes):
-        assert same_outcome(outcome, ref_outcome)
-        assert record is None or all(map(np.array_equal, record, ref_record))
-    assert all(map(same_outcome, outcomes, ref_outcomes))
-    for name, param in agent.policy.parameters().items():
-        assert np.array_equal(param, ref_agent.policy.parameters()[name]), name
-    assert np.array_equal(env.catalog.exposure, ref_env.catalog.exposure)
-    if case == "early ends":
-        lengths = [outcome.length for outcome, _ in planned]
-        assert min(lengths) < env_cfg.max_len // 2 < max(lengths)
+    assert counts and set(counts) == {len(before)}
 
 
 def test_flat_training_keeps_policy_frozen():

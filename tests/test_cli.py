@@ -21,6 +21,10 @@ from conftest import FAST_CFG, OVERFLOWING_SHAPES, checkpoint_declaring, non_utf
 
 
 RECORDED_FAST_MANIFEST = pathlib.Path(__file__).with_name("artifact_manifest_fast.txt")
+# FAST_CFG at 5000 items, past the drift's DRIFT_ITEMS exact items, so that
+# the bytes of the drift's tail path are recorded too.
+FAST_CFG_5000 = FAST_CFG.replace("n_items = 40", "n_items = 5000")
+RECORDED_FAST_5000_MANIFEST = pathlib.Path(__file__).with_name("artifact_manifest_fast_5000.txt")
 
 
 @pytest.fixture
@@ -63,16 +67,32 @@ def test_artifact_set_is_byte_identical_across_builds(cfg_file, tmp_path):
     names and bytes across two builds, and across versions of the program:
     the first build equals the manifest recorded in artifact_manifest_fast.txt,
     which only a deliberate change of values edits."""
-    manifest = build(cfg_file, 7, tmp_path / "a")
+    manifest = build_as_recorded(cfg_file, RECORDED_FAST_MANIFEST, tmp_path / "a")
+    assert build(cfg_file, 7, tmp_path / "b") == manifest
+
+
+def test_artifact_set_past_the_exact_drift_items_is_as_recorded(tmp_path):
+    """At FAST_CFG with 5000 items the artifact set equals the manifest
+    recorded in artifact_manifest_fast_5000.txt: the drift's tail path has
+    its bytes pinned as the default path has."""
+    cfg = tmp_path / "fast_5000.cfg"
+    cfg.write_text(FAST_CFG_5000)
+    build_as_recorded(str(cfg), RECORDED_FAST_5000_MANIFEST, tmp_path / "a")
+
+
+def build_as_recorded(cfg_file, recorded_path, out):
+    """Build the 37-file artifact set of cfg_file at seed 7 into out and
+    require every digest to equal recorded_path's; returns the manifest."""
+    manifest = build(cfg_file, 7, out)
     recorded = {}
-    for line in RECORDED_FAST_MANIFEST.read_text(encoding="utf-8").splitlines():
+    for line in recorded_path.read_text(encoding="utf-8").splitlines():
         digest, path = line.split("  ", 1)
         recorded[path] = digest
     differ = sorted(p for p in manifest.keys() | recorded.keys()
                     if manifest.get(p) != recorded.get(p))
-    assert not differ, f"artifacts differ from the recorded FAST manifest: {differ}"
+    assert not differ, f"artifacts differ from {recorded_path.name}: {differ}"
     assert len(manifest) == 37
-    assert build(cfg_file, 7, tmp_path / "b") == manifest
+    return manifest
 
 
 def test_epochs_zero_allowed(cfg_file, tmp_path):

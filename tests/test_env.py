@@ -1,18 +1,18 @@
 """Synthetic interactive environment: catalog, rewards, abandonment."""
 
-import threading
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsrm_hrl import env as env_mod
 from dsrm_hrl.config import EnvConfig
 from dsrm_hrl.diffusion import make_schedule
-from dsrm_hrl.env import (GROUP_LONGTAIL, GROUP_POPULAR, EnvError, InvalidActionError,
-                          ItemCatalog, RecEnv, _sigmoid,
-                          encode_observed, random_rollout, update_abandonment)
+from dsrm_hrl.env import (DRIFT_ITEMS, GROUP_LONGTAIL, GROUP_POPULAR, HALF_NORMAL_MEAN,
+                          HALF_NORMAL_STD, EnvError, InvalidActionError, ItemCatalog, RecEnv,
+                          _noise_width, _session_drift, _sigmoid, encode_observed,
+                          popularity_drift_direction, random_rollout, update_abandonment)
 
 from conftest import random_slate
 
@@ -86,77 +86,6 @@ def test_reset_determinism():
     assert np.array_equal(env1.ground_truth_state(), env2.ground_truth_state())
     o3 = env2.reset(43)
     assert not np.array_equal(o1, o3)
-
-
-def test_session_plan_takes_its_seeds_in_order(monkeypatch):
-    """In a session plan each reset must take the plan's next seed; a reset
-    that does not, or that finds the plan used up, raises and leaves no
-    session open, as does the end of the block."""
-    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
-    env, ref = RecEnv(small_cfg()), RecEnv(small_cfg())
-    with env.sessions([5, 6]):
-        assert np.array_equal(env.reset(5), ref.reset(5))
-        env.step([0, 1, 2])
-        with pytest.raises(EnvError, match="not the session plan's next"):
-            env.reset(7)
-        with pytest.raises(EnvError, match="finished or unstarted"):
-            env.step([0, 1, 2])
-        ref.step([0, 1, 2])
-        assert np.array_equal(env.reset(6), ref.reset(6))
-        with pytest.raises(EnvError, match="not the session plan's next"):
-            env.reset(7)
-    with env.sessions([8]):
-        assert np.array_equal(env.reset(8), ref.reset(8))
-    with pytest.raises(EnvError, match="finished or unstarted"):
-        env.step([0, 1, 2])
-
-
-@pytest.mark.parametrize("n_items, planned", [(500, False), (5000, True)])
-def test_sessions_plan_only_large_sessions(n_items, planned):
-    """At the real PLAN_MIN_NORMALS, sessions() at the default config runs
-    one worker thread from the first reset at 5000 items (156k normals a
-    session) and none at 500 (16k); none runs after the block."""
-    env, before = RecEnv(EnvConfig(n_items=n_items)), threading.active_count()
-    with env.sessions([1, 2]):
-        assert threading.active_count() == before
-        env.reset(1)
-        assert threading.active_count() == before + planned
-    assert threading.active_count() == before
-
-
-def test_plan_whose_first_session_never_begins(monkeypatch):
-    """A block whose only reset takes the wrong seed raises that reset's
-    EnvError at the reset and no other error at its exit."""
-    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
-    env = RecEnv(small_cfg())
-    with pytest.raises(EnvError, match="not the session plan's next"):
-        with env.sessions([5, 6]):
-            env.reset(6)
-
-
-def test_fault_in_a_fill_no_reset_waits_for(monkeypatch):
-    """A fault in the look-ahead fill of a session that is never begun
-    (session 7's, after sessions 5 and 6 ran) is raised at the block's
-    exit, once the worker is joined."""
-    monkeypatch.setattr(env_mod, "PLAN_MIN_NORMALS", 1)
-    fill = env_mod._fill
-
-    def session_7_raises(rng, out):
-        if rng.bit_generator.seed_seq.entropy == [0, 7]:
-            raise RuntimeError("look-ahead fault")
-        fill(rng, out)
-
-    monkeypatch.setattr(env_mod, "_fill", session_7_raises)
-    env, ref = RecEnv(small_cfg()), RecEnv(small_cfg())
-    before, body_done = threading.enumerate(), False
-    with pytest.raises(RuntimeError, match="look-ahead fault"):
-        with env.sessions([5, 6, 7]):
-            for seed in (5, 6):
-                assert np.array_equal(env.reset(seed), ref.reset(seed))
-                assert np.array_equal(env.step([0, 1, 2])[1], ref.step([0, 1, 2])[1])
-            body_done = True
-    assert body_done
-    assert threading.enumerate() == before
 
 
 def test_latent_pref_unit_norm():
@@ -320,14 +249,14 @@ def test_reset_clears_abandoned_flag():
 def test_encode_cold_start_is_prior():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     obs = encode_observed(np.empty(0, np.int64), np.empty(0), cat, 0.0,
-                          np.random.default_rng(0))
+                          np.random.default_rng(0), None)
     assert np.allclose(obs, cat.prior)
 
 
 def test_encode_noise_free_weighted_mean():
     cat = ItemCatalog.build(small_cfg(), np.random.default_rng(0))
     obs = encode_observed(np.array([3, 7]), np.array([1.0, 0.0]), cat, 0.0,
-                          np.random.default_rng(0))
+                          np.random.default_rng(0), None)
     expected = (2.0 * cat.embeddings[3] + 1.0 * cat.embeddings[7]) / 3.0
     assert np.allclose(obs, expected, atol=1e-12)
 
@@ -337,7 +266,124 @@ def test_encode_rejects_unknown_items():
     for item in (999, cat.n_items, -1):
         with pytest.raises(EnvError):
             encode_observed(np.array([3, item]), np.array([1.0, 1.0]), cat, 0.0,
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), None)
+
+
+def with_exposure(cat, exposure):
+    """cat's items with another exposure vector."""
+    return ItemCatalog(cat.n_items, cat.embeddings, exposure, cat.initial_popularity,
+                       cat.group, cat.prior)
+
+
+@pytest.mark.parametrize("n_items", [40, 511, 512, 513, 5000])
+def test_encode_draws_its_noise_width_whatever_the_exposure(n_items):
+    """One noisy encode_observed advances the session's generator by exactly
+    _noise_width normals, on a cold and a warm catalog and whatever the
+    exposure vector: the width depends on the config and on whether
+    anything is exposed, never on which items are, which random_rollout's
+    first pass (drawn before its exposure rows) rests on. Up to DRIFT_ITEMS
+    items an exposed catalog draws one drift normal per item, past it
+    DRIFT_ITEMS plus d for the tail."""
+    d = 8
+    exposed_width = 1 + d + (n_items if n_items <= DRIFT_ITEMS else DRIFT_ITEMS + d)
+    rng = np.random.default_rng(n_items)
+    for init_exposure in (0, 100_000):
+        cat = ItemCatalog.build(EnvConfig(d=d, n_items=n_items, init_exposure=init_exposure),
+                                np.random.default_rng(1))
+        for exposure in (cat.exposure, rng.permutation(cat.exposure),
+                         rng.integers(0, 3, n_items) * rng.integers(0, 2, n_items)):
+            variant = with_exposure(cat, exposure)
+            width = _noise_width(n_items, d, variant.exposure_total > 0)
+            assert width == (exposed_width if variant.exposure_total > 0 else 1 + d)
+            drift = _session_drift(variant.exposure, variant.embeddings)
+            session, twin = np.random.default_rng(5), np.random.default_rng(5)
+            obs = encode_observed(np.array([0, 1]), np.array([0.5, 1.0]), variant, 0.3,
+                                  session, drift)
+            twin.standard_normal(width)
+            assert session.bit_generator.state == twin.bit_generator.state
+            assert np.isfinite(obs).all()
+
+
+def test_tail_root_of_an_empty_or_low_rank_second_moment():
+    """FAST_CFG's warm start at 5000 items exposes fewer than DRIFT_ITEMS
+    items, all of them exact, so the tail's moments are zeros (where a
+    Cholesky factor raises); a tail of 3 exposed items in d = 8 has a second
+    moment of rank 3. Either way the basis holds the tail's first moment and
+    the symmetric PSD square root of its second, and a drift is a unit
+    vector."""
+    cat = ItemCatalog.build(EnvConfig(d=8, n_items=5000, slate_k=3, init_exposure=100),
+                            np.random.default_rng(7))
+    assert 0 < np.count_nonzero(cat.exposure) < DRIFT_ITEMS
+    top, basis = _session_drift(cat.exposure, cat.embeddings)
+    assert set(np.flatnonzero(cat.exposure)) <= set(top.tolist())
+    assert basis.shape == (DRIFT_ITEMS + 1 + 8, 8) and not basis[DRIFT_ITEMS:].any()
+    exposure = np.zeros(5000)
+    exposure[:DRIFT_ITEMS] = 1000.0
+    exposure[[600, 700, 800]] = [1.0, 2.0, 3.0]
+    low_rank = with_exposure(cat, exposure)
+    top, basis = _session_drift(low_rank.exposure, low_rank.embeddings)
+    assert top.tolist() == list(range(DRIFT_ITEMS))
+    assert np.array_equal(basis[:DRIFT_ITEMS], cat.embeddings[:DRIFT_ITEMS])
+    e, x = cat.embeddings[[600, 700, 800]], exposure[[600, 700, 800]]
+    assert np.allclose(basis[DRIFT_ITEMS] / HALF_NORMAL_MEAN, x @ e, rtol=0, atol=1e-12)
+    root = basis[DRIFT_ITEMS + 1:] / HALF_NORMAL_STD
+    assert np.allclose(root, root.T, rtol=0, atol=1e-12)
+    assert np.allclose(root @ root, (e * x[:, None]).T @ (e * x[:, None]), rtol=0, atol=1e-9)
+    singular = np.linalg.svd(root, compute_uv=False)
+    assert (singular[3:] < 1e-6 * singular[0]).all()  # rank 3, to rounding
+    for exposed in (cat, low_rank):
+        drift = _session_drift(exposed.exposure, exposed.embeddings)
+        for draws in np.random.default_rng(3).standard_normal((5, DRIFT_ITEMS + 8)):
+            v = popularity_drift_direction(exposed, draws, drift)
+            assert math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
+
+
+def exact_drift_direction(catalog, draws):
+    """The drift with one half-normal weight per item, at any catalog size."""
+    v = (catalog.exposure / catalog.exposure_total * np.abs(draws)) @ catalog.embeddings
+    return v / np.linalg.norm(v)
+
+
+def ks_statistic(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the empirical distribution functions of a and b."""
+    at = np.concatenate((a, b))
+    return np.abs(np.searchsorted(np.sort(a), at, side="right") / len(a)
+                  - np.searchsorted(np.sort(b), at, side="right") / len(b)).max()
+
+
+def warm_and_evolved(n_items):
+    """The default warm start of n_items (env seed 11), and the same catalog
+    after 450k more impressions spread at random over its long tail."""
+    cat = ItemCatalog.build(EnvConfig(n_items=n_items, seed=11), np.random.default_rng(11))
+    rng = np.random.default_rng(12)
+    served = rng.choice(np.flatnonzero(cat.group == GROUP_LONGTAIL), size=450_000)
+    return cat, with_exposure(cat, cat.exposure + np.bincount(served, minlength=n_items))
+
+
+@pytest.mark.parametrize("n_items", [500, 5000])
+def test_drift_model_matches_the_exact_draw(n_items):
+    """At most DRIFT_ITEMS items the model's drift is the exact draw, bit
+    for bit. Past it, on the warm catalog and on an evolved one, 4000 model
+    directions and 4000 exact ones have the same distribution of cosines to
+    the popular items' mean embedding: their two-sample KS statistic is
+    below 0.030, the 5% critical value (1.358 * sqrt(2 / 4000))."""
+    rng = np.random.default_rng(n_items + 3)
+    for cat in warm_and_evolved(n_items):
+        drift = _session_drift(cat.exposure, cat.embeddings)
+        if n_items <= DRIFT_ITEMS:
+            for draws in rng.standard_normal((50, n_items)):
+                want = exact_drift_direction(cat, draws.copy())
+                assert popularity_drift_direction(cat, draws, drift).tobytes() == want.tobytes()
+            continue
+        popular = cat.embeddings[cat.group == GROUP_POPULAR].mean(axis=0)
+        popular /= np.linalg.norm(popular)
+        width = DRIFT_ITEMS + cat.embeddings.shape[1]
+        model = [popularity_drift_direction(cat, rng.standard_normal(width), drift) @ popular
+                 for _ in range(4000)]
+        exact = [exact_drift_direction(cat, rng.standard_normal(n_items)) @ popular
+                 for _ in range(4000)]
+        assert ks_statistic(np.array(model), np.array(exact)) < 0.030
 
 
 def test_abandonment_hand_simulation():

@@ -11,7 +11,11 @@ for element; nothing in NumPy promises that, so these tests pin it.
 
 The random rollout, in blocks of steps made in chunks, runs against
 RecEnv's own reset and step, one step at a time, and must match them bit
-for bit too."""
+for bit too.
+
+Past DRIFT_ITEMS items the drift is a model, not the earlier per-item
+draw: the old path then draws it by a plain reference of the model,
+written here, and at most DRIFT_ITEMS items the old path is verbatim."""
 
 import math
 from dataclasses import dataclass, field
@@ -23,11 +27,12 @@ from dsrm_hrl import agent as agent_mod
 from dsrm_hrl.agent import Agent
 from dsrm_hrl.config import DsrmConfig, EnvConfig, HrlConfig
 from dsrm_hrl.diffusion import Denoiser
-from dsrm_hrl.env import (GROUP_POPULAR, POP_DRIFT_RATIO, ROLLOUT_BLOCK, EnvError,
-                          InvalidActionError, RecEnv,
+from dsrm_hrl.env import (DRIFT_ITEMS, GROUP_POPULAR, MOMENT_BLOCK, POP_DRIFT_RATIO,
+                          ROLLOUT_BLOCK, EnvError, InvalidActionError, RecEnv,
                           _rollout_chunk, random_rollout, update_abandonment)
 
-from dsrm_hrl.env import ItemCatalog, _drift_directions, popularity_drift_direction
+from dsrm_hrl.env import (ItemCatalog, _drift_directions, _session_drift,
+                          _tail_drift_directions, popularity_drift_direction)
 
 from conftest import clean_state, random_slate, same_outcome
 
@@ -51,11 +56,53 @@ def old_exposure_weight(exposure, max_exposure):
     return np.log1p(exposure) / np.log1p(max_exposure)
 
 
-def old_popularity_drift_direction(catalog, rng):
+# -- the drift model past DRIFT_ITEMS items, a plain reference --------------
+
+def model_drift(exposure, embeddings):
+    """A session's drift model from the exposure at its reset: the
+    DRIFT_ITEMS most exposed items, ties to the lower id, in id order, and
+    the rows a draw weights: their embeddings, the tail's half-normal mean
+    sqrt(2/pi) * sum of x_i e_i, and sqrt(1 - 2/pi) times the symmetric PSD
+    square root of the tail's sum of x_i^2 e_i e_i^T, these sums over the
+    catalog with the exact items' counts 0, the second by blocks of
+    MOMENT_BLOCK items."""
+    ranked = sorted(range(len(exposure)), key=lambda i: (-exposure[i], i))
+    top = sorted(ranked[:DRIFT_ITEMS])
+    x = np.asarray(exposure, np.float64).copy()
+    x[top] = 0.0
+    second = 0.0
+    for i in range(0, len(x), MOMENT_BLOCK):
+        weighted = embeddings[i:i + MOMENT_BLOCK] * x[i:i + MOMENT_BLOCK, None]
+        second = second + weighted.T @ weighted  # one buffer: NumPy's symmetric product
+    lam, vec = np.linalg.eigh(second)
+    root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+    return top, np.vstack((embeddings[top], math.sqrt(2 / math.pi) * (x @ embeddings),
+                           math.sqrt(1 - 2 / math.pi) * root))
+
+
+def model_drift_direction(catalog, total, draws, model):
+    """The model's drift from draws, one per exact item then d: the exact
+    items' shares times abs of their draws, then the tail's mean at weight
+    1 / total and its d draws at weight 1 / total each."""
+    top, basis = model
+    d = basis.shape[1]
+    share = catalog.exposure[top] / total * np.abs(draws[:len(top)])
+    weights = np.concatenate((share, [1 / total], 1 / total * draws[len(top):]))
+    v = weights @ basis
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        return np.zeros(d)
+    return v / norm
+
+
+def old_popularity_drift_direction(catalog, rng, model):
     total = catalog.exposure.sum()
     n = catalog.n_items
     if total <= 0:
         return np.zeros(catalog.embeddings.shape[1])
+    if model is not None:
+        d = catalog.embeddings.shape[1]
+        return model_drift_direction(catalog, total, rng.standard_normal(DRIFT_ITEMS + d), model)
     share = catalog.exposure / total
     v = (share * np.abs(rng.standard_normal(n))) @ catalog.embeddings
     norm = np.linalg.norm(v)
@@ -64,7 +111,7 @@ def old_popularity_drift_direction(catalog, rng):
     return v / norm
 
 
-def old_encode_observed(history, catalog, noise_scale, rng):
+def old_encode_observed(history, catalog, noise_scale, rng, model):
     d = catalog.embeddings.shape[1]
     if history:
         ids = [i for i, _ in history]
@@ -77,7 +124,7 @@ def old_encode_observed(history, catalog, noise_scale, rng):
     vec = base
     if noise_scale > 0:
         mag = np.abs(rng.standard_normal())
-        drift = mag * old_popularity_drift_direction(catalog, rng)
+        drift = mag * old_popularity_drift_direction(catalog, rng, model)
         vec = vec + noise_scale * POP_DRIFT_RATIO * drift
         vec = vec + (noise_scale / np.sqrt(d)) * rng.standard_normal(d)
     return np.asarray(vec, dtype=np.float64)
@@ -96,25 +143,29 @@ def old_score_items(state_vec, omega, catalog):
 
 
 class OldEnv(RecEnv):
-    """RecEnv with the earlier reset, clean_state and step. It writes its
-    catalog's exposure directly, so that catalog's caches go stale; nothing
-    here reads them."""
+    """RecEnv with the earlier reset, clean_state and step, and past
+    DRIFT_ITEMS items the model's drift, from model_drift at each reset. It
+    writes its catalog's exposure directly, so that catalog's caches go
+    stale; nothing here reads them."""
 
     def reset(self, seed):
         self._rng = np.random.default_rng([self.config.seed, seed])
         pref = self._rng.standard_normal(self.config.d)
         pref /= np.linalg.norm(pref)
         self._user = UserProfile(latent_pref=pref)
+        self._model = None
+        if self.catalog.n_items > DRIFT_ITEMS:
+            self._model = model_drift(self.catalog.exposure, self.catalog.embeddings)
         self._step = 0
         self._done = False
         self._abandoned = False
         self._popular_counts.clear()
         return old_encode_observed([], self.catalog, self.config.noise_scale,
-                                   self._rng)
+                                   self._rng, self._model)
 
     def clean_state(self):
         return old_encode_observed(self._user.history, self.catalog, 0.0,
-                                   self._rng)
+                                   self._rng, None)
 
     def step(self, slate):
         if self._done or self._user is None:
@@ -153,7 +204,7 @@ class OldEnv(RecEnv):
         self._done = abandoned or self._step >= cfg.max_len
         self._abandoned = abandoned
         nxt = old_encode_observed(self._user.history, cat, cfg.noise_scale,
-                                  self._rng)
+                                  self._rng, self._model)
         return rewards, nxt, self._done
 
 
@@ -520,7 +571,8 @@ def test_select_slate_matches_parent_on_ties_and_signed_zeros(n_items):
 def test_drift_matches_parent_int_counts(n_items):
     """The drift direction from float64 counts against the int64 counts'
     share, one state and rows of them, including a catalog with nothing
-    exposed and draws that cancel every exposed item."""
+    exposed and draws that cancel every exposed item: past DRIFT_ITEMS
+    items, against the model's reference on the int64 counts."""
     rng = np.random.default_rng(n_items + 2)
     zero = np.zeros(n_items, np.int64)
     one_item = zero.copy()
@@ -529,10 +581,27 @@ def test_drift_matches_parent_int_counts(n_items):
         cat, ref = catalog_pair(n_items, seed=n_items, exposure=exposure)
         assert_same_bits(cat.exposure / max(cat.exposure_total, 1),
                          ref.exposure / max(ref.exposure_total, 1))
+        drift = _session_drift(cat.exposure, cat.embeddings)
+        if n_items > DRIFT_ITEMS:
+            model = model_drift(ref.exposure, ref.embeddings)
+            draws = rng.standard_normal((4, DRIFT_ITEMS + cat.embeddings.shape[1]))
+            draws[3, 7] = draws[3, 17] = 0.0  # items 7 and 17 are exact here
+            want = [np.zeros(cat.embeddings.shape[1]) if ref.exposure_total <= 0 else
+                    model_drift_direction(ref, ref.exposure_total, row.copy(), model)
+                    for row in draws]
+            for row, ref_direction in zip(draws, want):
+                assert_same_bits(popularity_drift_direction(cat, row.copy(), drift),
+                                 ref_direction)
+            if cat.exposure_total > 0:
+                counts = np.tile(cat.exposure[drift[0]], (4, 1))
+                totals = np.full((4, 1), float(cat.exposure_total))
+                assert_same_bits(_tail_drift_directions(counts, totals, draws.copy(), drift),
+                                 np.array(want))
+            continue
         draws = rng.standard_normal((4, n_items))
         draws[3, 7] = draws[3, 17] = 0.0
         for row in draws:
-            assert_same_bits(popularity_drift_direction(cat, row.copy()),
+            assert_same_bits(popularity_drift_direction(cat, row.copy(), drift),
                              parent_popularity_drift_direction(ref, row.copy()))
         if cat.exposure_total > 0:
             share = np.tile(cat.exposure / cat.exposure_total, (4, 1))
@@ -540,7 +609,7 @@ def test_drift_matches_parent_int_counts(n_items):
             assert_same_bits(_drift_directions(share, draws.copy(), cat.embeddings),
                              parent_drift_directions(ref_share, draws.copy(),
                                                      ref.embeddings))
-    assert not popularity_drift_direction(cat, draws[3].copy()).any()
+    assert not popularity_drift_direction(cat, draws[3].copy(), drift).any()
 
 
 def test_int_exposure_is_held_as_exact_float():
